@@ -63,6 +63,10 @@ class Harmonic:
             raise ValidationError(
                 f"harmonic m={self.m}: cos and sin amplitudes differ in length"
             )
+        for field in ("cos_amplitude", "sin_amplitude"):
+            v = getattr(self, field)
+            if not np.isfinite(v).all():
+                raise ValidationError(f"harmonic m={self.m}: {field} must be finite, got {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +80,8 @@ class DriveSpec:
     def __post_init__(self):
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be positive, got {self.omega}")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValidationError(f"omega must be finite and positive, got {self.omega}")
         seen = set()
         dim = None
         for h in self.harmonics:
@@ -167,7 +171,7 @@ def _harmonics_strict(drive, a, amplitude, cutoff, samples, parseval_tol):
     coefficients = spectrum[idx]
     power = float(np.sum(np.abs(coefficients) ** 2))
     tail = abs(power - abs(amplitude) ** 2) / abs(amplitude) ** 2
-    if tail > parseval_tol:
+    if not (tail <= parseval_tol):
         raise CutoffTooSmallError(
             f"cutoff {cutoff} too small: Parseval tail mass {tail:.3e} "
             f"exceeds {parseval_tol:.1e}",

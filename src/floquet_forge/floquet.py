@@ -6,14 +6,21 @@ fixed-step fourth-order composition of exact midpoint exponentials, so every
 propagator is unitary to rounding at any step count; accuracy is certified
 separately by a step-doubling check on the matched quasienergies.
 
-Sweeps over (omega, k) are embarrassingly parallel and run on a thread pool
-with no shared mutable state; results are gathered by task key. The pool size
-is capped by the FLOQUET_FORGE_THREADS environment variable (0 or unset means
-one worker per CPU).
+Only the scalar Bloch phases exp(i k.R_b) of H(t) depend on k. The bond
+phase factors exp(i chi_b(t)) on the integrator nodes are built once per
+(lattice, drive, step count) and kept in a small bounded cache of read-only
+arrays, so every k of a sweep reuses them.
+
+Sweeps over (omega, k) are embarrassingly parallel and run on a thread pool;
+workers share only that cache, which is thread-safe (two workers missing the
+same entry both build it, with identical results). Results are gathered by
+task key. The pool size is capped by the FLOQUET_FORGE_THREADS environment
+variable (0 or unset means one worker per CPU).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -129,19 +136,57 @@ def _check_drive_dim(lattice: LatticeSpec, drive: DriveSpec) -> None:
         )
 
 
-def _hamiltonian_stack(lattice, drive, k, times) -> np.ndarray:
-    d = lattice.basis_count
+def _check_k(lattice: LatticeSpec, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.shape != (lattice.space_dim,):
         raise ValidationError(
             f"k must have {lattice.space_dim} Cartesian components, got shape {k.shape}"
         )
-    H = np.zeros((len(times), d, d), dtype=complex)
+    return k
+
+
+def _bond_terms(lattice: LatticeSpec, drive: DriveSpec, times) -> tuple:
+    """The k-independent part of H(t) on the given times, one entry per bond
+    in bond order: (target, source, R_b, amplitude, exp(i chi_b(times))).
+
+    All arrays are read-only. Bonds whose displacements are equal bit for bit
+    share one phase array, since chi depends on the bond only through its
+    displacement.
+    """
+    phases = {}
+    terms = []
     for b in lattice.bonds:
+        a = lattice.displacement(b)
+        E = phases.get(a.tobytes())
+        if E is None:
+            E = np.exp(1j * phase(drive, a, times))
+            E.flags.writeable = False
+            phases[a.tobytes()] = E
         R = np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors
-        factor = b.amplitude * np.exp(1j * float(k @ R))
-        chi = phase(drive, lattice.displacement(b), times)
-        H[:, b.target_basis, b.source_basis] += factor * np.exp(1j * chi)
+        R.flags.writeable = False
+        terms.append((b.target_basis, b.source_basis, R, b.amplitude, E))
+    return tuple(terms)
+
+
+# Keyed on object identity: LatticeSpec and DriveSpec are frozen, eq=False
+# dataclasses holding read-only arrays, and the cache's strong references keep
+# a cached id from being reused. Four entries hold one drive's 512- and
+# 1024-step resolutions for each of two sweep workers.
+@functools.lru_cache(maxsize=4)
+def _integrator_terms(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> tuple:
+    """Bond terms on the integrator nodes of one period at ``steps`` steps."""
+    h = drive.period / steps
+    times = ((np.arange(steps)[:, None] + _NODES[None, :]) * h).reshape(-1)
+    return _bond_terms(lattice, drive, times)
+
+
+def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int) -> np.ndarray:
+    """H(t) at wave vector k on every time the bond terms were built for."""
+    d = lattice.basis_count
+    H = np.zeros((n_times, d, d), dtype=complex)
+    for target, source, R, amplitude, E in terms:
+        factor = amplitude * np.exp(1j * float(k @ R))
+        H[:, target, source] += factor * E
     return H
 
 
@@ -149,7 +194,9 @@ def bloch_hamiltonian_t(lattice: LatticeSpec, drive: DriveSpec, k, t: float) -> 
     """Instantaneous Bloch Hamiltonian of the driven lattice at time t."""
     require_closed(lattice)
     _check_drive_dim(lattice, drive)
-    return _hamiltonian_stack(lattice, drive, k, np.array([float(t)]))[0]
+    k = _check_k(lattice, k)
+    terms = _bond_terms(lattice, drive, np.array([float(t)]))
+    return _hamiltonian_stack(lattice, k, terms, 1)[0]
 
 
 def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) -> tuple:
@@ -184,8 +231,8 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 
 def _propagator(lattice, drive, k, steps: int) -> np.ndarray:
     h = drive.period / steps
-    times = ((np.arange(steps)[:, None] + _NODES[None, :]) * h).reshape(-1)
-    Hs = _hamiltonian_stack(lattice, drive, k, times)
+    terms = _integrator_terms(lattice, drive, steps)
+    Hs = _hamiltonian_stack(lattice, k, terms, len(_NODES) * steps)
     factors = np.tile(_WEIGHTS * h, steps)
     return _time_ordered_product(_expm_stack(Hs, factors))
 
@@ -232,13 +279,13 @@ def propagate_period(
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
     w = drive.omega
-    k = np.asarray(k, dtype=float)
+    k = _check_k(lattice, k)
 
     U = _propagator(lattice, drive, k, steps)
     eps = quasienergies_from_propagator(U, w)
     if not refine:
         drift = _unitarity_error(U)
-        if drift > UNITARITY_TOL:
+        if not (drift <= UNITARITY_TOL):
             raise ConvergenceError(f"propagator unitarity drift {drift:.3e} exceeds {UNITARITY_TOL}")
         return QuasiSpectrum(k, w, steps, eps, U, drift, float("nan"))
 
@@ -354,7 +401,8 @@ def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
 
 def _sweep_quasienergies(lattice, plans, k_list, steps, tol, max_steps) -> dict:
     """Work queue over (omega index, k index): propagate independently on a
-    thread pool, gather sorted quasienergies by key. No shared mutable state;
+    thread pool, gather sorted quasienergies by key. Tasks share only the
+    read-only bond phase factors of the thread-safe integrator cache;
     exceptions surface on result collection."""
 
     def task(iw: int, ik: int) -> np.ndarray:

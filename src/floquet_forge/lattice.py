@@ -274,14 +274,18 @@ def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
 
     ``k`` is a Cartesian reciprocal vector; R_offset = offset @ bravais_vectors.
     The offset set must be Hermitian-closed, so the result is Hermitian for
-    every real k.
+    every real k. An empty offset set is refused, since it fixes no size.
     """
     table = offset_dict(offsets)
+    if not table:
+        raise ValidationError(
+            "offset set is empty: a Bloch matrix needs at least one block to fix its size"
+        )
     if not is_hermitian_closed_offsets(offsets):
         raise ValidationError("offset set is not Hermitian-closed")
     A = np.atleast_2d(np.asarray(bravais_vectors, dtype=float))
     k = np.asarray(k, dtype=float)
-    d = next(iter(table.values())).shape[0] if table else 0
+    d = next(iter(table.values())).shape[0]
     H = np.zeros((d, d), dtype=complex)
     for off, m in sorted(table.items()):
         R = np.asarray(off, dtype=float) @ A

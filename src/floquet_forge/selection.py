@@ -214,7 +214,7 @@ def cross_validate(
             continue
         m = table.get(c.offset)
         value = 0.0 if m is None else abs(m[c.target_basis, c.source_basis])
-        if value > threshold:
+        if not (value <= threshold):
             violations.append(
                 f"coupling {c.source_basis}->{c.target_basis} at offset {c.offset} "
                 f"is forced zero but has |B| = {value:.3e} (threshold {threshold:.3e})"

@@ -41,6 +41,23 @@ def test_harmonic_validation():
         DriveSpec(5.0, (Harmonic(1, [1.0], [0.0]), Harmonic(2, [1.0, 0.0], [0.0, 0.0])))
 
 
+def test_non_finite_drive_input_is_refused():
+    with pytest.raises(ValidationError, match="cos_amplitude must be finite"):
+        circular_drive(10.0, float("nan"))
+    with pytest.raises(ValidationError, match="sin_amplitude must be finite"):
+        Harmonic(1, [1.0, 0.0], [0.0, float("inf")])
+    for omega in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="omega must be finite"):
+            DriveSpec(omega, ())
+
+
+def test_nan_parseval_tail_fails_the_check():
+    lat = preset("chain")
+    bond = Bond(0, 0, (1,), float("nan"))
+    with pytest.raises(CutoffTooSmallError, match="nan"):
+        bond_harmonics(lat, linear_drive(3.0, [4.0]), bond, cutoff=32)
+
+
 def test_undriven_limit_has_no_dimension():
     d = DriveSpec(3.0, ())
     assert d.space_dim is None

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from floquet_forge import (
     scaling_fit,
     undriven_offsets,
 )
+from floquet_forge import floquet
 from floquet_forge.floquet import thread_count
 from floquet_forge.lattice import offset_dict
 from helpers import random_drive, torus_hamiltonian
@@ -129,6 +132,64 @@ def test_unrefined_propagation_takes_requested_steps():
     spec = propagate_period(lat, drive, np.array([0.7]), steps=512, refine=False)
     assert spec.steps == 512
     assert np.isnan(spec.step_doubling_change)
+
+
+def test_unrefined_propagation_fails_on_nan_unitarity(monkeypatch):
+    monkeypatch.setattr(floquet, "_unitarity_error", lambda U: float("nan"))
+    with pytest.raises(ConvergenceError, match="unitarity"):
+        propagate_period(preset("chain"), linear_drive(7.0, [3.0]), np.array([0.7]), refine=False)
+
+
+def test_cached_bond_factors_reproduce_a_cold_build_bit_for_bit():
+    lat = preset("kagome")
+    drive = circular_drive(12.0, 18.0)
+    twin = circular_drive(12.0, 18.0)  # equal, but a distinct cache key
+    k = np.array([0.4, -0.9])
+    propagate_period(lat, drive, np.array([1.1, 0.2]))
+    info = floquet._integrator_terms.cache_info()
+    hit = propagate_period(lat, drive, k)
+    assert floquet._integrator_terms.cache_info().misses == info.misses
+    miss = propagate_period(lat, twin, k)
+    assert floquet._integrator_terms.cache_info().misses > info.misses
+    assert np.array_equal(hit.quasienergies, miss.quasienergies)
+    assert np.array_equal(hit.propagator, miss.propagator)
+
+
+def test_warm_cache_still_validates_inputs():
+    lat = preset("kagome")
+    drive = circular_drive(12.0, 18.0)
+    propagate_period(lat, drive, np.array([0.4, -0.9]))
+    with pytest.raises(ValidationError, match="Cartesian components"):
+        propagate_period(lat, drive, np.array([0.4, -0.9, 0.1]))
+    with pytest.raises(ValidationError, match="drive force has 3 components"):
+        propagate_period(lat, linear_drive(12.0, [1.0, 2.0, 3.0]), np.array([0.4, -0.9]))
+
+
+def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
+    # more workers than cores, rapid thread switches, and more (drive, steps)
+    # keys than cache entries: the pooled sweep must equal a serial one
+    lat = preset("zigzag")
+    base = circular_drive(10.0, 15.0)
+    ks = [np.array([kx, 0.0]) for kx in (0.5, 1.0, 1.5, 2.0)]
+    omegas = [10.0, 20.0, 40.0, 80.0]
+
+    def family(w):
+        return rescale_drive(base, w)
+
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", "1")
+    before = floquet._integrator_terms.cache_info()
+    serial = error_matrix(lat, family, ks, omegas)
+    assert floquet._integrator_terms.cache_info().hits > before.hits
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = error_matrix(lat, family, ks, omegas)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial, pooled)
+    info = floquet._integrator_terms.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 4
 
 
 def test_fit_power_law_recovers_exponent():

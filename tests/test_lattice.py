@@ -10,6 +10,8 @@ from floquet_forge import (
     bloch_matrix,
     classify_geometry,
     close_hermitian,
+    linear_drive,
+    order1,
     preset,
     reciprocal_vectors,
     translational_identity_check,
@@ -145,6 +147,17 @@ def test_bloch_matrix_is_hermitian_and_periodic():
         assert np.allclose(H, H.conj().T, atol=1e-14)
         H2 = bloch_matrix(offs, k + G.T @ rng.integers(-2, 3, size=2), lat.bravais_vectors)
         assert np.allclose(H, H2, atol=1e-12)
+
+
+def test_bloch_matrix_refuses_an_empty_offset_set():
+    with pytest.raises(ValidationError, match="empty"):
+        bloch_matrix((), np.array([0.3]), [[1.0]])
+    # order 1 of a one-point basis is empty; its Bloch matrix is refused by name
+    lat = preset("chain")
+    empty = order1(lat, linear_drive(10.0, [5.0]))
+    assert empty == ()
+    with pytest.raises(ValidationError, match="empty"):
+        bloch_matrix(empty, np.array([0.3]), lat.bravais_vectors)
 
 
 def test_reciprocal_vectors_are_dual():

@@ -137,3 +137,23 @@ def test_cross_validate_flags_a_doctored_model():
     verdict = cross_validate(report, model, strict=False)
     assert not verdict.consistent
     assert any("(0, 0)" in v for v in verdict.violations)
+
+
+def test_cross_validate_flags_a_nan_forced_zero_block():
+    lat = preset("kagome")
+    report = enumerate_processes(lat)
+    bad = np.full((3, 3), np.nan, dtype=complex)
+    model = EffectiveModel(
+        order0=(),
+        order1=(OffsetMatrix((0, 0), bad),),
+        gauge=Gauge.STATIC_FREE,
+        omega=20.0,
+        bravais_vectors=lat.bravais_vectors,
+        amplitude_scale=1.0,
+        cutoff=32,
+    )
+    verdict = cross_validate(report, model, strict=False)
+    assert not verdict.consistent
+    assert any("(0, 0)" in v for v in verdict.violations)
+    with pytest.raises(ConsistencyError):
+        cross_validate(report, model)
