@@ -59,10 +59,21 @@ def _common_flags(p) -> None:
     p.add_argument("--linear", metavar="FX,FY,...", help="linear force amplitude components")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+        ok = bool(np.isfinite(value) and value >= 0)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _model_flags(p) -> None:
     p.add_argument("--gauge", default="static-free", help="floquet or static-free")
     p.add_argument("--cutoff", type=int, help="harmonic cutoff (default: automatic)")
-    p.add_argument("--prune", type=float, default=DEFAULT_PRUNE_TOL, metavar="TOL",
+    p.add_argument("--prune", type=_tolerance, default=DEFAULT_PRUNE_TOL, metavar="TOL",
                    help="relative first-order pruning threshold")
 
 

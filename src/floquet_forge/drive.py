@@ -156,14 +156,10 @@ def _default_samples(cutoff: int) -> int:
     return n
 
 
-def _harmonics_strict(drive, a, amplitude, cutoff, samples, parseval_tol):
+def _harmonics_strict(drive, a, amplitude, cutoff):
     if cutoff < 1:
         raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
-    n_s = _default_samples(cutoff) if samples is None else int(samples)
-    if n_s & (n_s - 1) or n_s < 8 * cutoff:
-        raise ValidationError(
-            f"samples must be a power of two with samples >= 8*cutoff, got {n_s}"
-        )
+    n_s = _default_samples(cutoff)
     t = np.arange(n_s) * (drive.period / n_s)
     g = amplitude * np.exp(1j * phase(drive, a, t))
     spectrum = np.fft.fft(g) / n_s
@@ -171,74 +167,60 @@ def _harmonics_strict(drive, a, amplitude, cutoff, samples, parseval_tol):
     coefficients = spectrum[idx]
     power = float(np.sum(np.abs(coefficients) ** 2))
     tail = abs(power - abs(amplitude) ** 2) / abs(amplitude) ** 2
-    if not (tail <= parseval_tol):
+    if not (tail <= PARSEVAL_TOL):
         raise CutoffTooSmallError(
             f"cutoff {cutoff} too small: Parseval tail mass {tail:.3e} "
-            f"exceeds {parseval_tol:.1e}",
+            f"exceeds {PARSEVAL_TOL:.1e}",
             tail,
         )
     coefficients.flags.writeable = False
     return coefficients
 
 
-def bond_harmonics(
-    lattice: LatticeSpec,
-    drive: DriveSpec,
-    bond: Bond,
-    cutoff: int | None = None,
-    samples: int | None = None,
-    parseval_tol: float = PARSEVAL_TOL,
-) -> BondHarmonics:
-    """Harmonics of one bond's time-dependent amplitude.
-
-    With ``cutoff=None`` the cutoff starts at 32 and doubles (up to 256) until
-    the Parseval tail drops below ``parseval_tol``; an explicit cutoff is used
-    as given and raises CutoffTooSmallError on a deficit.
-    """
-    a = lattice.displacement(bond)
+def _at_cutoff(build, cutoff: int | None):
+    """``build(n)`` at the given cutoff. With ``cutoff=None`` the cutoff starts
+    at 32 and doubles, up to 256, until ``build`` stops raising
+    CutoffTooSmallError; an explicit cutoff is used as given."""
     if cutoff is not None:
-        coeffs = _harmonics_strict(drive, a, bond.amplitude, int(cutoff), samples, parseval_tol)
-        return BondHarmonics(bond, a, drive.omega, int(cutoff), coeffs)
+        return build(int(cutoff))
     n = DEFAULT_CUTOFF
     while True:
         try:
-            coeffs = _harmonics_strict(drive, a, bond.amplitude, n, samples, parseval_tol)
-            return BondHarmonics(bond, a, drive.omega, n, coeffs)
+            return build(n)
         except CutoffTooSmallError:
             if n >= MAX_CUTOFF:
                 raise
             n *= 2
 
 
-def lattice_harmonics(
-    lattice: LatticeSpec,
-    drive: DriveSpec,
-    cutoff: int | None = None,
-    samples: int | None = None,
-    parseval_tol: float = PARSEVAL_TOL,
-) -> dict:
+def bond_harmonics(
+    lattice: LatticeSpec, drive: DriveSpec, bond: Bond, cutoff: int | None = None
+) -> BondHarmonics:
+    """Harmonics of one bond's time-dependent amplitude.
+
+    With ``cutoff=None`` the cutoff starts at 32 and doubles (up to 256) until
+    the Parseval tail drops below 1e-10; an explicit cutoff is used as given
+    and raises CutoffTooSmallError on a deficit.
+    """
+    a = lattice.displacement(bond)
+
+    def build(n):
+        coefficients = _harmonics_strict(drive, a, bond.amplitude, n)
+        return BondHarmonics(bond, a, drive.omega, n, coefficients)
+
+    return _at_cutoff(build, cutoff)
+
+
+def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None = None) -> dict:
     """Harmonics for every bond of a closed lattice, all at one shared cutoff.
 
     In auto mode the cutoff escalates jointly until every bond passes the
     Parseval check, so any two results can be combined in two-step amplitudes.
     """
     require_closed(lattice)
-    if cutoff is not None:
-        return {
-            b: bond_harmonics(lattice, drive, b, cutoff, samples, parseval_tol)
-            for b in lattice.bonds
-        }
-    n = DEFAULT_CUTOFF
-    while True:
-        try:
-            return {
-                b: bond_harmonics(lattice, drive, b, n, samples, parseval_tol)
-                for b in lattice.bonds
-            }
-        except CutoffTooSmallError:
-            if n >= MAX_CUTOFF:
-                raise
-            n *= 2
+    return _at_cutoff(
+        lambda n: {b: bond_harmonics(lattice, drive, b, n) for b in lattice.bonds}, cutoff
+    )
 
 
 def circular_drive(omega: float, f0: float) -> DriveSpec:

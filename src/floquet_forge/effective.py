@@ -24,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .drive import BondHarmonics, DriveSpec, bond_harmonics, lattice_harmonics
-from .errors import CutoffTooSmallError, ValidationError
+from .drive import BondHarmonics, DriveSpec, _at_cutoff, bond_harmonics, lattice_harmonics
+from .errors import ValidationError
 from .lattice import (
     Bond,
     LatticeSpec,
@@ -130,25 +130,6 @@ class TwoStepAmplitude:
     value: complex
 
 
-def _pair_harmonics(lattice, drive, bond1, bond2, cutoff, samples):
-    if cutoff is not None:
-        return (
-            bond_harmonics(lattice, drive, bond1, cutoff, samples),
-            bond_harmonics(lattice, drive, bond2, cutoff, samples),
-        )
-    n = 32
-    while True:
-        try:
-            return (
-                bond_harmonics(lattice, drive, bond1, n, samples),
-                bond_harmonics(lattice, drive, bond2, n, samples),
-            )
-        except CutoffTooSmallError:
-            if n >= 256:
-                raise
-            n *= 2
-
-
 def beta_general(
     lattice: LatticeSpec,
     drive: DriveSpec,
@@ -156,7 +137,6 @@ def beta_general(
     bond1: Bond,
     bond2: Bond,
     cutoff: int | None = None,
-    samples: int | None = None,
 ) -> TwoStepAmplitude:
     """Two-step amplitude for hopping along ``bond1`` then ``bond2``.
 
@@ -168,7 +148,13 @@ def beta_general(
             f"bonds do not compose: first hop ends on basis {bond1.target_basis}, "
             f"second starts on basis {bond2.source_basis}"
         )
-    h1, h2 = _pair_harmonics(lattice, drive, bond1, bond2, cutoff, samples)
+    h1, h2 = _at_cutoff(
+        lambda n: (
+            bond_harmonics(lattice, drive, bond1, n),
+            bond_harmonics(lattice, drive, bond2, n),
+        ),
+        cutoff,
+    )
     if gauge is Gauge.STATIC_FREE:
         f1, f2 = gauge_coefficient(h1), gauge_coefficient(h2)
     else:
@@ -222,16 +208,11 @@ def _symmetrize(table: dict, d: int) -> dict:
     }
 
 
-def order0(
-    lattice: LatticeSpec,
-    drive: DriveSpec,
-    cutoff: int | None = None,
-    samples: int | None = None,
-) -> tuple:
+def order0(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None = None) -> tuple:
     """Leading effective tunneling matrices: every bond renormalized to its
     static harmonic g^0. Sparsity equals the undriven bond sparsity."""
     require_closed(lattice)
-    return _order0_from_harmonics(lattice, lattice_harmonics(lattice, drive, cutoff, samples))
+    return _order0_from_harmonics(lattice, lattice_harmonics(lattice, drive, cutoff))
 
 
 def order1(
@@ -239,7 +220,6 @@ def order1(
     drive: DriveSpec,
     gauge: Gauge = Gauge.STATIC_FREE,
     cutoff: int | None = None,
-    samples: int | None = None,
     prune_tol: float = DEFAULT_PRUNE_TOL,
 ) -> tuple:
     """First-order correction assembled from all two-step processes.
@@ -250,7 +230,7 @@ def order1(
     against its hop-order-reversed partner.
     """
     require_closed(lattice)
-    h = lattice_harmonics(lattice, drive, cutoff, samples)
+    h = lattice_harmonics(lattice, drive, cutoff)
     return _order1_from_harmonics(lattice, h, gauge, drive.omega, prune_tol)
 
 
@@ -272,11 +252,10 @@ def build_effective_model(
     drive: DriveSpec,
     gauge: Gauge = Gauge.STATIC_FREE,
     cutoff: int | None = None,
-    samples: int | None = None,
     prune_tol: float = DEFAULT_PRUNE_TOL,
 ) -> EffectiveModel:
     require_closed(lattice)
-    h = lattice_harmonics(lattice, drive, cutoff, samples)
+    h = lattice_harmonics(lattice, drive, cutoff)
     used_cutoff = next(iter(h.values())).cutoff if h else 0
     return EffectiveModel(
         order0=_order0_from_harmonics(lattice, h),

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ValidationError (and subclasses) exit
 with 1, ConsistencyError and ConvergenceError with 2.
 """
 
+__all__ = ["ValidationError", "CutoffTooSmallError", "ConsistencyError", "ConvergenceError"]
+
 
 class ValidationError(ValueError):
     """Malformed input: geometry, drive, config or argument contract violated."""

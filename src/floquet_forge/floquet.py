@@ -11,11 +11,16 @@ phase factors exp(i chi_b(t)) on the integrator nodes are built once per
 (lattice, drive, step count) and kept in a small bounded cache of read-only
 arrays, so every k of a sweep reuses them.
 
-Sweeps over (omega, k) are embarrassingly parallel and run on a thread pool;
-workers share only that cache, which is thread-safe (two workers missing the
-same entry both build it, with identical results). Results are gathered by
-task key. The pool size is capped by the FLOQUET_FORGE_THREADS environment
-variable (0 or unset means one worker per CPU).
+Every propagating sweep goes through one core, ``_sweep_errors``: it
+validates the inputs once, builds one effective model per omega, propagates
+each (omega, k) point once for all truncation orders, and returns the matched
+distances with shape (order, omega, k). ``error_matrix`` and
+``scaling_errors`` are reductions of that array. The (omega, k) points are
+embarrassingly parallel and run on a thread pool; workers share only the
+cache above, which is thread-safe (two workers missing the same entry both
+build it, with identical results). Results are gathered by task key. The
+pool size is capped by the FLOQUET_FORGE_THREADS environment variable (0 or
+unset means one worker per CPU).
 """
 
 from __future__ import annotations
@@ -30,13 +35,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .drive import DriveSpec, phase
-from .effective import (
-    DEFAULT_PRUNE_TOL,
-    EffectiveModel,
-    Gauge,
-    build_effective_model,
-    effective_bloch,
-)
+from .effective import EffectiveModel, Gauge, build_effective_model, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
@@ -50,7 +49,6 @@ from .lattice import (
 __all__ = [
     "QuasiSpectrum",
     "PowerLawFit",
-    "ScalingFit",
     "fold",
     "match_permutation",
     "match_distance",
@@ -61,7 +59,6 @@ __all__ = [
     "fit_power_law",
     "error_matrix",
     "scaling_errors",
-    "scaling_fit",
     "gauge_difference_errors",
     "commutator_offsets",
     "magnus_commutator_probe",
@@ -340,13 +337,17 @@ def fit_power_law(omegas, errors, floor: float = ERROR_FLOOR) -> PowerLawFit:
 
     Errors at or below ``floor`` carry no scaling information (they measure
     integrator and rounding noise, not the expansion remainder); they are
-    excluded with a warning. Fewer than two informative points raise
-    ConvergenceError.
+    excluded with a warning. A non-finite error, or fewer than two
+    informative points, raises ConvergenceError.
     """
     x = np.asarray(omegas, dtype=float)
     y = np.asarray(errors, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("omegas and errors must be 1d arrays of equal length")
+    bad = ~np.isfinite(y)
+    if bad.any():
+        points = ", ".join(f"omega={a:g} (error {b})" for a, b in zip(x[bad], y[bad]))
+        raise ConvergenceError(f"sweep errors are not finite: {points}")
     keep = y > floor
     if not keep.all():
         dropped = ", ".join(f"omega={a:g} (error {b:.2e})" for a, b in zip(x[~keep], y[~keep]))
@@ -370,7 +371,9 @@ def fit_power_law(omegas, errors, floor: float = ERROR_FLOOR) -> PowerLawFit:
     )
 
 
-def _check_sweep(omegas) -> list:
+def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
+    """Validated sweep inputs: (ascending omegas, their drives, k list)."""
+    require_closed(lattice)
     ws = sorted(float(w) for w in omegas)
     if len(set(ws)) != len(ws):
         raise ValidationError("sweep frequencies must be distinct")
@@ -380,17 +383,17 @@ def _check_sweep(omegas) -> list:
         raise ValidationError(
             f"sweep must span at least a factor 8 in omega, got {ws[-1] / ws[0]:.3g}"
         )
-    return ws
-
-
-def _family_drive(drive_family, lattice, w: float) -> DriveSpec:
-    drive = drive_family(w)
-    if abs(drive.omega - w) > 1e-9 * w:
-        raise ValidationError(
-            f"drive_family returned omega {drive.omega}, expected {w}"
-        )
-    _check_drive_dim(lattice, drive)
-    return drive
+    k_list = [np.asarray(k, dtype=float) for k in k_set]
+    if not k_list:
+        raise ValidationError("k_set must be nonempty")
+    drives = []
+    for w in ws:
+        drive = drive_family(w)
+        if abs(drive.omega - w) > 1e-9 * w:
+            raise ValidationError(f"drive_family returned omega {drive.omega}, expected {w}")
+        _check_drive_dim(lattice, drive)
+        drives.append(drive)
+    return ws, drives, k_list
 
 
 def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
@@ -399,28 +402,32 @@ def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
     return effective_bloch(model, k)
 
 
-def _sweep_quasienergies(lattice, plans, k_list, steps, tol, max_steps) -> dict:
-    """Work queue over (omega index, k index): propagate independently on a
-    thread pool, gather sorted quasienergies by key. Tasks share only the
-    read-only bond phase factors of the thread-safe integrator cache;
-    exceptions surface on result collection."""
+def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, steps) -> np.ndarray:
+    """Matched distances between exact quasienergies and the effective
+    spectrum truncated at each of ``orders``, shape (orders, omega, k) with
+    omegas ascending. Exceptions of the pool tasks surface on collection."""
+    if not orders or any(o not in (0, 1) for o in orders):
+        raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
+    ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
+    models = [build_effective_model(lattice, drive, gauge, cutoff) for drive in drives]
 
     def task(iw: int, ik: int) -> np.ndarray:
-        spec = propagate_period(
-            lattice, plans[iw][1], k_list[ik], steps=steps, tol=tol, max_steps=max_steps
-        )
-        return spec.quasienergies
+        return propagate_period(lattice, drives[iw], k_list[ik], steps=steps).quasienergies
 
-    exact = {}
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         futures = {
-            pool.submit(task, iw, ik): (iw, ik)
-            for iw in range(len(plans))
+            (iw, ik): pool.submit(task, iw, ik)
+            for iw in range(len(ws))
             for ik in range(len(k_list))
         }
-        for fut, key in futures.items():
-            exact[key] = fut.result()
-    return exact
+        exact = {key: fut.result() for key, fut in futures.items()}
+
+    out = np.zeros((len(orders), len(ws), len(k_list)))
+    for (iw, ik), eps in exact.items():
+        for io, o in enumerate(orders):
+            e = np.linalg.eigvalsh(_truncated_bloch(models[iw], k_list[ik], o))
+            out[io, iw, ik] = match_distance(e, eps, ws[iw])
+    return out
 
 
 def error_matrix(
@@ -432,29 +439,11 @@ def error_matrix(
     gauge: Gauge = Gauge.STATIC_FREE,
     cutoff: int | None = None,
     steps: int = MIN_STEPS,
-    tol: float = RICHARDSON_TOL,
-    max_steps: int = MAX_STEPS,
 ) -> np.ndarray:
     """Matched quasienergy distances per sweep point, shape (n_omega, n_k)
     with omegas ascending. Row maxima feed :func:`fit_power_law`."""
-    require_closed(lattice)
-    ws = _check_sweep(omegas)
-    k_list = [np.asarray(k, dtype=float) for k in k_set]
-    if not k_list:
-        raise ValidationError("k_set must be nonempty")
-    if int(order) not in (0, 1):
-        raise ValidationError(f"order must be 0 or 1, got {order}")
-    plans = []
-    for w in ws:
-        drive = _family_drive(drive_family, lattice, w)
-        plans.append((w, drive, build_effective_model(lattice, drive, gauge, cutoff)))
-    exact = _sweep_quasienergies(lattice, plans, k_list, steps, tol, max_steps)
-    out = np.zeros((len(ws), len(k_list)))
-    for iw, (w, _, model) in enumerate(plans):
-        for ik, k in enumerate(k_list):
-            e = np.linalg.eigvalsh(_truncated_bloch(model, k, int(order)))
-            out[iw, ik] = match_distance(e, exact[(iw, ik)], w)
-    return out
+    orders = (int(order),)
+    return _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, steps)[0]
 
 
 def scaling_errors(
@@ -466,8 +455,6 @@ def scaling_errors(
     gauge: Gauge = Gauge.STATIC_FREE,
     cutoff: int | None = None,
     steps: int = MIN_STEPS,
-    tol: float = RICHARDSON_TOL,
-    max_steps: int = MAX_STEPS,
 ) -> dict:
     """error(omega) = max over k of the matched distance between exact
     quasienergies and the effective spectrum, per truncation order.
@@ -475,91 +462,17 @@ def scaling_errors(
     ``drive_family`` maps omega to the drive at that frequency (hold the
     dimensionless amplitude fixed for a clean power law). One propagation per
     (omega, k) serves every requested order. Returns {order: errors array}
-    with entries in ascending omega order.
+    with entries in ascending omega order; :func:`fit_power_law` fits them.
+    Against the leading order alone the error falls at least as 1/omega:
+    about as 1/omega where the first-order term moves the bands at first
+    order (kagome), about as 1/omega^2 where it acts only at second order
+    (the zig-zag chain), and not at all on one-point bases, where order 0 is
+    exact. With the first-order correction included it falls about as
+    1/omega^2.
     """
-    require_closed(lattice)
-    ws = _check_sweep(omegas)
-    k_list = [np.asarray(k, dtype=float) for k in k_set]
-    if not k_list:
-        raise ValidationError("k_set must be nonempty")
     orders = tuple(sorted({int(o) for o in orders}))
-    if not orders or any(o not in (0, 1) for o in orders):
-        raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
-
-    plans = []
-    for w in ws:
-        drive = _family_drive(drive_family, lattice, w)
-        plans.append((w, drive, build_effective_model(lattice, drive, gauge, cutoff)))
-    exact = _sweep_quasienergies(lattice, plans, k_list, steps, tol, max_steps)
-
-    out = {o: np.zeros(len(ws)) for o in orders}
-    for iw, (w, _, model) in enumerate(plans):
-        for o in orders:
-            worst = 0.0
-            for ik, k in enumerate(k_list):
-                e = np.linalg.eigvalsh(_truncated_bloch(model, k, o))
-                worst = max(worst, match_distance(e, exact[(iw, ik)], w))
-            out[o][iw] = worst
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class ScalingFit:
-    """Power-law fit of effective-spectrum error over a frequency sweep."""
-
-    order: int
-    gauge: Gauge
-    omegas: np.ndarray
-    errors: np.ndarray
-    fit: PowerLawFit
-
-    @property
-    def slope(self) -> float:
-        return self.fit.slope
-
-    @property
-    def intercept(self) -> float:
-        return self.fit.intercept
-
-    @property
-    def residuals(self) -> np.ndarray:
-        return self.fit.residuals
-
-
-def scaling_fit(
-    lattice: LatticeSpec,
-    drive_family,
-    k_set,
-    omegas,
-    order: int = 1,
-    gauge: Gauge = Gauge.STATIC_FREE,
-    cutoff: int | None = None,
-    steps: int = MIN_STEPS,
-    tol: float = RICHARDSON_TOL,
-    max_steps: int = MAX_STEPS,
-    floor: float = ERROR_FLOOR,
-) -> ScalingFit:
-    """Sweep omega, compare against the effective model truncated at ``order``,
-    and fit the error power law. Against the leading order alone the error
-    falls at least as 1/omega: about as 1/omega where the first-order term
-    moves the bands at first order (kagome), about as 1/omega^2 where it acts
-    only at second order (the zig-zag chain), and not at all on one-point
-    bases, where order 0 is exact. With the first-order correction included
-    it falls about as 1/omega^2."""
-    errs = scaling_errors(
-        lattice,
-        drive_family,
-        k_set,
-        omegas,
-        orders=(order,),
-        gauge=gauge,
-        cutoff=cutoff,
-        steps=steps,
-        tol=tol,
-        max_steps=max_steps,
-    )[int(order)]
-    ws = np.asarray(_check_sweep(omegas))
-    return ScalingFit(int(order), gauge, ws, errs, fit_power_law(ws, errs, floor))
+    errors = _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, steps)
+    return {o: e.max(axis=1) for o, e in zip(orders, errors)}
 
 
 def gauge_difference_errors(
@@ -568,27 +481,23 @@ def gauge_difference_errors(
     k_set,
     omegas,
     cutoff: int | None = None,
-    prune_tol: float = DEFAULT_PRUNE_TOL,
 ) -> np.ndarray:
     """max over k of the matched distance between the two gauges' effective
     spectra, per sweep frequency in ascending order. No propagation involved;
     the difference shrinks one order faster than the truncation itself."""
-    require_closed(lattice)
-    ws = _check_sweep(omegas)
-    k_list = [np.asarray(k, dtype=float) for k in k_set]
-    if not k_list:
-        raise ValidationError("k_set must be nonempty")
+    ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
     out = np.zeros(len(ws))
-    for iw, w in enumerate(ws):
-        drive = _family_drive(drive_family, lattice, w)
-        mf = build_effective_model(lattice, drive, Gauge.FLOQUET, cutoff, prune_tol=prune_tol)
-        ms = build_effective_model(lattice, drive, Gauge.STATIC_FREE, cutoff, prune_tol=prune_tol)
-        worst = 0.0
-        for k in k_list:
-            ef = np.linalg.eigvalsh(effective_bloch(mf, k))
-            es = np.linalg.eigvalsh(effective_bloch(ms, k))
-            worst = max(worst, match_distance(ef, es, w))
-        out[iw] = worst
+    for iw, (w, drive) in enumerate(zip(ws, drives)):
+        mf = build_effective_model(lattice, drive, Gauge.FLOQUET, cutoff)
+        ms = build_effective_model(lattice, drive, Gauge.STATIC_FREE, cutoff)
+        out[iw] = max(
+            match_distance(
+                np.linalg.eigvalsh(effective_bloch(mf, k)),
+                np.linalg.eigvalsh(effective_bloch(ms, k)),
+                w,
+            )
+            for k in k_list
+        )
     return out
 
 

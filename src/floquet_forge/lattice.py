@@ -60,6 +60,10 @@ class Bond:
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if self.target_basis < 0 or self.source_basis < 0:
             raise ValidationError(f"bond {self._label()}: negative basis index")
+        if not np.isfinite(self.amplitude):
+            raise ValidationError(
+                f"bond {self._label()}: amplitude must be finite, got {self.amplitude}"
+            )
         if self.amplitude == 0:
             raise ValidationError(f"bond {self._label()}: amplitude must be nonzero")
         if self.target_basis == self.source_basis and not any(self.cell_offset):
@@ -116,6 +120,8 @@ class LatticeSpec:
             raise ValidationError(
                 f"expected {self.dimension} bravais vectors, got {A.shape[0]}"
             )
+        if not np.isfinite(A).all():
+            raise ValidationError(f"bravais_vectors must be finite, got {A.tolist()}")
         space_dim = A.shape[1]
         if space_dim < self.dimension:
             raise ValidationError(
@@ -125,6 +131,8 @@ class LatticeSpec:
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValidationError("bravais vectors are linearly dependent")
         S = np.atleast_2d(np.asarray(self.basis_sites, dtype=float))
+        if not np.isfinite(S).all():
+            raise ValidationError(f"basis_sites must be finite, got {S.tolist()}")
         if S.shape[1] != space_dim:
             raise ValidationError(
                 f"basis sites have {S.shape[1]} coordinates, bravais vectors have {space_dim}"

@@ -203,9 +203,12 @@ def cross_validate(
 
     A forced-zero coupling with a first-order entry above
     prune_tol * |j|^2 / omega signals an implementation bug by construction.
-    With ``strict`` a violation raises ConsistencyError; otherwise the
-    verdict lists the offending couplings.
+    ``prune_tol`` must be finite and non-negative; an infinite one would pass
+    every coupling. With ``strict`` a violation raises ConsistencyError;
+    otherwise the verdict lists the offending couplings.
     """
+    if not (np.isfinite(prune_tol) and prune_tol >= 0):
+        raise ValidationError(f"prune_tol must be finite and >= 0, got {prune_tol}")
     threshold = prune_tol * model.amplitude_scale**2 / model.omega
     table = offset_dict(model.order1)
     violations = []

@@ -123,6 +123,16 @@ def test_verify_passes_on_zigzag(tmp_path, capsys):
     assert {float(r["omega"]) for r in rows} == {10.0, 20.0, 40.0, 80.0}
 
 
+def test_prune_must_be_finite_and_non_negative(tmp_path, capsys):
+    lieb = ["--preset", "lieb", "--omega", "20", "--circular", "24", "--output", str(tmp_path)]
+    for command in ("selection-rules", "effective"):
+        for value in ("inf", "-1", "nan"):
+            code, out, err = run(capsys, command, *lieb, f"--prune={value}")
+            assert code == 1, (command, value)
+            assert "--prune" in err and "numerically zero" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_validation_failures_exit_1(tmp_path, capsys):
     bad = [
         ["check-geometry"],

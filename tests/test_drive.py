@@ -4,7 +4,6 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 from floquet_forge import (
-    Bond,
     CutoffTooSmallError,
     DriveSpec,
     Harmonic,
@@ -17,6 +16,7 @@ from floquet_forge import (
     preset,
     rescale_drive,
 )
+from floquet_forge.drive import _harmonics_strict
 from helpers import random_drive
 
 
@@ -52,10 +52,9 @@ def test_non_finite_drive_input_is_refused():
 
 
 def test_nan_parseval_tail_fails_the_check():
-    lat = preset("chain")
-    bond = Bond(0, 0, (1,), float("nan"))
+    # Bond refuses a NaN amplitude, so feed one to the check directly
     with pytest.raises(CutoffTooSmallError, match="nan"):
-        bond_harmonics(lat, linear_drive(3.0, [4.0]), bond, cutoff=32)
+        _harmonics_strict(linear_drive(3.0, [4.0]), np.array([1.0]), float("nan"), 32)
 
 
 def test_undriven_limit_has_no_dimension():

@@ -30,7 +30,6 @@ from floquet_forge import (
     rescale_drive,
     reciprocal_vectors,
     scaling_errors,
-    scaling_fit,
     undriven_offsets,
 )
 from floquet_forge import floquet
@@ -213,6 +212,13 @@ def test_fit_power_law_excludes_floor_points():
             fit_power_law(w, np.full(4, 1e-15), floor=1e-11)
 
 
+def test_fit_power_law_refuses_a_non_finite_error():
+    w = np.array([10.0, 20.0, 40.0, 80.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConvergenceError, match="omega=10 "):
+            fit_power_law(w, np.array([bad, 1e-2, 2.5e-3, 6.25e-4]))
+
+
 def test_error_matrix_shape_and_order():
     lat = preset("zigzag")
     base = circular_drive(10.0, 15.0)
@@ -271,11 +277,13 @@ def test_scaling_fit_bundles_sweep_and_fit():
         return rescale_drive(base, w)
 
     ks = [np.array([0.9, 0.0]), np.array([2.2, 0.0])]
-    sf = scaling_fit(lat, family, ks, [10.0, 20.0, 40.0, 80.0], order=1)
-    assert sf.order == 1
-    assert sf.errors.shape == (4,)
-    assert -2.5 < sf.slope < -1.5
-    assert np.all(np.abs(sf.residuals) < 0.5)
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    errors = scaling_errors(lat, family, ks, omegas, orders=(1,))
+    assert set(errors) == {1}
+    assert errors[1].shape == (4,)
+    fit = fit_power_law(np.array(omegas), errors[1])
+    assert -2.5 < fit.slope < -1.5
+    assert np.all(np.abs(fit.residuals) < 0.5)
 
 
 def test_scaling_fit_on_gauge_difference():

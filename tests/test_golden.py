@@ -9,9 +9,9 @@ recorder only when a change of output is intended,
 
 Strings, booleans, nulls, and numbers written as integers on both sides must
 match exactly. Other floats in ``effective.json`` and ``selection.json`` must
-agree to 1e-12 relative to the largest magnitude in the file; every other
-float (effective energies, quasienergies, errors, fitted slopes) to 1e-10
-absolute.
+agree to 1e-12 relative (plus 1e-15 absolute, for rounding noise at zero);
+every other float (effective energies, quasienergies, errors, fitted slopes)
+to 1e-10 absolute.
 """
 
 import csv
@@ -43,9 +43,9 @@ CASES = {
         "--order", "1", "--kpoints", "2",
     ],
 }
-RELATIVE = {"effective.json", "selection.json"}
-REL_TOL = 1e-12
-ABS_TOL = 1e-10
+# (relative, absolute) tolerance per file; CSV files and verify.json take the default
+TOLERANCE = {"effective.json": (1e-12, 1e-15), "selection.json": (1e-12, 1e-15)}
+DEFAULT_TOLERANCE = (0.0, 1e-10)
 STDOUT = "stdout.txt"
 
 
@@ -59,18 +59,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _numbers(doc):
-    if isinstance(doc, dict):
-        for v in doc.values():
-            yield from _numbers(v)
-    elif isinstance(doc, list):
-        for v in doc:
-            yield from _numbers(v)
-    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        yield doc
-
-
-def _compare(want, got, tol: float, where: str) -> None:
+def _compare(want, got, tol: tuple, where: str) -> None:
     if isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys differ"
         for key in want:
@@ -83,7 +72,8 @@ def _compare(want, got, tol: float, where: str) -> None:
         assert got == want, f"{where}: {got} != {want}"
     elif isinstance(want, float) or isinstance(got, float):
         assert not isinstance(got, bool) and isinstance(got, (int, float)), f"{where}: {got!r}"
-        assert abs(got - want) <= tol, f"{where}: {got!r} differs from {want!r} by more than {tol:.1e}"
+        rel, atol = tol
+        assert abs(got - want) <= rel * abs(want) + atol, f"{where}: {got!r} != {want!r}"
     else:
         assert got == want, f"{where}: {got!r} != {want!r}"
 
@@ -99,19 +89,15 @@ def _cell(text: str):
 
 def _compare_file(want: Path, got: Path) -> None:
     name = want.name
+    tol = TOLERANCE.get(name, DEFAULT_TOLERANCE)
     if name.endswith(".json"):
-        w, g = json.loads(want.read_text()), json.loads(got.read_text())
-        if name in RELATIVE:
-            tol = REL_TOL * max((abs(x) for x in _numbers(w)), default=0.0)
-        else:
-            tol = ABS_TOL
-        _compare(w, g, tol, name)
+        _compare(json.loads(want.read_text()), json.loads(got.read_text()), tol, name)
     elif name.endswith(".csv"):
         with open(want) as fw, open(got) as fg:
             w, g = list(csv.reader(fw)), list(csv.reader(fg))
         assert g[0] == w[0], f"{name}: header differs"
         cells = [[_cell(c) for c in row] for row in w[1:]]
-        _compare(cells, [[_cell(c) for c in row] for row in g[1:]], ABS_TOL, name)
+        _compare(cells, [[_cell(c) for c in row] for row in g[1:]], tol, name)
     else:
         assert got.read_text() == want.read_text(), f"{name} differs"
 

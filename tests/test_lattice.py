@@ -60,6 +60,17 @@ def test_lattice_rejects_degenerate_geometry():
         LatticeSpec(1, [[1.0]], [[0.0]], (Bond(0, 0, (1, 0), 1.0),))
 
 
+def test_non_finite_lattice_input_is_refused():
+    with pytest.raises(ValidationError, match="amplitude must be finite"):
+        Bond(0, 0, (1,), float("nan"))
+    with pytest.raises(ValidationError, match="amplitude must be finite"):
+        Bond(0, 0, (1,), complex(1.0, float("inf")))
+    with pytest.raises(ValidationError, match="basis_sites must be finite"):
+        LatticeSpec(1, [[1.0, 0.0]], [[0.0, 0.0], [0.5, float("nan")]], ())
+    with pytest.raises(ValidationError, match="bravais_vectors must be finite"):
+        LatticeSpec(2, [[1.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0]], ())
+
+
 def test_lattice_arrays_are_read_only():
     lat = preset("chain")
     with pytest.raises(ValueError):

@@ -157,3 +157,13 @@ def test_cross_validate_flags_a_nan_forced_zero_block():
     assert any("(0, 0)" in v for v in verdict.violations)
     with pytest.raises(ConsistencyError):
         cross_validate(report, model)
+
+
+def test_cross_validate_refuses_a_prune_tol_that_is_not_finite_and_non_negative():
+    lat = preset("lieb")
+    model = build_effective_model(lat, random_drive(np.random.default_rng(3), 2, omega=15.0))
+    report = enumerate_processes(lat)
+    assert cross_validate(report, model, prune_tol=0.5).consistent
+    for bad in (np.inf, -1.0, np.nan):
+        with pytest.raises(ValidationError, match="prune_tol"):
+            cross_validate(report, model, prune_tol=bad)
