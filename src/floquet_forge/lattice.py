@@ -10,6 +10,7 @@ for any such translationally invariant single-particle operator.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -60,7 +61,7 @@ class Bond:
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if self.target_basis < 0 or self.source_basis < 0:
             raise ValidationError(f"bond {self._label()}: negative basis index")
-        if not np.isfinite(self.amplitude):
+        if not cmath.isfinite(self.amplitude):
             raise ValidationError(
                 f"bond {self._label()}: amplitude must be finite, got {self.amplitude}"
             )
