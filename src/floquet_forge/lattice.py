@@ -6,11 +6,21 @@ finite basis of sites per cell and a finite set of tunneling bonds between
 cells. Because the tunneling matrices depend only on the integer cell offset,
 everything is stored per offset class; ``OffsetMatrix`` is the basic carrier
 for any such translationally invariant single-particle operator.
+
+Both carriers are immutable, so their checks run once. A ``LatticeSpec``
+decides at construction whether its bond list is Hermitian-closed.
+``bloch_matrix`` validates and stacks an offset set on its first call and
+keeps the result in a small bounded cache keyed on the tuple of
+``OffsetMatrix`` objects: tuples of frozen, identity-compared carriers with
+read-only blocks cannot change under the cache, the cached arrays are
+read-only, and ``functools.lru_cache`` is thread-safe (two threads missing
+the same set both build it, with identical results).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -154,6 +164,7 @@ class LatticeSpec:
                 raise ValidationError(
                     f"bond {b._label()}: offset length {len(b.cell_offset)} != dimension {self.dimension}"
                 )
+        object.__setattr__(self, "_hermitian_closed", _bonds_closed(self.bonds))
 
     @property
     def basis_count(self) -> int:
@@ -175,15 +186,21 @@ class LatticeSpec:
         return max(abs(b.amplitude) for b in self.bonds)
 
     def is_hermitian_closed(self) -> bool:
-        table = {(b.target_basis, b.source_basis, b.cell_offset): b.amplitude for b in self.bonds}
-        if len(table) != len(self.bonds):
+        """Whether every bond's reverse is present, with the conjugate
+        amplitude, exactly once. Decided once, at construction."""
+        return self._hermitian_closed
+
+
+def _bonds_closed(bonds: tuple) -> bool:
+    table = {(b.target_basis, b.source_basis, b.cell_offset): b.amplitude for b in bonds}
+    if len(table) != len(bonds):
+        return False
+    for b in bonds:
+        rev = b.conjugate()
+        amp = table.get((rev.target_basis, rev.source_basis, rev.cell_offset))
+        if amp is None or amp != rev.amplitude:
             return False
-        for b in self.bonds:
-            rev = b.conjugate()
-            amp = table.get((rev.target_basis, rev.source_basis, rev.cell_offset))
-            if amp is None or amp != rev.amplitude:
-                return False
-        return True
+    return True
 
 
 def close_hermitian(spec: LatticeSpec) -> LatticeSpec:
@@ -278,13 +295,13 @@ def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
     return True
 
 
-def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
-    """Sum of exp(i k . R_offset) * M_offset over the offset set.
-
-    ``k`` is a Cartesian reciprocal vector; R_offset = offset @ bravais_vectors.
-    The offset set must be Hermitian-closed, so the result is Hermitian for
-    every real k. An empty offset set is refused, since it fixes no size.
-    """
+# Keyed by identity (see the module docstring); the cache's strong references
+# keep a cached id from being reused, and a set that fails a check is not
+# cached. A model has two sets (orders 0 and 1); eight entries hold four models'.
+@functools.lru_cache(maxsize=8)
+def _offset_stack(offsets: tuple) -> tuple:
+    """Validate an offset set once; return its offsets as floats in ascending
+    order and its blocks stacked in the same order, both read-only."""
     table = offset_dict(offsets)
     if not table:
         raise ValidationError(
@@ -292,13 +309,37 @@ def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
         )
     if not is_hermitian_closed_offsets(offsets):
         raise ValidationError("offset set is not Hermitian-closed")
+    keys = sorted(table)
+    offs = np.array(keys, dtype=float)
+    mats = np.array([table[off] for off in keys])
+    offs.flags.writeable = False
+    mats.flags.writeable = False
+    return offs, mats
+
+
+def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
+    """Sum of exp(i k . R_offset) * M_offset over the offset set.
+
+    ``k`` is a Cartesian reciprocal vector; R_offset = offset @ bravais_vectors.
+    The offset set must be Hermitian-closed, so the result is Hermitian for
+    every real k. An empty offset set is refused, since it fixes no size.
+
+    The checks and the stacking of the blocks run once per offset set, not
+    once per k: a small bounded cache, keyed on the tuple of ``OffsetMatrix``
+    objects (identity), holds them as read-only arrays, so repeated calls on
+    one model over many k share them, also across threads.
+    """
+    offs, mats = _offset_stack(tuple(offsets))
     A = np.atleast_2d(np.asarray(bravais_vectors, dtype=float))
     k = np.asarray(k, dtype=float)
-    d = next(iter(table.values())).shape[0]
-    H = np.zeros((d, d), dtype=complex)
-    for off, m in sorted(table.items()):
-        R = np.asarray(off, dtype=float) @ A
-        H = H + np.exp(1j * float(k @ R)) * m
+    # One dot per offset and an in-order running sum give the same bits as
+    # summing offset by offset; a mat-vec R @ k or a vectorized reduction
+    # over the offsets rounds differently.
+    R = offs @ A
+    phases = np.exp(1j * np.array([float(k @ r) for r in R]))
+    H = np.zeros(mats.shape[1:], dtype=complex)
+    for term in phases[:, None, None] * mats:
+        H += term
     return H
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+import floquet_forge
 from floquet_forge.cli import main
 
 
@@ -131,6 +136,29 @@ def test_prune_must_be_finite_and_non_negative(tmp_path, capsys):
             assert code == 1, (command, value)
             assert "--prune" in err and "numerically zero" not in out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_prune_cross_validates(tmp_path, capsys):
+    # forced-zero couplings hold only rounding noise (|B| ~ 1e-35 here)
+    lieb = ["--preset", "lieb", "--omega", "20", "--circular", "24", "--output", str(tmp_path)]
+    code, out, err = run(capsys, "selection-rules", *lieb, "--prune=0")
+    assert code == 0, err
+    assert "numerically zero" in out
+
+
+def test_runs_as_a_module(tmp_path):
+    src = str(Path(floquet_forge.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "floquet_forge", "check-geometry", "--preset", "kagome"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Non-Bravais" in done.stdout
 
 
 def test_cli_validation_failures_exit_1(tmp_path, capsys):

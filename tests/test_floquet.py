@@ -32,7 +32,7 @@ from floquet_forge import (
     scaling_errors,
     undriven_offsets,
 )
-from floquet_forge import floquet
+from floquet_forge import floquet, lattice
 from floquet_forge.floquet import thread_count
 from floquet_forge.lattice import offset_dict
 from helpers import random_drive, torus_hamiltonian
@@ -189,6 +189,8 @@ def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
     assert np.array_equal(serial, pooled)
     info = floquet._integrator_terms.cache_info()
     assert 0 < info.currsize <= info.maxsize == 4
+    info = lattice._offset_stack.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 8
 
 
 def test_fit_power_law_recovers_exponent():

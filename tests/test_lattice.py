@@ -1,29 +1,52 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from floquet_forge import (
     Bond,
+    Gauge,
     Geometry,
     LatticeSpec,
     OffsetMatrix,
     ValidationError,
     bloch_matrix,
+    build_effective_model,
     classify_geometry,
     close_hermitian,
+    enumerate_processes,
+    lattice_harmonics,
     linear_drive,
     order1,
     preset,
+    propagate_period,
     reciprocal_vectors,
     translational_identity_check,
     undriven_offsets,
 )
+from floquet_forge import lattice
 from floquet_forge.lattice import (
     from_offset_dict,
     is_hermitian_closed_offsets,
     offset_dict,
     require_closed,
 )
-from helpers import random_offset_matrices
+from helpers import random_drive, random_offset_matrices
+
+
+def reference_bloch(offsets, k, bravais_vectors):
+    """The per-offset loop ``bloch_matrix`` evaluated before its offset
+    stack was cached; the cached form must reproduce it bit for bit."""
+    table = offset_dict(offsets)
+    A = np.atleast_2d(np.asarray(bravais_vectors, dtype=float))
+    k = np.asarray(k, dtype=float)
+    d = next(iter(table.values())).shape[0]
+    H = np.zeros((d, d), dtype=complex)
+    for off, m in sorted(table.items()):
+        R = np.asarray(off, dtype=float) @ A
+        H = H + np.exp(1j * float(k @ R)) * m
+    return H
 
 
 def test_bond_normalizes_and_validates():
@@ -109,9 +132,21 @@ def test_close_hermitian_rejects_conflicting_amplitudes():
 
 def test_require_closed_raises_on_open_spec():
     spec = LatticeSpec(1, [[1.0]], [[0.0]], (Bond(0, 0, (1,), -1.0),))
+    assert not spec.is_hermitian_closed()
     with pytest.raises(ValidationError):
         require_closed(spec)
     require_closed(close_hermitian(spec))
+    # the verdict is fixed at construction; every entry point still refuses
+    drive = linear_drive(10.0, [5.0])
+    for call in (
+        lambda: build_effective_model(spec, drive),
+        lambda: lattice_harmonics(spec, drive),
+        lambda: propagate_period(spec, drive, np.array([0.3])),
+        lambda: enumerate_processes(spec),
+        lambda: undriven_offsets(spec),
+    ):
+        with pytest.raises(ValidationError, match="not Hermitian-closed"):
+            call()
 
 
 def test_geometry_classification_counts_basis_sites():
@@ -169,6 +204,54 @@ def test_bloch_matrix_refuses_an_empty_offset_set():
     assert empty == ()
     with pytest.raises(ValidationError, match="empty"):
         bloch_matrix(empty, np.array([0.3]), lat.bravais_vectors)
+
+
+def test_bloch_matrix_matches_the_per_offset_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for name in ("zigzag", "hexagonal", "kagome", "lieb"):
+        lat = preset(name)
+        for gauge in Gauge:
+            model = build_effective_model(lat, random_drive(rng, lat.space_dim), gauge)
+            for offsets in (model.order0, model.order1):
+                assert offsets
+                for k in rng.normal(scale=3.0, size=(12, lat.space_dim)):
+                    want = reference_bloch(offsets, k, lat.bravais_vectors).tobytes()
+                    for given in (offsets, list(offsets)):
+                        assert bloch_matrix(given, k, lat.bravais_vectors).tobytes() == want
+
+
+def test_bloch_matrix_errors_are_not_cached():
+    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    open_set = (OffsetMatrix((1,), m),)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="empty"):
+            bloch_matrix((), np.array([0.3]), [[1.0]])
+        with pytest.raises(ValidationError, match="not Hermitian-closed"):
+            bloch_matrix(open_set, np.array([0.3]), [[1.0]])
+
+
+def test_offset_stack_cache_is_bounded_and_thread_safe():
+    # more offset sets than entries, evaluated by more workers than cores with
+    # rapid thread switches: every result equals the serial reference
+    lat = preset("kagome")
+    sets = [undriven_offsets(lat) for _ in range(3 * lattice._offset_stack.cache_info().maxsize)]
+    ks = np.random.default_rng(2).normal(size=(6, 2))
+    want = [[reference_bloch(s, k, lat.bravais_vectors) for k in ks] for s in sets]
+
+    def task(i):
+        return [bloch_matrix(sets[i], k, lat.bravais_vectors) for k in ks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(task, range(len(sets)), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for g, w in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+    info = lattice._offset_stack.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 8
 
 
 def test_reciprocal_vectors_are_dual():

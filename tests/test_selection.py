@@ -12,6 +12,7 @@ from floquet_forge import (
     ProcessClass,
     ValidationError,
     build_effective_model,
+    circular_drive,
     close_hermitian,
     cross_validate,
     enumerate_processes,
@@ -157,6 +158,29 @@ def test_cross_validate_flags_a_nan_forced_zero_block():
     assert any("(0, 0)" in v for v in verdict.violations)
     with pytest.raises(ConsistencyError):
         cross_validate(report, model)
+
+
+def test_cross_validate_at_zero_prune_tol_tolerates_only_rounding_noise():
+    lat = preset("lieb")
+    report = enumerate_processes(lat)
+    # order 1 leaves |B| ~ 1e-35 in a forced-zero coupling of this model
+    model = build_effective_model(lat, circular_drive(20.0, 24.0), prune_tol=0.0)
+    assert cross_validate(report, model, prune_tol=0.0).consistent
+    # an entry far above rounding but far below the default threshold still fails
+    bad = np.zeros((3, 3), dtype=complex)
+    bad[0, 0] = 1e-12 * model.amplitude_scale**2 / model.omega
+    doctored = EffectiveModel(
+        order0=model.order0,
+        order1=(OffsetMatrix((0, 0), bad),),
+        gauge=model.gauge,
+        omega=model.omega,
+        bravais_vectors=model.bravais_vectors,
+        amplitude_scale=model.amplitude_scale,
+        cutoff=model.cutoff,
+    )
+    assert cross_validate(report, doctored).consistent
+    verdict = cross_validate(report, doctored, prune_tol=0.0, strict=False)
+    assert not verdict.consistent and "0->0 at offset (0, 0)" in verdict.violations[0]
 
 
 def test_cross_validate_refuses_a_prune_tol_that_is_not_finite_and_non_negative():
