@@ -15,6 +15,17 @@ the static-free gauge, where lines two and three cancel identically and beta
 reduces to line (1) alone -- the fast path ``beta_static_free``. In either
 gauge beta is antisymmetric under exchange of the two hops, which is the
 origin of all destructive-interference selection rules.
+
+A model build is one pass: the composable pairs, their total offsets and
+basis indices come from the lattice's cached pair table, the harmonics are
+stacked into one (bonds, 2N+1) array, and lines one and two of every pair's
+beta are evaluated in one expression and summed along n by one compensated
+(Kahan) sum over all rows at once. It is bit-identical to a per-pair loop:
+every vector operation is the one the loop applied to a pair's arrays, and
+Kahan's four add/subtract steps round the same in vector and scalar form.
+Only line three, a handful of scalar products per pair, stays scalar,
+because numpy's vector complex multiply rounds differently from its scalar
+one. The betas are scattered into the offset blocks in pair order.
 """
 
 from __future__ import annotations
@@ -24,12 +35,13 @@ from enum import Enum
 
 import numpy as np
 
-from .drive import BondHarmonics, DriveSpec, _at_cutoff, bond_harmonics, lattice_harmonics
+from .drive import BondHarmonics, DriveSpec, _harmonics_at, lattice_harmonics
 from .errors import ValidationError
 from .lattice import (
     Bond,
     LatticeSpec,
     OffsetMatrix,
+    _pair_table,
     bloch_matrix,
     from_offset_dict,
     require_closed,
@@ -39,7 +51,6 @@ __all__ = [
     "Gauge",
     "TwoStepAmplitude",
     "EffectiveModel",
-    "gauge_coefficient",
     "beta_static_free",
     "beta_general",
     "order0",
@@ -65,16 +76,70 @@ class Gauge(Enum):
         )
 
 
-def _kahan(values) -> complex:
-    # Compensated summation, ascending order as given.
-    s = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    for v in values:
-        y = v - c
+def _as_gauge(gauge) -> Gauge:
+    """A Gauge as given, or a gauge name through :meth:`Gauge.parse`."""
+    if isinstance(gauge, Gauge):
+        return gauge
+    if isinstance(gauge, str):
+        return Gauge.parse(gauge)
+    raise ValidationError(
+        f"gauge must be a Gauge or one of {[g.value for g in Gauge]}, got {gauge!r}"
+    )
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Compensated (Kahan) sum of each row of ``terms``, columns in ascending
+    order. The four add/subtract steps per column are those of a scalar loop,
+    applied to all rows at once; complex addition and subtraction round the
+    same in scalar and vector form, so each row's sum is the scalar loop's."""
+    s = np.zeros(len(terms), dtype=complex)
+    c = np.zeros_like(s)
+    for column in terms.T:
+        y = column - c
         t = s + y
         c = (t - s) - y
         s = t
     return s
+
+
+def _split(G: np.ndarray) -> tuple:
+    """g^n for n = 1..N, g^{-n} for n = 1..N and g^0 of each row of a stack
+    of (2N+1)-coefficient windows."""
+    N = G.shape[1] // 2
+    return G[:, N + 1:], G[:, N - 1::-1], G[:, N]
+
+
+def _gauge_coefficients(G: np.ndarray) -> np.ndarray:
+    """Static-free gauge matrix element f = sum_{n>=1} (i/n)(g^{-n} - g^{n})
+    of each row of a coefficient stack."""
+    pos, neg, _ = _split(G)
+    n = np.arange(1, pos.shape[1] + 1)
+    return _row_sums(1j * (neg - pos) / n)
+
+
+def _two_step(G: np.ndarray, first, second, f, omega: float) -> np.ndarray:
+    """All three lines of the two-step amplitude for every pair (rows
+    first[p], then second[p]) of a coefficient stack; ``f`` holds each row's
+    gauge term."""
+    pos, neg, zero = _split(G)
+    n = np.arange(1, pos.shape[1] + 1)
+    g1p, g1n, g1z = pos[first], neg[first], zero[first, None]
+    g2p, g2n, g2z = pos[second], neg[second], zero[second, None]
+    line1 = g2p * g1n - g2n * g1p
+    line2 = (g2n - g2p) * g1z - g2z * (g1n - g1p)
+    sums = _row_sums((line1 + line2) / (n * omega))
+    # Line three stays scalar, pair by pair: numpy's vector complex multiply
+    # fuses multiply-adds where its scalar one does not, so the two differ in
+    # the last bit for about half of all products.
+    gz = [complex(z) for z in zero]
+    iw = 1j / omega
+    return np.array(
+        [
+            s + iw * (f[j] * gz[i] - gz[j] * f[i])
+            for s, i, j in zip(sums, first.tolist(), second.tolist())
+        ],
+        dtype=complex,
+    )
 
 
 def _check_compatible(h1: BondHarmonics, h2: BondHarmonics) -> None:
@@ -88,12 +153,6 @@ def _check_compatible(h1: BondHarmonics, h2: BondHarmonics) -> None:
         )
 
 
-def gauge_coefficient(h: BondHarmonics) -> complex:
-    """Static-free gauge matrix element f = sum_{n>=1} (i/n)(g^{-n} - g^{n})."""
-    n = np.arange(1, h.cutoff + 1)
-    return _kahan(1j * (h.negative() - h.positive()) / n)
-
-
 def beta_static_free(h1: BondHarmonics, h2: BondHarmonics) -> complex:
     """Two-step amplitude in the static-free gauge (first hop h1, then h2).
 
@@ -103,20 +162,7 @@ def beta_static_free(h1: BondHarmonics, h2: BondHarmonics) -> complex:
     _check_compatible(h1, h2)
     n = np.arange(1, h1.cutoff + 1)
     terms = (h1.negative() * h2.positive() - h2.negative() * h1.positive()) / (n * h1.omega)
-    return _kahan(terms)
-
-
-def _beta_lines(h1, h2, f1, f2) -> complex:
-    """All three lines of the two-step amplitude; f1/f2 already per gauge."""
-    w = h1.omega
-    n = np.arange(1, h1.cutoff + 1)
-    g1p, g1n = h1.positive(), h1.negative()
-    g2p, g2n = h2.positive(), h2.negative()
-    g1z, g2z = h1.coeff(0), h2.coeff(0)
-    line1 = g2p * g1n - g2n * g1p
-    line2 = (g2n - g2p) * g1z - g2z * (g1n - g1p)
-    value = _kahan((line1 + line2) / (n * w))
-    return value + (1j / w) * (f2 * g1z - g2z * f1)
+    return _row_sums(terms[None, :])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,24 +189,17 @@ def beta_general(
     Works for any gauge and any bond amplitudes (no displacement condition);
     evaluates all three lines of the general expression.
     """
+    gauge = _as_gauge(gauge)
     if bond1.target_basis != bond2.source_basis:
         raise ValidationError(
             f"bonds do not compose: first hop ends on basis {bond1.target_basis}, "
             f"second starts on basis {bond2.source_basis}"
         )
-    h1, h2 = _at_cutoff(
-        lambda n: (
-            bond_harmonics(lattice, drive, bond1, n),
-            bond_harmonics(lattice, drive, bond2, n),
-        ),
-        cutoff,
-    )
-    if gauge is Gauge.STATIC_FREE:
-        f1, f2 = gauge_coefficient(h1), gauge_coefficient(h2)
-    else:
-        f1 = f2 = 0.0 + 0.0j
-    value = _beta_lines(h1, h2, f1, f2)
-    return TwoStepAmplitude(h1.displacement, h2.displacement, bond1.target_basis, value)
+    a = np.array([lattice.displacement(bond1), lattice.displacement(bond2)])
+    _, G = _harmonics_at(drive, a, [bond1.amplitude, bond2.amplitude], cutoff)
+    f = _gauge_coefficients(G) if gauge is Gauge.STATIC_FREE else [0j, 0j]
+    value = _two_step(G, np.array([0]), np.array([1]), f, drive.omega)[0]
+    return TwoStepAmplitude(a[0], a[1], bond1.target_basis, value)
 
 
 def _order0_from_harmonics(lattice, harmonics) -> tuple:
@@ -173,25 +212,26 @@ def _order0_from_harmonics(lattice, harmonics) -> tuple:
 
 
 def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
-    d = lattice.basis_count
+    table = _pair_table(lattice)
+    if not len(table.first):
+        return ()
+    G = np.array([harmonics[b].coefficients for b in lattice.bonds])
     if gauge is Gauge.STATIC_FREE:
-        f = {b: gauge_coefficient(harmonics[b]) for b in lattice.bonds}
+        f = _gauge_coefficients(G)
     else:
-        f = {b: 0.0 + 0.0j for b in lattice.bonds}
-    table = {}
-    for b1 in lattice.bonds:
-        for b2 in lattice.bonds:
-            if b2.source_basis != b1.target_basis:
-                continue
-            off = tuple(x + y for x, y in zip(b1.cell_offset, b2.cell_offset))
-            m = table.setdefault(off, np.zeros((d, d), dtype=complex))
-            m[b2.target_basis, b1.source_basis] += _beta_lines(
-                harmonics[b1], harmonics[b2], f[b1], f[b2]
-            )
-    table = _symmetrize(table, d)
+        f = [0.0 + 0.0j] * len(G)
+    d = lattice.basis_count
+    blocks = np.zeros((len(table.totals), d, d), dtype=complex)
+    # unbuffered and in pair order: each entry adds its betas in pair-table order
+    np.add.at(
+        blocks,
+        (table.total_index, table.target, table.source),
+        _two_step(G, table.first, table.second, f, omega),
+    )
+    summed = _symmetrize(dict(zip(table.totals, blocks)), d)
     threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
     pruned = {}
-    for off, m in table.items():
+    for off, m in summed.items():
         m = np.where(np.abs(m) < threshold, 0.0, m) if threshold > 0 else m
         if np.any(m != 0):
             pruned[off] = m
@@ -229,6 +269,7 @@ def order1(
     lattice (single basis site) the result is empty: every process cancels
     against its hop-order-reversed partner.
     """
+    gauge = _as_gauge(gauge)
     require_closed(lattice)
     h = lattice_harmonics(lattice, drive, cutoff)
     return _order1_from_harmonics(lattice, h, gauge, drive.omega, prune_tol)
@@ -254,6 +295,7 @@ def build_effective_model(
     cutoff: int | None = None,
     prune_tol: float = DEFAULT_PRUNE_TOL,
 ) -> EffectiveModel:
+    gauge = _as_gauge(gauge)
     require_closed(lattice)
     h = lattice_harmonics(lattice, drive, cutoff)
     used_cutoff = next(iter(h.values())).cutoff if h else 0

@@ -35,10 +35,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .drive import DriveSpec, phase
-from .effective import EffectiveModel, Gauge, build_effective_model, effective_bloch
+from .effective import EffectiveModel, Gauge, _as_gauge, build_effective_model, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
+    _pair_table,
     _torus_matrix,
     bloch_matrix,
     from_offset_dict,
@@ -146,22 +147,17 @@ def _bond_terms(lattice: LatticeSpec, drive: DriveSpec, times) -> tuple:
     """The k-independent part of H(t) on the given times, one entry per bond
     in bond order: (target, source, R_b, amplitude, exp(i chi_b(times))).
 
-    All arrays are read-only. Bonds whose displacements are equal bit for bit
-    share one phase array, since chi depends on the bond only through its
-    displacement.
+    All arrays are read-only. The bonds of one class of the lattice's pair
+    table (bit-equal displacement and amplitude) share one phase array.
     """
-    phases = {}
+    table = _pair_table(lattice)
+    phases = np.exp(1j * phase(drive, table.displacements[table.distinct], times))
+    phases.flags.writeable = False
     terms = []
-    for b in lattice.bonds:
-        a = lattice.displacement(b)
-        E = phases.get(a.tobytes())
-        if E is None:
-            E = np.exp(1j * phase(drive, a, times))
-            E.flags.writeable = False
-            phases[a.tobytes()] = E
+    for b, row in zip(lattice.bonds, table.distinct_of):
         R = np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors
         R.flags.writeable = False
-        terms.append((b.target_basis, b.source_basis, R, b.amplitude, E))
+        terms.append((b.target_basis, b.source_basis, R, b.amplitude, phases[row]))
     return tuple(terms)
 
 
@@ -408,6 +404,7 @@ def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, s
     omegas ascending. Exceptions of the pool tasks surface on collection."""
     if not orders or any(o not in (0, 1) for o in orders):
         raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
+    gauge = _as_gauge(gauge)
     ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
     models = [build_effective_model(lattice, drive, gauge, cutoff) for drive in drives]
 

@@ -14,7 +14,9 @@ keeps the result in a small bounded cache keyed on the tuple of
 ``OffsetMatrix`` objects: tuples of frozen, identity-compared carriers with
 read-only blocks cannot change under the cache, the cached arrays are
 read-only, and ``functools.lru_cache`` is thread-safe (two threads missing
-the same set both build it, with identical results).
+the same set both build it, with identical results). The drive-independent
+two-step data of a lattice, its pair table, is cached the same way, keyed on
+the frozen ``LatticeSpec``.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ class Bond:
         )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -341,6 +343,71 @@ def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
     for term in phases[:, None, None] * mats:
         H += term
     return H
+
+
+@dataclass(frozen=True, eq=False)
+class _PairTable:
+    """The drive-independent bond and two-step data of one lattice, as
+    read-only arrays indexed by position in ``bonds``.
+
+    Per bond: its displacement, and ``distinct_of``, its index into
+    ``distinct``, the first bond of each bit-distinct (displacement,
+    amplitude), which all share one driven amplitude g(t). Per composable
+    pair (first hop, then a second hop starting where the first ends), in
+    the bond-by-bond double-loop order: the two bond indices, the first hop's
+    source basis, the second hop's target basis, and the index of the total
+    cell offset in ``totals`` (ascending).
+    """
+
+    displacements: np.ndarray
+    distinct: np.ndarray
+    distinct_of: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    totals: tuple
+    total_index: np.ndarray
+
+
+# Keyed by identity, like _offset_stack; eight entries cover a scan over a
+# few lattices.
+@functools.lru_cache(maxsize=8)
+def _pair_table(spec: LatticeSpec) -> _PairTable:
+    bonds = spec.bonds
+    displacements = _readonly([spec.displacement(b) for b in bonds]).reshape(
+        len(bonds), spec.space_dim
+    )
+    index, distinct, distinct_of = {}, [], []
+    for i, (a, b) in enumerate(zip(displacements, bonds)):
+        key = (a.tobytes(), np.complex128(b.amplitude).tobytes())
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(i)
+        distinct_of.append(index[key])
+    pairs = [
+        (i, j)
+        for i, b1 in enumerate(bonds)
+        for j, b2 in enumerate(bonds)
+        if b2.source_basis == b1.target_basis
+    ]
+    total = [
+        tuple(x + y for x, y in zip(bonds[i].cell_offset, bonds[j].cell_offset))
+        for i, j in pairs
+    ]
+    totals = tuple(sorted(set(total)))
+    where = {off: n for n, off in enumerate(totals)}
+    return _PairTable(
+        displacements=displacements,
+        distinct=_readonly(distinct, np.intp),
+        distinct_of=_readonly(distinct_of, np.intp),
+        first=_readonly([i for i, _ in pairs], np.intp),
+        second=_readonly([j for _, j in pairs], np.intp),
+        source=_readonly([bonds[i].source_basis for i, _ in pairs], np.intp),
+        target=_readonly([bonds[j].target_basis for _, j in pairs], np.intp),
+        totals=totals,
+        total_index=_readonly([where[off] for off in total], np.intp),
+    )
 
 
 def reciprocal_vectors(spec: LatticeSpec) -> np.ndarray:

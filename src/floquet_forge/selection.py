@@ -9,17 +9,24 @@ is potentially finite, though a particular drive may still send it to zero.
 The classification assumes the tunneling amplitude depends only on the hop
 displacement; specs violating that are refused, because then swapped
 processes no longer carry opposite amplitudes.
+
+The report depends on the lattice alone, so it is built once per
+``LatticeSpec`` from the same cached pair table order 1 sums over, and kept
+in a small bounded cache keyed on the (frozen, identity-compared) spec. The
+report is immutable and its hop vectors are read-only, so every caller can
+share it; a spec that is refused is not cached and raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .lattice import LatticeSpec, offset_dict, require_closed
+from .lattice import LatticeSpec, _pair_table, offset_dict, require_closed
 
 __all__ = [
     "ProcessClass",
@@ -82,10 +89,10 @@ def _vkey(a) -> tuple:
     return tuple(round(float(x), 9) + 0.0 for x in a)
 
 
-def _check_displacement_condition(lattice: LatticeSpec) -> None:
+def _check_displacement_condition(lattice: LatticeSpec, displacements) -> None:
     seen = {}
-    for b in lattice.bonds:
-        key = _vkey(lattice.displacement(b))
+    for b, a in zip(lattice.bonds, displacements):
+        key = _vkey(a)
         if key in seen:
             other = seen[key]
             if abs(other.amplitude - b.amplitude) > 1e-12 * max(
@@ -109,72 +116,68 @@ def enumerate_processes(lattice: LatticeSpec) -> ProcessReport:
     zeros on their own; a process whose hop-swapped partner is also present
     cancels pairwise (a retraced hop a_j = -a_i counts as its own reverse).
     The coupling is forced zero iff no process survives.
+
+    The report is built once per lattice and shared by later calls; it is
+    immutable, its hop vectors read-only.
     """
+    return _process_report(lattice)
+
+
+# Keyed by identity, like lattice._pair_table: a LatticeSpec is frozen, so its
+# report cannot go stale. A spec that is refused raises again on every call.
+@functools.lru_cache(maxsize=8)
+def _process_report(lattice: LatticeSpec) -> ProcessReport:
     require_closed(lattice)
-    _check_displacement_condition(lattice)
+    table = _pair_table(lattice)
+    displacements = table.displacements
+    _check_displacement_condition(lattice, displacements)
 
-    raw = []
-    for b1 in lattice.bonds:
-        a_i = lattice.displacement(b1)
-        for b2 in lattice.bonds:
-            if b2.source_basis != b1.target_basis:
-                continue
-            total = tuple(x + y for x, y in zip(b1.cell_offset, b2.cell_offset))
-            raw.append(
-                {
-                    "source": b1.source_basis,
-                    "via": b1.target_basis,
-                    "via_offset": b1.cell_offset,
-                    "target": b2.target_basis,
-                    "total": total,
-                    "a_i": a_i,
-                    "a_j": lattice.displacement(b2),
-                }
-            )
-
+    bonds = lattice.bonds
     groups = {}
-    for r in raw:
-        groups.setdefault((r["source"], r["target"], r["total"]), []).append(r)
+    for i, j, t in zip(table.first.tolist(), table.second.tolist(), table.total_index.tolist()):
+        total = table.totals[t]
+        groups.setdefault((bonds[i].source_basis, bonds[j].target_basis, total), []).append((i, j))
 
+    keys_of = [_vkey(a) for a in displacements]
     processes = []
     couplings = []
     for (source, target, total) in sorted(groups):
         members = groups[(source, target, total)]
-        keys = [(_vkey(r["a_i"]), _vkey(r["a_j"])) for r in members]
+        keys = [(keys_of[i], keys_of[j]) for i, j in members]
         klass = [None] * len(members)
         pending = {}
-        for i, (ki, kj) in enumerate(keys):
+        for n, (ki, kj) in enumerate(keys):
             if ki == kj:
-                klass[i] = ProcessClass.FORCED_ZERO_SELF
+                klass[n] = ProcessClass.FORCED_ZERO_SELF
                 continue
             partner = pending.get((kj, ki))
             if partner:
-                j = partner.pop()
+                m = partner.pop()
                 retraced = kj == tuple(-x + 0.0 for x in ki)
                 pair_class = (
                     ProcessClass.FORCED_ZERO_SELF
                     if retraced
                     else ProcessClass.FORCED_ZERO_PAIRED
                 )
-                klass[i] = klass[j] = pair_class
+                klass[n] = klass[m] = pair_class
             else:
-                pending.setdefault((ki, kj), []).append(i)
-        for i in range(len(members)):
-            if klass[i] is None:
-                klass[i] = ProcessClass.POTENTIALLY_FINITE
+                pending.setdefault((ki, kj), []).append(n)
+        for n in range(len(members)):
+            if klass[n] is None:
+                klass[n] = ProcessClass.POTENTIALLY_FINITE
 
         group_procs = tuple(
             TwoStepProcess(
-                source_basis=r["source"],
-                via_basis=r["via"],
-                via_offset=r["via_offset"],
-                target_basis=r["target"],
-                total_offset=r["total"],
-                a_i=r["a_i"],
-                a_j=r["a_j"],
-                klass=klass[i],
+                source_basis=source,
+                via_basis=bonds[i].target_basis,
+                via_offset=bonds[i].cell_offset,
+                target_basis=target,
+                total_offset=total,
+                a_i=displacements[i],
+                a_j=displacements[j],
+                klass=klass[n],
             )
-            for i, r in enumerate(members)
+            for n, (i, j) in enumerate(members)
         )
         verdict = (
             CouplingClass.POTENTIALLY_FINITE

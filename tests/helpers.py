@@ -82,3 +82,90 @@ def random_offset_matrices(rng, dim, block, count=3, reach=1):
     from floquet_forge import OffsetMatrix
 
     return tuple(OffsetMatrix(o, m) for o, m in sorted(table.items()))
+
+
+def peierls_lattice(lattice, vector_potential):
+    """The lattice with every bond amplitude j multiplied by exp(i A.a) for
+    its displacement a: complex amplitudes that still depend on the bond only
+    through its displacement, and a closed bond list."""
+    A = np.asarray(vector_potential, dtype=float)
+    half = []
+    for b in lattice.bonds:
+        reverse = (b.source_basis, b.target_basis, tuple(-x for x in b.cell_offset))
+        if (b.target_basis, b.source_basis, b.cell_offset) < reverse:
+            phase = np.exp(1j * float(A @ lattice.displacement(b)))
+            half.append(Bond(b.target_basis, b.source_basis, b.cell_offset, b.amplitude * phase))
+    spec = LatticeSpec(lattice.dimension, lattice.bravais_vectors, lattice.basis_sites, half)
+    return close_hermitian(spec)
+
+
+def strong_drive(lattice, z, omega=15.0):
+    """Monochromatic drive whose longest bond sees the dimensionless strength z."""
+    reach = max(np.linalg.norm(lattice.displacement(b)) for b in lattice.bonds)
+    f0 = z * omega / reach
+    if lattice.space_dim == 1:
+        return DriveSpec(omega, (Harmonic(1, [f0], [0.0]),))
+    return DriveSpec(omega, (Harmonic(1, [f0, 0.0], [0.0, f0]),))
+
+
+def reference_phase(drive, a, t):
+    """chi_a(t) for one displacement, one harmonic at a time."""
+    w = drive.omega
+    chi = np.zeros_like(t)
+    for h in drive.harmonics:
+        ca = float(h.cos_amplitude @ a) / (h.m * w)
+        sa = float(h.sin_amplitude @ a) / (h.m * w)
+        chi = chi + ca * np.sin(h.m * w * t) - sa * np.cos(h.m * w * t)
+    return chi
+
+
+def reference_harmonics_strict(drive, a, amplitude, cutoff):
+    """The per-bond harmonics path that ran before bonds were batched: one
+    phase evaluation and one FFT per bond. The batched form must reproduce
+    it bit for bit, errors included."""
+    from floquet_forge import CutoffTooSmallError, ValidationError
+    from floquet_forge.drive import PARSEVAL_TOL, _default_samples
+
+    if cutoff < 1:
+        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+    n_s = _default_samples(cutoff)
+    t = np.arange(n_s) * (drive.period / n_s)
+    g = amplitude * np.exp(1j * reference_phase(drive, a, t))
+    spectrum = np.fft.fft(g) / n_s
+    idx = np.arange(-cutoff, cutoff + 1) % n_s
+    coefficients = spectrum[idx]
+    power = float(np.sum(np.abs(coefficients) ** 2))
+    tail = abs(power - abs(amplitude) ** 2) / abs(amplitude) ** 2
+    if not (tail <= PARSEVAL_TOL):
+        raise CutoffTooSmallError(
+            f"cutoff {cutoff} too small: Parseval tail mass {tail:.3e} "
+            f"exceeds {PARSEVAL_TOL:.1e}",
+            tail,
+        )
+    return coefficients
+
+
+def reference_lattice_harmonics(lattice, drive, cutoff=None):
+    """{bond: BondHarmonics} through the per-bond path, escalating the shared
+    cutoff 32, 64, ..., 256 as before."""
+    from floquet_forge import BondHarmonics, CutoffTooSmallError
+
+    def build(n):
+        out = {}
+        for b in lattice.bonds:
+            a = lattice.displacement(b)
+            out[b] = BondHarmonics(
+                b, a, drive.omega, n, reference_harmonics_strict(drive, a, b.amplitude, n)
+            )
+        return out
+
+    if cutoff is not None:
+        return build(cutoff)
+    n = 32
+    while True:
+        try:
+            return build(n)
+        except CutoffTooSmallError:
+            if n >= 256:
+                raise
+            n *= 2

@@ -16,8 +16,15 @@ from floquet_forge import (
     preset,
     rescale_drive,
 )
-from floquet_forge.drive import _harmonics_strict
-from helpers import random_drive
+from floquet_forge import PRESET_NAMES
+from floquet_forge.drive import _harmonics_at
+from floquet_forge.lattice import _pair_table
+from helpers import (
+    peierls_lattice,
+    random_drive,
+    reference_lattice_harmonics,
+    strong_drive,
+)
 
 
 def force(drive, t):
@@ -54,7 +61,7 @@ def test_non_finite_drive_input_is_refused():
 def test_nan_parseval_tail_fails_the_check():
     # Bond refuses a NaN amplitude, so feed one to the check directly
     with pytest.raises(CutoffTooSmallError, match="nan"):
-        _harmonics_strict(linear_drive(3.0, [4.0]), np.array([1.0]), float("nan"), 32)
+        _harmonics_at(linear_drive(3.0, [4.0]), np.array([[1.0]]), [float("nan")], 32)
 
 
 def test_undriven_limit_has_no_dimension():
@@ -83,6 +90,19 @@ def test_phase_has_zero_mean_and_period():
     assert abs(mean) / T < 1e-10 + 10 * err
     t = rng.uniform(0, T, size=7)
     assert np.allclose(phase(drive, a, t), phase(drive, a, t + T), atol=1e-12)
+
+
+def test_phase_of_a_displacement_stack_is_each_rows_phase():
+    rng = np.random.default_rng(5)
+    drive = random_drive(rng, 2)
+    stack = rng.normal(size=(4, 2))
+    t = np.linspace(0.0, drive.period, 37)
+    rows = phase(drive, stack, t)
+    assert rows.shape == (4, 37)
+    for a, row in zip(stack, rows):
+        assert row.tobytes() == phase(drive, a, t).tobytes()
+    assert phase(drive, stack, 0.3).shape == (4,)
+    assert isinstance(phase(drive, stack[0], 0.3), float)
 
 
 def test_bond_harmonics_match_quadrature():
@@ -176,3 +196,68 @@ def test_rescale_drive_holds_z_fixed():
     s = np.linspace(0, scaled.period, 64)
     assert np.allclose(phase(drive, a, t), phase(scaled, a, s), atol=1e-12)
     assert scaled.omega == 25.0
+
+
+def assert_harmonics_match_reference(lat, drive, cutoff=None):
+    got = lattice_harmonics(lat, drive, cutoff)
+    want = reference_lattice_harmonics(lat, drive, cutoff)
+    assert list(got) == list(want) == list(lat.bonds)
+    for b in lat.bonds:
+        assert got[b].cutoff == want[b].cutoff
+        assert got[b].coefficients.tobytes() == want[b].coefficients.tobytes()
+        assert not got[b].coefficients.flags.writeable
+    b = lat.bonds[-1]
+    one = bond_harmonics(lat, drive, b, cutoff)
+    assert one.coefficients.tobytes() == got[b].coefficients.tobytes()
+    return got[b].cutoff
+
+
+def test_lattice_harmonics_match_the_per_bond_reference_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        for _ in range(3):
+            assert assert_harmonics_match_reference(lat, random_drive(rng, lat.space_dim)) == 32
+        assert assert_harmonics_match_reference(lat, strong_drive(lat, 30.0)) == 64
+        assert assert_harmonics_match_reference(lat, random_drive(rng, lat.space_dim), 128) == 128
+    # complex amplitudes exercise the batched amplitude multiply
+    lat = peierls_lattice(preset("kagome"), [0.7, -1.3])
+    assert any(b.amplitude.imag != 0 for b in lat.bonds)
+    assert_harmonics_match_reference(lat, random_drive(rng, 2))
+    assert_harmonics_match_reference(lat, strong_drive(lat, 30.0))
+
+
+def test_parseval_failure_names_the_same_first_bond_as_the_per_bond_path():
+    lat = preset("lieb")
+    drive = strong_drive(lat, 30.0)
+    with pytest.raises(CutoffTooSmallError) as got:
+        lattice_harmonics(lat, drive, cutoff=16)
+    with pytest.raises(CutoffTooSmallError) as want:
+        reference_lattice_harmonics(lat, drive, cutoff=16)
+    assert str(got.value) == str(want.value)
+    # a drive beyond the largest cutoff fails the same way in auto mode
+    drive = strong_drive(lat, 400.0)
+    with pytest.raises(CutoffTooSmallError) as got:
+        lattice_harmonics(lat, drive)
+    with pytest.raises(CutoffTooSmallError) as want:
+        reference_lattice_harmonics(lat, drive)
+    assert str(got.value) == str(want.value)
+    assert "cutoff 256 too small" in str(got.value)
+
+
+def test_bit_equal_bonds_share_one_spectrum_kept_across_escalation(monkeypatch):
+    assert len(_pair_table(preset("kagome")).distinct) == 6
+    assert len(_pair_table(preset("lieb")).distinct) == 4
+    calls = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    lat = preset("kagome")
+    # escalates 32 -> 64; both cutoffs use 1024 samples, so one FFT serves both
+    table = lattice_harmonics(lat, strong_drive(lat, 30.0))
+    assert next(iter(table.values())).cutoff == 64
+    assert calls == [(6, 1024)]

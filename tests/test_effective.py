@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from floquet_forge import (
+    PRESET_NAMES,
     Bond,
     EffectiveModel,
     Gauge,
@@ -18,10 +19,98 @@ from floquet_forge import (
     order0,
     order1,
     preset,
+    reciprocal_vectors,
     undriven_offsets,
 )
-from floquet_forge.lattice import is_hermitian_closed_offsets, offset_dict
-from helpers import chiral_two_harmonic, composable_pairs, random_drive, two_site_chain
+from floquet_forge import effective
+from floquet_forge.lattice import from_offset_dict, is_hermitian_closed_offsets, offset_dict
+from helpers import (
+    chiral_two_harmonic,
+    composable_pairs,
+    peierls_lattice,
+    random_drive,
+    reference_lattice_harmonics,
+    strong_drive,
+    two_site_chain,
+)
+
+
+def reference_kahan(values) -> complex:
+    """The scalar compensated sum the row kernel replaced."""
+    s = 0.0 + 0.0j
+    c = 0.0 + 0.0j
+    for v in values:
+        y = v - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
+def reference_gauge_coefficient(h) -> complex:
+    n = np.arange(1, h.cutoff + 1)
+    return reference_kahan(1j * (h.negative() - h.positive()) / n)
+
+
+def reference_beta_lines(h1, h2, f1, f2) -> complex:
+    """One pair's three-line amplitude, as evaluated before the row kernel."""
+    w = h1.omega
+    n = np.arange(1, h1.cutoff + 1)
+    g1p, g1n = h1.positive(), h1.negative()
+    g2p, g2n = h2.positive(), h2.negative()
+    g1z, g2z = h1.coeff(0), h2.coeff(0)
+    line1 = g2p * g1n - g2n * g1p
+    line2 = (g2n - g2p) * g1z - g2z * (g1n - g1p)
+    value = reference_kahan((line1 + line2) / (n * w))
+    return value + (1j / w) * (f2 * g1z - g2z * f1)
+
+
+def reference_order1(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
+    """The per-pair double loop over composable bonds that order 1 ran before
+    the pair table; the row kernel must reproduce it bit for bit."""
+    d = lattice.basis_count
+    if gauge is Gauge.STATIC_FREE:
+        f = {b: reference_gauge_coefficient(harmonics[b]) for b in lattice.bonds}
+    else:
+        f = {b: 0.0 + 0.0j for b in lattice.bonds}
+    table = {}
+    for b1 in lattice.bonds:
+        for b2 in lattice.bonds:
+            if b2.source_basis != b1.target_basis:
+                continue
+            off = tuple(x + y for x, y in zip(b1.cell_offset, b2.cell_offset))
+            m = table.setdefault(off, np.zeros((d, d), dtype=complex))
+            m[b2.target_basis, b1.source_basis] += reference_beta_lines(
+                harmonics[b1], harmonics[b2], f[b1], f[b2]
+            )
+    table = effective._symmetrize(table, d)
+    threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
+    pruned = {}
+    for off, m in table.items():
+        m = np.where(np.abs(m) < threshold, 0.0, m) if threshold > 0 else m
+        if np.any(m != 0):
+            pruned[off] = m
+    return from_offset_dict(pruned)
+
+
+def same_bits(got, want) -> bool:
+    return [om.offset for om in got] == [om.offset for om in want] and all(
+        g.matrix.tobytes() == w.matrix.tobytes() for g, w in zip(got, want)
+    )
+
+
+def assert_model_matches_reference(lat, drive, cutoff=None):
+    harmonics = reference_lattice_harmonics(lat, drive, cutoff)
+    used = next(iter(harmonics.values())).cutoff
+    for gauge in Gauge:
+        model = build_effective_model(lat, drive, gauge, cutoff)
+        assert model.cutoff == used
+        assert same_bits(model.order0, effective._order0_from_harmonics(lat, harmonics))
+        for prune_tol in (effective.DEFAULT_PRUNE_TOL, 0.0):
+            want = reference_order1(lat, harmonics, gauge, drive.omega, prune_tol)
+            got = model.order1 if prune_tol else order1(lat, drive, gauge, cutoff, prune_tol)
+            assert same_bits(got, want)
+    return used
 
 
 def magnus_first_two(lattice, drive, k, n=96):
@@ -198,3 +287,90 @@ def test_model_records_escalated_cutoff():
     assert model.cutoff > 32
     assert model.gauge is Gauge.STATIC_FREE
     assert model.omega == 3.0
+
+
+def test_models_match_the_per_pair_reference_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        for _ in range(5):
+            assert assert_model_matches_reference(lat, random_drive(rng, lat.space_dim)) == 32
+
+
+def test_strong_and_explicit_cutoff_models_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        assert assert_model_matches_reference(lat, strong_drive(lat, 30.0)) == 64
+        assert assert_model_matches_reference(lat, random_drive(rng, lat.space_dim), 128) == 128
+
+
+def test_complex_amplitude_models_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(73)
+    for name, A in (("kagome", [0.7, -1.3]), ("lieb", [0.4, 0.9]), ("zigzag", [1.1, 0.2])):
+        lat = peierls_lattice(preset(name), A)
+        assert any(b.amplitude.imag != 0 for b in lat.bonds)
+        assert assert_model_matches_reference(lat, random_drive(rng, 2)) == 32
+        assert assert_model_matches_reference(lat, strong_drive(lat, 30.0)) == 64
+
+
+def test_two_step_amplitudes_match_the_reference_and_stay_antisymmetric():
+    rng = np.random.default_rng(74)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        drive = random_drive(rng, lat.space_dim)
+        table = reference_lattice_harmonics(lat, drive)
+        f = {b: reference_gauge_coefficient(h) for b, h in table.items()}
+        for b1, b2 in composable_pairs(lat):
+            h1, h2 = table[b1], table[b2]
+            fast = beta_static_free(h1, h2)
+            assert fast.tobytes() == reference_kahan(
+                (h1.negative() * h2.positive() - h2.negative() * h1.positive())
+                / (np.arange(1, h1.cutoff + 1) * h1.omega)
+            ).tobytes()
+            assert fast + beta_static_free(h2, h1) == 0.0
+        for b1, b2 in composable_pairs(lat)[:4]:
+            h1, h2 = table[b1], table[b2]
+            for gauge, f1, f2 in ((Gauge.STATIC_FREE, f[b1], f[b2]), (Gauge.FLOQUET, 0j, 0j)):
+                got = beta_general(lat, drive, gauge, b1, b2).value
+                assert got.tobytes() == reference_beta_lines(h1, h2, f1, f2).tobytes()
+
+
+def test_gauge_names_are_parsed_and_other_values_refused():
+    lat = preset("kagome")
+    drive = circular_drive(12.0, 28.8)
+    for name, gauge in (("static-free", Gauge.STATIC_FREE), ("Floquet", Gauge.FLOQUET)):
+        by_name = build_effective_model(lat, drive, name)
+        assert by_name.gauge is gauge
+        assert same_bits(by_name.order1, build_effective_model(lat, drive, gauge).order1)
+        assert same_bits(order1(lat, drive, name), order1(lat, drive, gauge))
+    b1, b2 = composable_pairs(lat)[0]
+    assert beta_general(lat, drive, "static-free", b1, b2).value == beta_general(
+        lat, drive, Gauge.STATIC_FREE, b1, b2
+    ).value
+    for bad in ("magnus", 3, None, Gauge):
+        with pytest.raises(ValidationError, match="gauge"):
+            build_effective_model(lat, drive, bad)
+        with pytest.raises(ValidationError, match="gauge"):
+            order1(lat, drive, bad)
+        with pytest.raises(ValidationError, match="gauge"):
+            beta_general(lat, drive, bad, b1, b2)
+
+
+def test_effective_models_are_periodic_and_hermitian_closed():
+    rng = np.random.default_rng(75)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        G = reciprocal_vectors(lat)
+        for _ in range(2):
+            drive = random_drive(rng, lat.space_dim)
+            for gauge in Gauge:
+                model = build_effective_model(lat, drive, gauge)
+                assert is_hermitian_closed_offsets(model.order0, tol=0.0)
+                if model.order1:
+                    assert is_hermitian_closed_offsets(model.order1, tol=0.0)
+                tol = 1e-12 * lat.amplitude_scale()
+                for k in rng.normal(scale=2.0, size=(4, lat.space_dim)):
+                    shift = G.T @ rng.integers(-3, 4, size=lat.dimension)
+                    H = effective_bloch(model, k)
+                    assert np.abs(effective_bloch(model, k + shift) - H).max() <= tol

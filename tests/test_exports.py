@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import floquet_forge
 
@@ -43,3 +44,47 @@ def test_each_module_exports_only_names_it_defines():
         for name in exported:
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
             assert name in defined, f"{mod.__name__} exports {name} but does not define it"
+
+
+def _cache_decorators(tree):
+    """(function name, decorator) for every functools cache decorator."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", ""))
+                if name in ("lru_cache", "cache"):
+                    yield node.name, dec
+
+
+def _bounded(dec) -> bool:
+    if not isinstance(dec, ast.Call):
+        return False
+    sizes = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+    return (
+        len(sizes) == 1
+        and isinstance(sizes[0], ast.Constant)
+        and type(sizes[0].value) is int
+        and sizes[0].value > 0
+    )
+
+
+def test_every_cache_has_an_explicit_finite_maxsize():
+    # the caches hold strong references to specs and arrays; an unbounded one
+    # would grow with every lattice or drive a long scan creates
+    found = []
+    for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py")):
+        for name, dec in _cache_decorators(ast.parse(path.read_text())):
+            found.append(name)
+            assert _bounded(dec), f"{path.name}: {name} needs lru_cache(maxsize=<positive int>)"
+    assert len(found) >= 4
+    # the check itself can fail
+    sample = "\n".join(
+        f"@{dec}\ndef f{i}(x): pass"
+        for i, dec in enumerate(
+            ("functools.lru_cache", "functools.lru_cache(maxsize=None)", "functools.cache",
+             "lru_cache(maxsize=0)", "lru_cache(8)", "functools.lru_cache(maxsize=8)")
+        )
+    )
+    verdicts = [_bounded(d) for _, d in _cache_decorators(ast.parse(sample))]
+    assert verdicts == [False, False, False, False, True, True]

@@ -271,6 +271,24 @@ def test_sweep_preconditions():
         error_matrix(lat, broken_family, ks, [10.0, 20.0, 40.0, 80.0])
 
 
+def test_sweeps_parse_gauge_names_and_refuse_other_values():
+    lat = preset("zigzag")
+
+    def family(w):
+        return circular_drive(w, w)
+
+    ks = [np.array([0.5, 0.0])]
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    by_name = error_matrix(lat, family, ks, omegas, gauge="floquet")
+    assert np.array_equal(by_name, error_matrix(lat, family, ks, omegas, gauge=Gauge.FLOQUET))
+    assert not np.array_equal(by_name, error_matrix(lat, family, ks, omegas))
+    for bad in ("magnus", 1, None):
+        with pytest.raises(ValidationError, match="gauge"):
+            error_matrix(lat, family, ks, omegas, gauge=bad)
+        with pytest.raises(ValidationError, match="gauge"):
+            scaling_errors(lat, family, ks, omegas, gauge=bad)
+
+
 def test_scaling_fit_bundles_sweep_and_fit():
     lat = preset("zigzag")
     base = circular_drive(10.0, 15.0)

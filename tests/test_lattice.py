@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from floquet_forge import (
+    PRESET_NAMES,
     Bond,
     Gauge,
     Geometry,
@@ -32,7 +33,7 @@ from floquet_forge.lattice import (
     offset_dict,
     require_closed,
 )
-from helpers import random_drive, random_offset_matrices
+from helpers import composable_pairs, random_drive, random_offset_matrices
 
 
 def reference_bloch(offsets, k, bravais_vectors):
@@ -252,6 +253,31 @@ def test_offset_stack_cache_is_bounded_and_thread_safe():
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
     info = lattice._offset_stack.cache_info()
     assert 0 < info.currsize <= info.maxsize == 8
+
+
+def test_pair_table_lists_composable_pairs_in_double_loop_order():
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        table = lattice._pair_table(lat)
+        assert lattice._pair_table(lat) is table
+        index = {b: i for i, b in enumerate(lat.bonds)}
+        pairs = composable_pairs(lat)
+        assert [(index[b1], index[b2]) for b1, b2 in pairs] == list(
+            zip(table.first.tolist(), table.second.tolist())
+        )
+        for p, (b1, b2) in enumerate(pairs):
+            total = tuple(x + y for x, y in zip(b1.cell_offset, b2.cell_offset))
+            assert table.totals[table.total_index[p]] == total
+            assert (table.source[p], table.target[p]) == (b1.source_basis, b2.target_basis)
+        assert list(table.totals) == sorted(set(table.totals))
+        for i, b in enumerate(lat.bonds):
+            assert table.displacements[i].tobytes() == lat.displacement(b).tobytes()
+            first = lat.bonds[table.distinct[table.distinct_of[i]]]
+            assert lat.displacement(first).tobytes() == lat.displacement(b).tobytes()
+            assert first.amplitude == b.amplitude
+        for field in ("displacements", "distinct", "distinct_of", "first", "second",
+                      "source", "target", "total_index"):
+            assert not getattr(table, field).flags.writeable, field
 
 
 def test_reciprocal_vectors_are_dual():

@@ -1,7 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from floquet_forge import (
+    PRESET_NAMES,
     Bond,
     ConsistencyError,
     CouplingClass,
@@ -16,8 +20,11 @@ from floquet_forge import (
     close_hermitian,
     cross_validate,
     enumerate_processes,
+    order1,
     preset,
 )
+from floquet_forge import lattice, selection
+from floquet_forge.lattice import _pair_table, offset_dict
 from helpers import random_drive
 
 
@@ -191,3 +198,72 @@ def test_cross_validate_refuses_a_prune_tol_that_is_not_finite_and_non_negative(
     for bad in (np.inf, -1.0, np.nan):
         with pytest.raises(ValidationError, match="prune_tol"):
             cross_validate(report, model, prune_tol=bad)
+
+
+def test_repeat_enumeration_returns_the_cached_read_only_report():
+    lat = preset("kagome")
+    report = enumerate_processes(lat)
+    assert enumerate_processes(lat) is report
+    for p in report.processes:
+        for a in (p.a_i, p.a_j):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def test_refused_specs_raise_again_on_a_repeat_call():
+    open_spec = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], (Bond(1, 0, (0,), -1.0),))
+    mixed = close_hermitian(
+        LatticeSpec(1, [[1.0]], [[0.0], [0.5]], (Bond(1, 0, (0,), -1.0), Bond(0, 1, (1,), 0.7)))
+    )
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="Hermitian-closed"):
+            enumerate_processes(open_spec)
+        with pytest.raises(ValidationError, match="displacement"):
+            enumerate_processes(mixed)
+
+
+def test_report_and_pair_caches_stay_bounded_under_threads():
+    # more lattices than entries, through more workers than cores with rapid
+    # thread switches: every report and model equals the serial reference
+    names = ("zigzag", "kagome", "lieb")
+    count = 3 * selection._process_report.cache_info().maxsize
+    lattices = [preset(names[i % 3]) for i in range(count)]
+    drive = random_drive(np.random.default_rng(5), 2)
+
+    def task(lat):
+        report = enumerate_processes(lat)
+        model = build_effective_model(lat, drive)
+        verdicts = [(c.source_basis, c.target_basis, c.offset, c.verdict)
+                    for c in report.couplings]
+        return verdicts, [om.matrix.tobytes() for om in model.order1]
+
+    want = [task(preset(names[i % 3])) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(task, lattices, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    for cache in (selection._process_report, lattice._pair_table):
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize == 8
+
+
+def test_report_and_order1_read_the_same_pair_table():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        report = enumerate_processes(lat)
+        assert len(report.processes) == len(_pair_table(lat).first)
+        finite = finite_keys(report)
+        for gauge in Gauge:
+            blocks = order1(lat, random_drive(rng, lat.space_dim), gauge)
+            for off, m in offset_dict(blocks).items():
+                for t, s in zip(*np.nonzero(m)):
+                    assert (int(s), int(t), off) in finite
+                    checked += 1
+    assert checked > 0
