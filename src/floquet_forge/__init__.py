@@ -11,7 +11,6 @@ from .drive import (
     BondHarmonics,
     DriveSpec,
     Harmonic,
-    bond_harmonics,
     circular_drive,
     lattice_harmonics,
     linear_drive,
@@ -26,8 +25,6 @@ from .effective import (
     beta_static_free,
     build_effective_model,
     effective_bloch,
-    order0,
-    order1,
 )
 from .errors import (
     ConsistencyError,
@@ -109,7 +106,6 @@ __all__ = [
     "beta_static_free",
     "bloch_hamiltonian_t",
     "bloch_matrix",
-    "bond_harmonics",
     "build_effective_model",
     "bz_grid",
     "circular_drive",
@@ -131,8 +127,6 @@ __all__ = [
     "match_permutation",
     "named_kpath",
     "offset_matrices_at_time",
-    "order0",
-    "order1",
     "phase",
     "preset",
     "propagate_period",

@@ -16,25 +16,32 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .config import load_config
-from .drive import DriveSpec, circular_drive, lattice_harmonics, linear_drive, rescale_drive
-from .effective import DEFAULT_PRUNE_TOL, Gauge, build_effective_model, effective_bloch
+from .drive import (
+    DriveSpec,
+    _check_drive_dim,
+    circular_drive,
+    lattice_harmonics,
+    linear_drive,
+    rescale_drive,
+)
+from .effective import DEFAULT_PRUNE_TOL, Gauge, build_effective_model
 from .errors import ConsistencyError, ConvergenceError, ValidationError
 from .floquet import (
     MIN_STEPS,
+    _on_pool,
+    _truncated_bloch,
     error_matrix,
     fit_power_law,
     match_permutation,
     propagate_period,
-    thread_count,
 )
 from .kpath import named_kpath
-from .lattice import Geometry, bloch_matrix, classify_geometry
+from .lattice import Geometry, classify_geometry
 from .presets import PRESET_NAMES, preset
 from .selection import CouplingClass, cross_validate, enumerate_processes
 from .serialization import bond_id, write_csv, write_json
@@ -70,11 +77,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _model_flags(p) -> None:
+def _model_flags(p, prune: bool = True) -> None:
     p.add_argument("--gauge", default="static-free", help="floquet or static-free")
     p.add_argument("--cutoff", type=int, help="harmonic cutoff (default: automatic)")
-    p.add_argument("--prune", type=_tolerance, default=DEFAULT_PRUNE_TOL, metavar="TOL",
-                   help="relative first-order pruning threshold")
+    if prune:
+        p.add_argument("--prune", type=_tolerance, default=DEFAULT_PRUNE_TOL, metavar="TOL",
+                       help="relative first-order pruning threshold")
 
 
 def _sweep_flags(p, kpoints: int) -> None:
@@ -118,7 +126,7 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("verify", help="frequency sweep of the truncation error")
     _common_flags(q)
-    _model_flags(q)
+    _model_flags(q, prune=False)
     _sweep_flags(q, kpoints=4)
     q.add_argument("--omegas", default="10,20,40,80",
                    help="comma-separated sweep frequencies")
@@ -150,20 +158,17 @@ def _load_inputs(args) -> tuple:
     if args.circular is not None and args.linear is not None:
         raise ValidationError("give either --circular or --linear, not both")
     if args.circular is not None:
-        if lattice.space_dim != 2:
-            raise ValidationError("--circular needs a lattice embedded in 2 dimensions")
-        return lattice, circular_drive(args.omega, args.circular), name
-    if args.linear is None:
+        drive = circular_drive(args.omega, args.circular)
+    elif args.linear is not None:
+        try:
+            comps = [float(x) for x in args.linear.split(",")]
+        except ValueError:
+            raise ValidationError(f"--linear must be comma-separated numbers, got {args.linear!r}") from None
+        drive = linear_drive(args.omega, comps)
+    else:
         raise ValidationError("--omega requires --circular or --linear")
-    try:
-        comps = [float(x) for x in args.linear.split(",")]
-    except ValueError:
-        raise ValidationError(f"--linear must be comma-separated numbers, got {args.linear!r}") from None
-    if len(comps) != lattice.space_dim:
-        raise ValidationError(
-            f"--linear has {len(comps)} components, lattice lives in {lattice.space_dim}"
-        )
-    return lattice, linear_drive(args.omega, comps), name
+    _check_drive_dim(lattice, drive)
+    return lattice, drive, name
 
 
 def _require_drive(drive) -> DriveSpec:
@@ -244,9 +249,7 @@ def _cmd_fourier(args) -> int:
 def _cmd_effective(args) -> int:
     lattice, drive, name = _load_inputs(args)
     drive = _require_drive(drive)
-    model = build_effective_model(
-        lattice, drive, Gauge.parse(args.gauge), args.cutoff, prune_tol=args.prune
-    )
+    model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
     payload = {
         "version": __version__,
         "lattice": _lattice_payload(lattice, name),
@@ -283,9 +286,7 @@ def _cmd_selection(args) -> int:
     verdict = None
     model = None
     if drive is not None:
-        model = build_effective_model(
-            lattice, drive, Gauge.parse(args.gauge), args.cutoff, prune_tol=args.prune
-        )
+        model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
         verdict = cross_validate(report, model, prune_tol=args.prune, strict=False)
 
     payload = {
@@ -340,29 +341,19 @@ def _cmd_selection(args) -> int:
 def _cmd_bands(args) -> int:
     lattice, drive, name = _load_inputs(args)
     drive = _require_drive(drive)
-    model = build_effective_model(
-        lattice, drive, Gauge.parse(args.gauge), args.cutoff, prune_tol=args.prune
-    )
+    model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
     kp = named_kpath(lattice, args.kpath, args.kpoints)
 
     def task(ik: int):
         return propagate_period(lattice, drive, kp.points[ik], steps=args.steps)
 
-    spectra = {}
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futures = {pool.submit(task, ik): ik for ik in range(len(kp.points))}
-        for fut, ik in futures.items():
-            spectra[ik] = fut.result()
+    spectra = _on_pool(task, [(ik,) for ik in range(len(kp.points))])
 
     coord_names = [f"k_{i}" for i in range(lattice.space_dim)]
     rows = []
     for ik, k in enumerate(kp.points):
-        if args.order == 0:
-            H = bloch_matrix(model.order0, k, model.bravais_vectors)
-        else:
-            H = effective_bloch(model, k)
-        e = np.linalg.eigvalsh(H)
-        quasi = spectra[ik].quasienergies
+        e = np.linalg.eigvalsh(_truncated_bloch(model, k, args.order))
+        quasi = spectra[(ik,)].quasienergies
         perm = match_permutation(e, quasi, drive.omega)
         for band in range(len(e)):
             rows.append(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .drive import DriveSpec, Harmonic
+from .drive import DriveSpec, Harmonic, _check_drive_dim
 from .errors import ValidationError
 from .lattice import Bond, LatticeSpec, close_hermitian
 from .presets import preset as make_preset
@@ -315,13 +315,6 @@ def load_config(path) -> RunConfig:
         raise ValidationError("config has no [lattice] section")
     lattice, preset_name = lattice_from_items(sections["lattice"])
     drive = drive_from_items(sections["drive"]) if "drive" in sections else None
-    if (
-        drive is not None
-        and drive.space_dim is not None
-        and drive.space_dim != lattice.space_dim
-    ):
-        raise ValidationError(
-            f"[drive] force has {drive.space_dim} components but the lattice "
-            f"lives in {lattice.space_dim} Cartesian dimensions"
-        )
+    if drive is not None:
+        _check_drive_dim(lattice, drive)
     return RunConfig(lattice, drive, preset_name)

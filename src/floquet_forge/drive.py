@@ -36,7 +36,6 @@ __all__ = [
     "DriveSpec",
     "BondHarmonics",
     "phase",
-    "bond_harmonics",
     "lattice_harmonics",
     "circular_drive",
     "linear_drive",
@@ -113,6 +112,15 @@ class DriveSpec:
     @property
     def space_dim(self):
         return self.harmonics[0].cos_amplitude.shape[0] if self.harmonics else None
+
+
+def _check_drive_dim(lattice: LatticeSpec, drive: DriveSpec) -> None:
+    """A drive fits a lattice when its force has one component per Cartesian axis."""
+    if drive.space_dim is not None and drive.space_dim != lattice.space_dim:
+        raise ValidationError(
+            f"drive force has {drive.space_dim} components, "
+            f"lattice lives in {lattice.space_dim} Cartesian dimensions"
+        )
 
 
 def phase(drive: DriveSpec, a, t):
@@ -211,29 +219,16 @@ def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutof
         n *= 2
 
 
-def bond_harmonics(
-    lattice: LatticeSpec, drive: DriveSpec, bond: Bond, cutoff: int | None = None
-) -> BondHarmonics:
-    """Harmonics of one bond's time-dependent amplitude.
+def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None = None) -> dict:
+    """{bond: BondHarmonics} for every bond of a closed lattice, at one cutoff.
 
     With ``cutoff=None`` the cutoff starts at 32 and doubles (up to 256) until
-    the Parseval tail drops below 1e-10; an explicit cutoff is used as given
-    and raises CutoffTooSmallError on a deficit.
-    """
-    a = lattice.displacement(bond)
-    n, coefficients = _harmonics_at(drive, a[None, :], [bond.amplitude], cutoff)
-    return BondHarmonics(bond, a, drive.omega, n, coefficients[0])
-
-
-def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None = None) -> dict:
-    """Harmonics for every bond of a closed lattice, all at one shared cutoff.
-
-    In auto mode the cutoff escalates jointly until every bond passes the
-    Parseval check, so any two results can be combined in two-step amplitudes.
-    Bonds with bit-equal displacement and amplitude share one coefficient
-    array (read-only), computed once.
+    every bond's Parseval tail is below 1e-10; an explicit cutoff is used as
+    given and raises CutoffTooSmallError on a deficit. Bonds with bit-equal
+    displacement and amplitude share one read-only coefficient array.
     """
     require_closed(lattice)
+    _check_drive_dim(lattice, drive)
     if not lattice.bonds:
         return {}
     table = _pair_table(lattice)

@@ -35,16 +35,15 @@ from enum import Enum
 
 import numpy as np
 
-from .drive import BondHarmonics, DriveSpec, _harmonics_at, lattice_harmonics
+from .drive import BondHarmonics, DriveSpec, _check_drive_dim, _harmonics_at, lattice_harmonics
 from .errors import ValidationError
 from .lattice import (
     Bond,
     LatticeSpec,
-    OffsetMatrix,
+    _bond_blocks,
     _pair_table,
     bloch_matrix,
     from_offset_dict,
-    require_closed,
 )
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "EffectiveModel",
     "beta_static_free",
     "beta_general",
-    "order0",
-    "order1",
     "build_effective_model",
     "effective_bloch",
 ]
@@ -190,6 +187,7 @@ def beta_general(
     evaluates all three lines of the general expression.
     """
     gauge = _as_gauge(gauge)
+    _check_drive_dim(lattice, drive)
     if bond1.target_basis != bond2.source_basis:
         raise ValidationError(
             f"bonds do not compose: first hop ends on basis {bond1.target_basis}, "
@@ -203,12 +201,8 @@ def beta_general(
 
 
 def _order0_from_harmonics(lattice, harmonics) -> tuple:
-    d = lattice.basis_count
-    table = {}
-    for b in lattice.bonds:
-        m = table.setdefault(b.cell_offset, np.zeros((d, d), dtype=complex))
-        m[b.target_basis, b.source_basis] += harmonics[b].coeff(0)
-    return from_offset_dict(_symmetrize(table, d))
+    g0 = [harmonics[b].coeff(0) for b in lattice.bonds]
+    return from_offset_dict(_symmetrize(_bond_blocks(lattice, g0), lattice.basis_count))
 
 
 def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
@@ -248,33 +242,6 @@ def _symmetrize(table: dict, d: int) -> dict:
     }
 
 
-def order0(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None = None) -> tuple:
-    """Leading effective tunneling matrices: every bond renormalized to its
-    static harmonic g^0. Sparsity equals the undriven bond sparsity."""
-    require_closed(lattice)
-    return _order0_from_harmonics(lattice, lattice_harmonics(lattice, drive, cutoff))
-
-
-def order1(
-    lattice: LatticeSpec,
-    drive: DriveSpec,
-    gauge: Gauge = Gauge.STATIC_FREE,
-    cutoff: int | None = None,
-    prune_tol: float = DEFAULT_PRUNE_TOL,
-) -> tuple:
-    """First-order correction assembled from all two-step processes.
-
-    Entries with modulus below prune_tol * |j|^2 / omega are set to exact
-    zero and offset classes that vanish entirely are dropped. For a Bravais
-    lattice (single basis site) the result is empty: every process cancels
-    against its hop-order-reversed partner.
-    """
-    gauge = _as_gauge(gauge)
-    require_closed(lattice)
-    h = lattice_harmonics(lattice, drive, cutoff)
-    return _order1_from_harmonics(lattice, h, gauge, drive.omega, prune_tol)
-
-
 @dataclass(frozen=True, eq=False)
 class EffectiveModel:
     """Leading plus first-order effective tunneling matrices."""
@@ -295,8 +262,18 @@ def build_effective_model(
     cutoff: int | None = None,
     prune_tol: float = DEFAULT_PRUNE_TOL,
 ) -> EffectiveModel:
+    """Leading and first-order effective tunneling matrices, from one set of
+    harmonics (cutoff as in :func:`lattice_harmonics`; the one used is
+    ``model.cutoff``).
+
+    ``order0``: every bond renormalized to its static harmonic g^0, with the
+    undriven sparsity. ``order1``: all two-step processes in ``gauge`` (a
+    Gauge or its name); entries below prune_tol * |j|^2 / omega become exact
+    zeros and offset classes that vanish entirely are dropped. On a Bravais
+    lattice (one basis site) it is empty: every process cancels against its
+    hop-order-reversed partner.
+    """
     gauge = _as_gauge(gauge)
-    require_closed(lattice)
     h = lattice_harmonics(lattice, drive, cutoff)
     used_cutoff = next(iter(h.values())).cutoff if h else 0
     return EffectiveModel(

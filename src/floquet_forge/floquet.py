@@ -16,11 +16,12 @@ validates the inputs once, builds one effective model per omega, propagates
 each (omega, k) point once for all truncation orders, and returns the matched
 distances with shape (order, omega, k). ``error_matrix`` and
 ``scaling_errors`` are reductions of that array. The (omega, k) points are
-embarrassingly parallel and run on a thread pool; workers share only the
-cache above, which is thread-safe (two workers missing the same entry both
-build it, with identical results). Results are gathered by task key. The
-pool size is capped by the FLOQUET_FORGE_THREADS environment variable (0 or
-unset means one worker per CPU).
+embarrassingly parallel; one thread pool, ``_on_pool``, runs them and the
+per-k propagations of ``cli bands``. Workers share only the cache above,
+which is thread-safe (two workers missing the same entry both build it, with
+identical results). Results are gathered by task key. The pool size is
+capped by the FLOQUET_FORGE_THREADS environment variable (0 or unset means
+one worker per CPU).
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .drive import DriveSpec, phase
+from .drive import DriveSpec, _check_drive_dim, phase
 from .effective import EffectiveModel, Gauge, _as_gauge, build_effective_model, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
+    _bond_blocks,
     _pair_table,
     _torus_matrix,
     bloch_matrix,
@@ -126,14 +128,6 @@ def quasienergies_from_propagator(U: np.ndarray, omega: float) -> np.ndarray:
     return np.sort(fold(eps, omega))
 
 
-def _check_drive_dim(lattice: LatticeSpec, drive: DriveSpec) -> None:
-    if drive.space_dim is not None and drive.space_dim != lattice.space_dim:
-        raise ValidationError(
-            f"drive force has {drive.space_dim} components, "
-            f"lattice lives in {lattice.space_dim} Cartesian dimensions"
-        )
-
-
 def _check_k(lattice: LatticeSpec, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.shape != (lattice.space_dim,):
@@ -196,13 +190,11 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
     """Instantaneous tunneling matrices per cell offset, phases included."""
     require_closed(lattice)
     _check_drive_dim(lattice, drive)
-    d = lattice.basis_count
-    table = {}
-    for b in lattice.bonds:
-        m = table.setdefault(b.cell_offset, np.zeros((d, d), dtype=complex))
-        chi = float(phase(drive, lattice.displacement(b), float(t)))
-        m[b.target_basis, b.source_basis] += b.amplitude * np.exp(1j * chi)
-    return from_offset_dict(table)
+    values = [
+        b.amplitude * np.exp(1j * float(phase(drive, lattice.displacement(b), float(t))))
+        for b in lattice.bonds
+    ]
+    return from_offset_dict(_bond_blocks(lattice, values))
 
 
 def _expm_stack(H: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -311,6 +303,13 @@ def thread_count() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
+def _on_pool(task, keys) -> dict:
+    """{key: task(*key)} on thread_count() workers; a task's error raises on collection."""
+    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+        futures = {key: pool.submit(task, *key) for key in keys}
+        return {key: fut.result() for key, fut in futures.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class PowerLawFit:
     """Least-squares slope of log(error) against log(omega)."""
@@ -393,6 +392,7 @@ def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
 
 
 def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
+    """Bloch matrix of the effective model truncated at ``order`` (0 or 1)."""
     if order == 0:
         return bloch_matrix(model.order0, k, model.bravais_vectors)
     return effective_bloch(model, k)
@@ -401,7 +401,7 @@ def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
 def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, steps) -> np.ndarray:
     """Matched distances between exact quasienergies and the effective
     spectrum truncated at each of ``orders``, shape (orders, omega, k) with
-    omegas ascending. Exceptions of the pool tasks surface on collection."""
+    omegas ascending."""
     if not orders or any(o not in (0, 1) for o in orders):
         raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
     gauge = _as_gauge(gauge)
@@ -411,13 +411,7 @@ def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, s
     def task(iw: int, ik: int) -> np.ndarray:
         return propagate_period(lattice, drives[iw], k_list[ik], steps=steps).quasienergies
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futures = {
-            (iw, ik): pool.submit(task, iw, ik)
-            for iw in range(len(ws))
-            for ik in range(len(k_list))
-        }
-        exact = {key: fut.result() for key, fut in futures.items()}
+    exact = _on_pool(task, [(iw, ik) for iw in range(len(ws)) for ik in range(len(k_list))])
 
     out = np.zeros((len(orders), len(ws), len(k_list)))
     for (iw, ik), eps in exact.items():

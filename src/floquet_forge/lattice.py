@@ -416,15 +416,21 @@ def reciprocal_vectors(spec: LatticeSpec) -> np.ndarray:
     return 2.0 * np.pi * np.linalg.solve(A @ A.T, A)
 
 
+def _bond_blocks(spec: LatticeSpec, values) -> dict:
+    """{cell offset: block}, with each bond's value (one per bond, in bond
+    order) added at (target, source) of its offset's block, in bond order."""
+    d = spec.basis_count
+    table = {}
+    for b, value in zip(spec.bonds, values):
+        m = table.setdefault(b.cell_offset, np.zeros((d, d), dtype=complex))
+        m[b.target_basis, b.source_basis] += value
+    return table
+
+
 def undriven_offsets(spec: LatticeSpec) -> tuple:
     """The bare tunneling matrices J_offset of the static Hamiltonian."""
     require_closed(spec)
-    d = spec.basis_count
-    table = {}
-    for b in spec.bonds:
-        m = table.setdefault(b.cell_offset, np.zeros((d, d), dtype=complex))
-        m[b.target_basis, b.source_basis] += b.amplitude
-    return from_offset_dict(table)
+    return from_offset_dict(_bond_blocks(spec, [b.amplitude for b in spec.bonds]))
 
 
 def _torus_matrix(table: dict, extents, d: int) -> np.ndarray:

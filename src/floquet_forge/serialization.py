@@ -60,10 +60,10 @@ def _json_string(s: str) -> str:
     return "".join(out)
 
 
-def _render(obj, indent: int, pad: str) -> str:
-    nxt = pad + " " * indent
+def _render(obj, pad: str) -> str:
+    nxt = pad + "  "
     if isinstance(obj, Enum):
-        return _render(obj.value, indent, pad)
+        return _render(obj.value, pad)
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -78,32 +78,32 @@ def _render(obj, indent: int, pad: str) -> str:
         c = complex(obj)
         return "{" + f'"re": {fmt_float(c.real)}, "im": {fmt_float(c.imag)}' + "}"
     if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent, pad)
+        return _render(obj.tolist(), pad)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{nxt}{_json_string(str(k))}: {_render(v, indent, nxt)}" for k, v in obj.items()
+            f"{nxt}{_json_string(str(k))}: {_render(v, nxt)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rendered = [_render(v, indent, nxt) for v in obj]
+        rendered = [_render(v, nxt) for v in obj]
         if all(len(r) < 24 and "\n" not in r for r in rendered) and len(rendered) <= 16:
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(nxt + r for r in rendered) + "\n" + pad + "]"
     raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def json_text(obj, indent: int = 2) -> str:
-    """Render to JSON with fixed float formatting and insertion field order."""
-    return _render(obj, indent, "") + "\n"
+def json_text(obj) -> str:
+    """Render to JSON: fixed float formatting, insertion field order, indent 2."""
+    return _render(obj, "") + "\n"
 
 
-def write_json(path, obj, indent: int = 2) -> None:
+def write_json(path, obj) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(json_text(obj, indent))
+        fh.write(json_text(obj))
 
 
 def offset_id(offset) -> str:

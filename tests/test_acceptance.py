@@ -28,8 +28,6 @@ from floquet_forge import (
     magnus_commutator_probe,
     match_distance,
     offset_matrices_at_time,
-    order0,
-    order1,
     preset,
     propagate_period,
     rescale_drive,
@@ -67,11 +65,12 @@ def circular_family(bond_length):
 def first_order_shift(lat, family, ks):
     """max over k of the matched distance between the order-0 and the
     order-0+1 spectra, per sweep frequency: how strongly the first-order term
-    moves the bands, built from order0/order1 with no propagation."""
+    moves the bands, built from the model's order0/order1 with no propagation."""
     out = np.zeros(len(SWEEP))
     for iw, w in enumerate(SWEEP):
         drive = family(w)
-        H0, H1 = order0(lat, drive), order1(lat, drive)
+        model = build_effective_model(lat, drive)
+        H0, H1 = model.order0, model.order1
         for k in ks:
             h0 = bloch_matrix(H0, k, lat.bravais_vectors)
             h1 = h0 + bloch_matrix(H1, k, lat.bravais_vectors)
@@ -92,9 +91,10 @@ def test_criterion_1_bravais_first_order_vanishes(acceptance_record):
         for _ in range(20):
             drive = random_drive(rng, lat.space_dim, omega=4.0 * lat.amplitude_scale())
             scale = lat.amplitude_scale() ** 2 / drive.omega
-            for om in order1(lat, drive, prune_tol=0.0):
+            model = build_effective_model(lat, drive, prune_tol=0.0)
+            for om in model.order1:
                 worst_entry = max(worst_entry, float(np.abs(om.matrix).max()) / scale)
-            H0 = order0(lat, drive)
+            H0 = model.order0
             for _ in range(2):
                 k = rng.normal(size=lat.space_dim)
                 spec = propagate_period(lat, drive, k)
@@ -148,7 +148,7 @@ def test_criterion_3_zigzag_block_structure(acceptance_record):
     drive = chiral_two_harmonic(20.0)
     scale = lat.amplitude_scale() ** 2 / drive.omega
     tol = 1e-12 * scale
-    table = offset_dict(order1(lat, drive, prune_tol=0.0))
+    table = offset_dict(build_effective_model(lat, drive, prune_tol=0.0).order1)
     B0, B1 = table[(0,)], table[(1,)]
     offdiag = max(abs(B0[0, 1]), abs(B0[1, 0]), abs(B1[0, 1]), abs(B1[1, 0]))
     pairing = max(abs(B0[0, 0] + B0[1, 1]), abs(B1[0, 0] + B1[1, 1]))
@@ -177,7 +177,7 @@ def test_criterion_4_kagome_block_structure(acceptance_record):
     drive = circular_drive(20.0, 24.0)
     scale = lat.amplitude_scale() ** 2 / drive.omega
     tol = 1e-12 * scale
-    table = offset_dict(order1(lat, drive))
+    table = offset_dict(build_effective_model(lat, drive).order1)
     B0 = table[(0, 0)]
     B1, B2, B3 = table[(-1, 1)], table[(0, -1)], table[(1, 0)]
 
@@ -315,7 +315,7 @@ def test_criterion_8_dynamic_suppression(acceptance_record):
     lat = preset("chain")
     omega, z = 10.0, 2.4048
     drive = linear_drive(omega, [z * omega])
-    g0 = abs(offset_dict(order0(lat, drive))[(1,)][0, 0])
+    g0 = abs(offset_dict(build_effective_model(lat, drive).order0)[(1,)][0, 0])
     quasis = [
         propagate_period(lat, drive, k).quasienergies[0] for k in bz_grid(lat, 16)
     ]

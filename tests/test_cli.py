@@ -10,7 +10,18 @@ import pytest
 from scipy.special import jv
 
 import floquet_forge
-from floquet_forge.cli import main
+from floquet_forge import (
+    ValidationError,
+    beta_general,
+    build_effective_model,
+    circular_drive,
+    lattice_harmonics,
+    offset_matrices_at_time,
+    preset,
+    propagate_period,
+)
+from floquet_forge.cli import _build_parser, main
+from floquet_forge.config import load_config
 
 
 def run(capsys, *argv):
@@ -136,6 +147,55 @@ def test_prune_must_be_finite_and_non_negative(tmp_path, capsys):
             assert code == 1, (command, value)
             assert "--prune" in err and "numerically zero" not in out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_only_model_commands_take_prune(tmp_path, capsys):
+    # verify never reads a pruning threshold, so it refuses one
+    code, out, err = run(
+        capsys, "verify", "--preset", "zigzag", "--omega", "10", "--circular", "21.2",
+        "--order", "1", "--kpoints", "2", "--prune", "1e9", "--output", str(tmp_path),
+    )
+    assert code == 1
+    assert "--prune" in err and not out
+    assert list(tmp_path.iterdir()) == []
+    parser = _build_parser()
+    for command in ("effective", "selection-rules", "bands"):
+        assert parser.parse_args([command, "--prune", "0.5"]).prune == 0.5
+
+
+def test_every_route_refuses_a_drive_of_the_wrong_dimension(tmp_path, capsys):
+    # one rule, one message: config file, command line, and every function
+    # that takes a lattice and a drive
+    want = "drive force has 2 components, lattice lives in 1 Cartesian dimensions"
+    chain, drive = preset("chain"), circular_drive(10.0, 2.0)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        '[lattice]\npreset = "chain"\n[drive]\nomega = 10.0\n'
+        "harmonic = {m = 1, a = [2.0, 0.0], b = [0.0, 2.0]}\n"
+    )
+    messages = []
+    for call in (
+        lambda: load_config(cfg),
+        lambda: propagate_period(chain, drive, np.array([0.3])),
+        lambda: offset_matrices_at_time(chain, drive, 0.0),
+        lambda: lattice_harmonics(chain, drive),
+        lambda: build_effective_model(chain, drive),
+        lambda: beta_general(chain, drive, "static-free", *chain.bonds[:2]),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        messages.append(str(info.value))
+    out = str(tmp_path / "out")
+    for flags in (
+        ["--config", str(cfg)],
+        ["--preset", "chain", "--omega", "10", "--circular", "2"],
+        ["--preset", "chain", "--omega", "10", "--linear", "2,0"],
+    ):
+        code, _, err = run(capsys, "effective", *flags, "--output", out)
+        assert code == 1
+        messages.append(err.strip().removeprefix("error: "))
+    assert messages == [want] * 9
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_prune_cross_validates(tmp_path, capsys):

@@ -8,7 +8,6 @@ from floquet_forge import (
     DriveSpec,
     Harmonic,
     ValidationError,
-    bond_harmonics,
     circular_drive,
     lattice_harmonics,
     linear_drive,
@@ -110,7 +109,7 @@ def test_bond_harmonics_match_quadrature():
     lat = preset("zigzag")
     drive = DriveSpec(5.0, (Harmonic(1, [2.0, 1.0], [0.0, 3.0]), Harmonic(3, [1.0, -1.5], [0.5, 0.0])))
     bond = lat.bonds[0]
-    h = bond_harmonics(lat, drive, bond)
+    h = lattice_harmonics(lat, drive)[bond]
     a = lat.displacement(bond)
     w, T = drive.omega, drive.period
     for n in (-5, -1, 0, 2, 7):
@@ -131,7 +130,7 @@ def test_monochromatic_harmonics_follow_bessel():
     lat = preset("chain")
     omega, z = 7.0, 1.8
     drive = linear_drive(omega, [z * omega])
-    h = bond_harmonics(lat, drive, lat.bonds[0])
+    h = lattice_harmonics(lat, drive)[lat.bonds[0]]
     for n in range(-10, 11):
         assert abs(abs(h.coeff(n)) - abs(jv(n, z))) < 1e-12
 
@@ -139,7 +138,7 @@ def test_monochromatic_harmonics_follow_bessel():
 def test_coefficients_store_symmetric_window():
     lat = preset("chain")
     drive = linear_drive(4.0, [3.0])
-    h = bond_harmonics(lat, drive, lat.bonds[0], cutoff=16)
+    h = lattice_harmonics(lat, drive, cutoff=16)[lat.bonds[0]]
     assert h.cutoff == 16
     assert h.coefficients.shape == (33,)
     assert h.positive()[2] == h.coeff(3)
@@ -152,13 +151,13 @@ def test_explicit_cutoff_too_small_raises():
     lat = preset("chain")
     drive = linear_drive(3.0, [40.0])  # z ~ 13, spectrum reaches past n = 16
     with pytest.raises(CutoffTooSmallError):
-        bond_harmonics(lat, drive, lat.bonds[0], cutoff=8)
+        lattice_harmonics(lat, drive, cutoff=8)
 
 
 def test_auto_cutoff_escalates_until_parseval_holds():
     lat = preset("chain")
     drive = linear_drive(3.0, [120.0])  # z = 40 needs more than the default 32
-    h = bond_harmonics(lat, drive, lat.bonds[0])
+    h = lattice_harmonics(lat, drive)[lat.bonds[0]]
     assert h.cutoff > 32
     power = float(np.sum(np.abs(h.coefficients) ** 2))
     assert abs(power - 1.0) < 1e-10
@@ -176,7 +175,7 @@ def test_lattice_harmonics_share_one_cutoff():
 def test_harmonics_dimension_mismatch_is_refused():
     lat = preset("chain")
     with pytest.raises(ValidationError):
-        bond_harmonics(lat, circular_drive(5.0, 1.0), lat.bonds[0])
+        lattice_harmonics(lat, circular_drive(5.0, 1.0))
 
 
 def test_circular_drive_shape():
@@ -207,8 +206,9 @@ def assert_harmonics_match_reference(lat, drive, cutoff=None):
         assert got[b].coefficients.tobytes() == want[b].coefficients.tobytes()
         assert not got[b].coefficients.flags.writeable
     b = lat.bonds[-1]
-    one = bond_harmonics(lat, drive, b, cutoff)
-    assert one.coefficients.tobytes() == got[b].coefficients.tobytes()
+    # the same bond alone, as a one-row batch
+    _, one = _harmonics_at(drive, lat.displacement(b)[None, :], [b.amplitude], cutoff)
+    assert one[0].tobytes() == got[b].coefficients.tobytes()
     return got[b].cutoff
 
 

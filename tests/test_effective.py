@@ -16,8 +16,6 @@ from floquet_forge import (
     circular_drive,
     effective_bloch,
     lattice_harmonics,
-    order0,
-    order1,
     preset,
     reciprocal_vectors,
     undriven_offsets,
@@ -108,7 +106,7 @@ def assert_model_matches_reference(lat, drive, cutoff=None):
         assert same_bits(model.order0, effective._order0_from_harmonics(lat, harmonics))
         for prune_tol in (effective.DEFAULT_PRUNE_TOL, 0.0):
             want = reference_order1(lat, harmonics, gauge, drive.omega, prune_tol)
-            got = model.order1 if prune_tol else order1(lat, drive, gauge, cutoff, prune_tol)
+            got = build_effective_model(lat, drive, gauge, cutoff, prune_tol).order1
             assert same_bits(got, want)
     return used
 
@@ -182,7 +180,7 @@ def test_order0_matches_time_average():
     lat = preset("lieb")
     drive = random_drive(rng, 2, omega=11.0)
     k = rng.normal(size=2)
-    H0 = bloch_matrix(order0(lat, drive), k, lat.bravais_vectors)
+    H0 = bloch_matrix(build_effective_model(lat, drive).order0, k, lat.bravais_vectors)
     n = 4096
     t = (np.arange(n) + 0.5) * drive.period / n
     avg = sum(bloch_hamiltonian_t(lat, drive, k, s) for s in t) / n
@@ -193,7 +191,7 @@ def test_order0_keeps_undriven_sparsity():
     lat = preset("kagome")
     drive = circular_drive(9.0, 4.0)
     bare = offset_dict(undriven_offsets(lat))
-    renorm = offset_dict(order0(lat, drive))
+    renorm = offset_dict(build_effective_model(lat, drive).order0)
     assert set(bare) == set(renorm)
     for off, m in bare.items():
         assert np.all((m == 0) == (renorm[off] == 0))
@@ -204,7 +202,7 @@ def test_bravais_first_order_is_pruned_away():
     for name in ("chain", "triangular"):
         lat = preset(name)
         drive = random_drive(rng, lat.space_dim)
-        assert order1(lat, drive) == ()
+        assert build_effective_model(lat, drive).order1 == ()
 
 
 def test_first_order_is_hermitian_closed():
@@ -212,15 +210,15 @@ def test_first_order_is_hermitian_closed():
     for name in ("zigzag", "kagome", "lieb"):
         lat = preset(name)
         drive = random_drive(rng, 2)
-        offs = order1(lat, drive)
+        offs = build_effective_model(lat, drive).order1
         assert is_hermitian_closed_offsets(offs, tol=1e-12)
 
 
 def test_prune_tolerance_scales_the_cut():
     lat = preset("kagome")
     drive = circular_drive(12.0, 8.0)
-    assert order1(lat, drive, prune_tol=np.inf) == ()
-    kept = order1(lat, drive, prune_tol=0.0)
+    assert build_effective_model(lat, drive, prune_tol=np.inf).order1 == ()
+    kept = build_effective_model(lat, drive, prune_tol=0.0).order1
     assert kept
     # raw accumulation keeps cancellation residue the default prune removes
     raw = offset_dict(kept)
@@ -230,7 +228,7 @@ def test_prune_tolerance_scales_the_cut():
 def test_zigzag_first_order_blocks_are_diagonal():
     lat = preset("zigzag")
     drive = chiral_two_harmonic()
-    table = offset_dict(order1(lat, drive))
+    table = offset_dict(build_effective_model(lat, drive).order1)
     assert set(table) == {(-1,), (0,), (1,)}
     for off, m in table.items():
         assert m[0, 1] == 0 and m[1, 0] == 0
@@ -261,8 +259,8 @@ def test_floquet_gauge_matches_magnus_exactly():
 def test_static_free_differs_from_floquet_gauge_at_first_order():
     lat = preset("kagome")
     drive = circular_drive(15.0, 10.0)
-    a = order1(lat, drive, Gauge.STATIC_FREE)
-    b = order1(lat, drive, Gauge.FLOQUET)
+    a = build_effective_model(lat, drive, Gauge.STATIC_FREE).order1
+    b = build_effective_model(lat, drive, Gauge.FLOQUET).order1
     da, db = offset_dict(a), offset_dict(b)
     assert set(da) == set(db)
     assert max(np.abs(da[o] - db[o]).max() for o in da) > 1e-6
@@ -343,7 +341,10 @@ def test_gauge_names_are_parsed_and_other_values_refused():
         by_name = build_effective_model(lat, drive, name)
         assert by_name.gauge is gauge
         assert same_bits(by_name.order1, build_effective_model(lat, drive, gauge).order1)
-        assert same_bits(order1(lat, drive, name), order1(lat, drive, gauge))
+        assert same_bits(
+            build_effective_model(lat, drive, name, prune_tol=0.0).order1,
+            build_effective_model(lat, drive, gauge, prune_tol=0.0).order1,
+        )
     b1, b2 = composable_pairs(lat)[0]
     assert beta_general(lat, drive, "static-free", b1, b2).value == beta_general(
         lat, drive, Gauge.STATIC_FREE, b1, b2
@@ -352,7 +353,7 @@ def test_gauge_names_are_parsed_and_other_values_refused():
         with pytest.raises(ValidationError, match="gauge"):
             build_effective_model(lat, drive, bad)
         with pytest.raises(ValidationError, match="gauge"):
-            order1(lat, drive, bad)
+            build_effective_model(lat, drive, bad, prune_tol=0.0)
         with pytest.raises(ValidationError, match="gauge"):
             beta_general(lat, drive, bad, b1, b2)
 

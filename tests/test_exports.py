@@ -88,3 +88,36 @@ def test_every_cache_has_an_explicit_finite_maxsize():
     )
     verdicts = [_bounded(d) for _, d in _cache_decorators(ast.parse(sample))]
     assert verdicts == [False, False, False, False, True, True]
+
+
+def _pool_owners(tree):
+    """The top-level function (or class, or '<module>') around every
+    ThreadPoolExecutor construction."""
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "attr", getattr(call.func, "id", ""))
+                if name == "ThreadPoolExecutor":
+                    yield owner
+
+
+def test_one_thread_pool_helper_builds_every_pool():
+    # sweeps and cli bands share one pool policy; a second pool would fork it
+    found = [
+        (path.name, owner)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for owner in _pool_owners(ast.parse(path.read_text()))
+    ]
+    assert found == [("floquet.py", "_on_pool")]
+    # the check itself can fail
+    sample = (
+        "import concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "def _on_pool(task, keys):\n"
+        "    with ThreadPoolExecutor(max_workers=2) as pool: pass\n"
+        "def bands():\n"
+        "    def task(): pass\n"
+        "    with concurrent.futures.ThreadPoolExecutor() as pool: pass\n"
+    )
+    assert list(_pool_owners(ast.parse(sample))) == ["_on_pool", "bands"]

@@ -139,6 +139,15 @@ def test_unrefined_propagation_fails_on_nan_unitarity(monkeypatch):
         propagate_period(preset("chain"), linear_drive(7.0, [3.0]), np.array([0.7]), refine=False)
 
 
+def test_refined_propagation_fails_on_nan_unitarity(monkeypatch):
+    # a NaN drift never counts as settled: the step count escalates past the cap
+    monkeypatch.setattr(floquet, "_unitarity_error", lambda U: float("nan"))
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        propagate_period(
+            preset("chain"), linear_drive(7.0, [3.0]), np.array([0.7]), max_steps=1024
+        )
+
+
 def test_cached_bond_factors_reproduce_a_cold_build_bit_for_bit():
     lat = preset("kagome")
     drive = circular_drive(12.0, 18.0)

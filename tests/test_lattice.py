@@ -19,7 +19,6 @@ from floquet_forge import (
     enumerate_processes,
     lattice_harmonics,
     linear_drive,
-    order1,
     preset,
     propagate_period,
     reciprocal_vectors,
@@ -201,7 +200,7 @@ def test_bloch_matrix_refuses_an_empty_offset_set():
         bloch_matrix((), np.array([0.3]), [[1.0]])
     # order 1 of a one-point basis is empty; its Bloch matrix is refused by name
     lat = preset("chain")
-    empty = order1(lat, linear_drive(10.0, [5.0]))
+    empty = build_effective_model(lat, linear_drive(10.0, [5.0])).order1
     assert empty == ()
     with pytest.raises(ValidationError, match="empty"):
         bloch_matrix(empty, np.array([0.3]), lat.bravais_vectors)

@@ -20,7 +20,6 @@ from floquet_forge import (
     close_hermitian,
     cross_validate,
     enumerate_processes,
-    order1,
     preset,
 )
 from floquet_forge import lattice, selection
@@ -261,7 +260,7 @@ def test_report_and_order1_read_the_same_pair_table():
         assert len(report.processes) == len(_pair_table(lat).first)
         finite = finite_keys(report)
         for gauge in Gauge:
-            blocks = order1(lat, random_drive(rng, lat.space_dim), gauge)
+            blocks = build_effective_model(lat, random_drive(rng, lat.space_dim), gauge).order1
             for off, m in offset_dict(blocks).items():
                 for t, s in zip(*np.nonzero(m)):
                     assert (int(s), int(t), off) in finite
