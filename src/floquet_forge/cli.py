@@ -32,7 +32,6 @@ from .drive import (
 from .effective import DEFAULT_PRUNE_TOL, Gauge, build_effective_model
 from .errors import ConsistencyError, ConvergenceError, ValidationError
 from .floquet import (
-    MIN_STEPS,
     _on_pool,
     _truncated_bloch,
     error_matrix,
@@ -88,7 +87,6 @@ def _model_flags(p, prune: bool = True) -> None:
 def _sweep_flags(p, kpoints: int) -> None:
     p.add_argument("--kpath", metavar="VERTICES", help="path letters, e.g. GMKG")
     p.add_argument("--kpoints", type=int, default=kpoints, help="points per path segment")
-    p.add_argument("--steps", type=int, default=MIN_STEPS, help="starting integrator steps")
     p.add_argument("--order", type=int, choices=(0, 1), default=1,
                    help="effective truncation order to compare against")
 
@@ -180,7 +178,10 @@ def _require_drive(drive) -> DriveSpec:
 
 
 def _outdir(args) -> str:
-    os.makedirs(args.output, exist_ok=True)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use --output {args.output!r}: {exc.strerror}") from None
     return args.output
 
 
@@ -345,7 +346,7 @@ def _cmd_bands(args) -> int:
     kp = named_kpath(lattice, args.kpath, args.kpoints)
 
     def task(ik: int):
-        return propagate_period(lattice, drive, kp.points[ik], steps=args.steps)
+        return propagate_period(lattice, drive, kp.points[ik])
 
     spectra = _on_pool(task, [(ik,) for ik in range(len(kp.points))])
 
@@ -390,7 +391,7 @@ def _cmd_verify(args) -> int:
 
     matrix = error_matrix(
         lattice, family, kp.points, omegas,
-        order=args.order, gauge=gauge, cutoff=args.cutoff, steps=args.steps,
+        order=args.order, gauge=gauge, cutoff=args.cutoff,
     )
     errors = matrix.max(axis=1)
     fit = fit_power_law(np.asarray(omegas), errors)

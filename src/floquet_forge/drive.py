@@ -185,14 +185,14 @@ def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutof
     row per (displacement, amplitude) row, all at one cutoff.
 
     With ``cutoff=None`` the cutoff starts at 32 and doubles, up to 256, until
-    every row's Parseval tail is at most 1e-10; an explicit cutoff is used as
-    given. A deficit raises CutoffTooSmallError with the first failing row's
-    tail. Escalations that keep the sample count reuse the spectra: 1024
-    samples serve cutoffs 32 through 128.
+    every row's Parseval tail is at most 1e-10; an explicit one, also at most
+    256, is used as given. A deficit raises CutoffTooSmallError with the first
+    failing row's tail. Escalations that keep the sample count reuse the
+    spectra: 1024 samples serve cutoffs 32 through 128.
     """
     n = DEFAULT_CUTOFF if cutoff is None else int(cutoff)
-    if n < 1:
-        raise ValidationError(f"cutoff must be >= 1, got {n}")
+    if not 1 <= n <= MAX_CUTOFF:
+        raise ValidationError(f"cutoff must be in [1, {MAX_CUTOFF}], got {n}")
     spectra = {}
     while True:
         n_s = _default_samples(n)
@@ -223,9 +223,9 @@ def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None
     """{bond: BondHarmonics} for every bond of a closed lattice, at one cutoff.
 
     With ``cutoff=None`` the cutoff starts at 32 and doubles (up to 256) until
-    every bond's Parseval tail is below 1e-10; an explicit cutoff is used as
-    given and raises CutoffTooSmallError on a deficit. Bonds with bit-equal
-    displacement and amplitude share one read-only coefficient array.
+    every bond's Parseval tail is below 1e-10; an explicit one (also at most
+    256) is used as given and raises CutoffTooSmallError on a deficit. Bonds
+    with bit-equal displacement and amplitude share one read-only array.
     """
     require_closed(lattice)
     _check_drive_dim(lattice, drive)

@@ -64,24 +64,16 @@ class Gauge(Enum):
     STATIC_FREE = "static-free"
 
     @classmethod
-    def parse(cls, name: str) -> "Gauge":
+    def parse(cls, gauge) -> "Gauge":
+        """A Gauge as given, or the one a name gives (case and surrounding
+        blanks ignored); anything else raises ValidationError."""
+        if isinstance(gauge, cls):
+            return gauge
         for g in cls:
-            if g.value == name.strip().lower():
+            if isinstance(gauge, str) and g.value == gauge.strip().lower():
                 return g
-        raise ValidationError(
-            f"unknown gauge '{name}'; choose one of {[g.value for g in cls]}"
-        )
-
-
-def _as_gauge(gauge) -> Gauge:
-    """A Gauge as given, or a gauge name through :meth:`Gauge.parse`."""
-    if isinstance(gauge, Gauge):
-        return gauge
-    if isinstance(gauge, str):
-        return Gauge.parse(gauge)
-    raise ValidationError(
-        f"gauge must be a Gauge or one of {[g.value for g in Gauge]}, got {gauge!r}"
-    )
+        names = [g.value for g in cls]
+        raise ValidationError(f"gauge must be a Gauge or one of {names}, got {gauge!r}")
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -186,7 +178,7 @@ def beta_general(
     Works for any gauge and any bond amplitudes (no displacement condition);
     evaluates all three lines of the general expression.
     """
-    gauge = _as_gauge(gauge)
+    gauge = Gauge.parse(gauge)
     _check_drive_dim(lattice, drive)
     if bond1.target_basis != bond2.source_basis:
         raise ValidationError(
@@ -273,7 +265,7 @@ def build_effective_model(
     lattice (one basis site) it is empty: every process cancels against its
     hop-order-reversed partner.
     """
-    gauge = _as_gauge(gauge)
+    gauge = Gauge.parse(gauge)
     h = lattice_harmonics(lattice, drive, cutoff)
     used_cutoff = next(iter(h.values())).cutoff if h else 0
     return EffectiveModel(

@@ -6,10 +6,14 @@ fixed-step fourth-order composition of exact midpoint exponentials, so every
 propagator is unitary to rounding at any step count; accuracy is certified
 separately by a step-doubling check on the matched quasienergies.
 
+The settling tolerance RICHARDSON_TOL * omega, the cap MAX_STEPS and the
+fit's ERROR_FLOOR are constants, not arguments: every run certifies alike.
+
 Only the scalar Bloch phases exp(i k.R_b) of H(t) depend on k. The bond
-phase factors exp(i chi_b(t)) on the integrator nodes are built once per
-(lattice, drive, step count) and kept in a small bounded cache of read-only
-arrays, so every k of a sweep reuses them.
+phase factors exp(i chi_b(t)) come from ``_bond_terms`` alone (integrator,
+H(t) and instantaneous offset matrices); on the integrator nodes they are
+built once per (lattice, drive, step count) and kept in a small bounded
+cache of read-only arrays, so every k of a sweep reuses them.
 
 Every propagating sweep goes through one core, ``_sweep_errors``: it
 validates the inputs once, builds one effective model per omega, propagates
@@ -36,12 +40,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .drive import DriveSpec, _check_drive_dim, phase
-from .effective import EffectiveModel, Gauge, _as_gauge, build_effective_model, effective_bloch
+from .effective import EffectiveModel, Gauge, build_effective_model, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
     _bond_blocks,
     _pair_table,
+    _torus_extents,
     _torus_matrix,
     bloch_matrix,
     from_offset_dict,
@@ -190,11 +195,8 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
     """Instantaneous tunneling matrices per cell offset, phases included."""
     require_closed(lattice)
     _check_drive_dim(lattice, drive)
-    values = [
-        b.amplitude * np.exp(1j * float(phase(drive, lattice.displacement(b), float(t))))
-        for b in lattice.bonds
-    ]
-    return from_offset_dict(_bond_blocks(lattice, values))
+    terms = _bond_terms(lattice, drive, np.array([float(t)]))
+    return from_offset_dict(_bond_blocks(lattice, [a * E[0] for *_, a, E in terms]))
 
 
 def _expm_stack(H: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -245,24 +247,25 @@ def propagate_period(
     drive: DriveSpec,
     k,
     steps: int = MIN_STEPS,
-    tol: float = RICHARDSON_TOL,
-    max_steps: int = MAX_STEPS,
     refine: bool = True,
 ) -> QuasiSpectrum:
     """Integrate the one-period propagator at wave vector k.
 
-    Starts at ``steps`` (at least 512) and doubles the step count until the
-    matched quasienergies change by less than tol * omega between consecutive
-    resolutions, returning the finer result. Unitarity beyond 1e-10 triggers
-    the same escalation; running past ``max_steps`` without settling raises
-    ConvergenceError. With ``refine`` off a single resolution is computed and
-    only unitarity is checked.
+    Starts at ``steps``, in [MIN_STEPS, MAX_STEPS // 2] so that one doubling
+    fits under the cap, and doubles the step count until the matched
+    quasienergies change by less than RICHARDSON_TOL * omega between
+    consecutive resolutions, returning the finer result. Unitarity beyond
+    UNITARITY_TOL triggers the same escalation; running past MAX_STEPS
+    without settling raises ConvergenceError. With ``refine`` off a single
+    resolution is computed and only unitarity is checked. The package always
+    uses the defaults; ``steps`` and ``refine`` stay parameters because the
+    benchmark's tracer reads both by name to count resolutions and substeps.
     """
     require_closed(lattice)
     _check_drive_dim(lattice, drive)
     steps = int(steps)
-    if steps < MIN_STEPS:
-        raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    if not MIN_STEPS <= steps <= MAX_STEPS // 2:
+        raise ValidationError(f"steps must be in [{MIN_STEPS}, {MAX_STEPS // 2}], got {steps}")
     w = drive.omega
     k = _check_k(lattice, k)
 
@@ -276,15 +279,16 @@ def propagate_period(
 
     while True:
         finer = 2 * steps
-        if finer > max_steps:
+        if finer > MAX_STEPS:
             raise ConvergenceError(
-                f"quasienergies did not settle below {tol:.1e}*omega within {max_steps} steps"
+                f"quasienergies did not settle below {RICHARDSON_TOL:.1e}*omega "
+                f"within {MAX_STEPS} steps"
             )
         U2 = _propagator(lattice, drive, k, finer)
         eps2 = quasienergies_from_propagator(U2, w)
         change = match_distance(eps2, eps, w)
         drift = _unitarity_error(U2)
-        if change < tol * w and drift <= UNITARITY_TOL:
+        if change < RICHARDSON_TOL * w and drift <= UNITARITY_TOL:
             return QuasiSpectrum(k, w, finer, eps2, U2, drift, change)
         steps, U, eps = finer, U2, eps2
 
@@ -327,23 +331,26 @@ class PowerLawFit:
         return np.log(self.errors) - predicted
 
 
-def fit_power_law(omegas, errors, floor: float = ERROR_FLOOR) -> PowerLawFit:
+def fit_power_law(omegas, errors) -> PowerLawFit:
     """Fit error ~ omega^slope, dropping points at the numerical floor.
 
-    Errors at or below ``floor`` carry no scaling information (they measure
+    Errors at or below ERROR_FLOOR carry no scaling information (they measure
     integrator and rounding noise, not the expansion remainder); they are
-    excluded with a warning. A non-finite error, or fewer than two
-    informative points, raises ConvergenceError.
+    excluded with a warning. A non-finite or non-positive omega raises
+    ValidationError; a non-finite error, or fewer than two informative
+    points, raises ConvergenceError.
     """
     x = np.asarray(omegas, dtype=float)
     y = np.asarray(errors, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("omegas and errors must be 1d arrays of equal length")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValidationError(f"omegas must be finite and positive, got {x.tolist()}")
     bad = ~np.isfinite(y)
     if bad.any():
         points = ", ".join(f"omega={a:g} (error {b})" for a, b in zip(x[bad], y[bad]))
         raise ConvergenceError(f"sweep errors are not finite: {points}")
-    keep = y > floor
+    keep = y > ERROR_FLOOR
     if not keep.all():
         dropped = ", ".join(f"omega={a:g} (error {b:.2e})" for a, b in zip(x[~keep], y[~keep]))
         warnings.warn(
@@ -398,18 +405,18 @@ def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
     return effective_bloch(model, k)
 
 
-def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, steps) -> np.ndarray:
+def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff) -> np.ndarray:
     """Matched distances between exact quasienergies and the effective
     spectrum truncated at each of ``orders``, shape (orders, omega, k) with
     omegas ascending."""
     if not orders or any(o not in (0, 1) for o in orders):
         raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
-    gauge = _as_gauge(gauge)
+    gauge = Gauge.parse(gauge)
     ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
     models = [build_effective_model(lattice, drive, gauge, cutoff) for drive in drives]
 
     def task(iw: int, ik: int) -> np.ndarray:
-        return propagate_period(lattice, drives[iw], k_list[ik], steps=steps).quasienergies
+        return propagate_period(lattice, drives[iw], k_list[ik]).quasienergies
 
     exact = _on_pool(task, [(iw, ik) for iw in range(len(ws)) for ik in range(len(k_list))])
 
@@ -429,12 +436,11 @@ def error_matrix(
     order: int = 1,
     gauge: Gauge = Gauge.STATIC_FREE,
     cutoff: int | None = None,
-    steps: int = MIN_STEPS,
 ) -> np.ndarray:
     """Matched quasienergy distances per sweep point, shape (n_omega, n_k)
     with omegas ascending. Row maxima feed :func:`fit_power_law`."""
     orders = (int(order),)
-    return _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, steps)[0]
+    return _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff)[0]
 
 
 def scaling_errors(
@@ -445,7 +451,6 @@ def scaling_errors(
     orders=(0, 1),
     gauge: Gauge = Gauge.STATIC_FREE,
     cutoff: int | None = None,
-    steps: int = MIN_STEPS,
 ) -> dict:
     """error(omega) = max over k of the matched distance between exact
     quasienergies and the effective spectrum, per truncation order.
@@ -462,25 +467,19 @@ def scaling_errors(
     1/omega^2.
     """
     orders = tuple(sorted({int(o) for o in orders}))
-    errors = _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff, steps)
+    errors = _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff)
     return {o: e.max(axis=1) for o, e in zip(orders, errors)}
 
 
-def gauge_difference_errors(
-    lattice: LatticeSpec,
-    drive_family,
-    k_set,
-    omegas,
-    cutoff: int | None = None,
-) -> np.ndarray:
+def gauge_difference_errors(lattice: LatticeSpec, drive_family, k_set, omegas) -> np.ndarray:
     """max over k of the matched distance between the two gauges' effective
     spectra, per sweep frequency in ascending order. No propagation involved;
     the difference shrinks one order faster than the truncation itself."""
     ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
     out = np.zeros(len(ws))
     for iw, (w, drive) in enumerate(zip(ws, drives)):
-        mf = build_effective_model(lattice, drive, Gauge.FLOQUET, cutoff)
-        ms = build_effective_model(lattice, drive, Gauge.STATIC_FREE, cutoff)
+        mf = build_effective_model(lattice, drive, Gauge.FLOQUET)
+        ms = build_effective_model(lattice, drive, Gauge.STATIC_FREE)
         out[iw] = max(
             match_distance(
                 np.linalg.eigvalsh(effective_bloch(mf, k)),
@@ -527,15 +526,6 @@ def magnus_commutator_probe(
     bond offset.
     """
     table = offset_dict(commutator_offsets(lattice, drive, t1, t2))
-    extents = tuple(int(L) for L in torus)
-    if len(extents) != lattice.dimension:
-        raise ValidationError(
-            f"torus has {len(extents)} extents, lattice dimension is {lattice.dimension}"
-        )
-    max_off = max((abs(x) for b in lattice.bonds for x in b.cell_offset), default=0)
-    if any(L < max(2 * max_off, 1) for L in extents):
-        raise ValidationError(
-            f"torus extents {extents} too small for bond offsets reaching {max_off}"
-        )
+    extents = _torus_extents(torus, lattice.dimension, [b.cell_offset for b in lattice.bonds])
     M = _torus_matrix(table, extents, lattice.basis_count)
     return float(np.abs(M).max())

@@ -433,6 +433,20 @@ def undriven_offsets(spec: LatticeSpec) -> tuple:
     return from_offset_dict(_bond_blocks(spec, [b.amplitude for b in spec.bonds]))
 
 
+def _torus_extents(torus, dim: int, offsets) -> tuple:
+    """Integer torus extents, one per lattice dimension, each at least one
+    cell and twice the largest component of the given cell offsets."""
+    extents = tuple(int(L) for L in torus)
+    if len(extents) != dim:
+        raise ValidationError(f"torus has {len(extents)} extents, lattice dimension is {dim}")
+    max_off = max((abs(x) for off in offsets for x in off), default=0)
+    if any(L < max(2 * max_off, 1) for L in extents):
+        raise ValidationError(
+            f"torus extents {extents} too small for offsets reaching {max_off}"
+        )
+    return extents
+
+
 def _torus_matrix(table: dict, extents, d: int) -> np.ndarray:
     """Periodize an offset set onto a finite torus as one dense matrix."""
     cells = list(product(*[range(L) for L in extents]))
@@ -462,15 +476,7 @@ def translational_identity_check(C, D, torus) -> float:
     d = next(iter(tC.values())).shape[0]
     if next(iter(tD.values())).shape[0] != d:
         raise ValidationError("C and D block sizes differ")
-    extents = tuple(int(L) for L in torus)
-    dim = len(next(iter(tC)))
-    if len(extents) != dim:
-        raise ValidationError(f"torus has {len(extents)} extents, offsets have {dim}")
-    max_off = max(abs(x) for off in list(tC) + list(tD) for x in off)
-    if any(L < 2 * max_off or L < 1 for L in extents):
-        raise ValidationError(
-            f"torus extents {extents} too small for offsets reaching {max_off}"
-        )
+    extents = _torus_extents(torus, len(next(iter(tC))), list(tC) + list(tD))
     Cf = _torus_matrix(tC, extents, d)
     Df = _torus_matrix(tD, extents, d)
     n = Cf.shape[0] // d

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -236,3 +237,56 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err.lower(), argv
+
+
+def test_cli_surface_is_pinned():
+    # every flag of every subcommand; an added or removed flag shows up here
+    common = ["--circular", "--config", "--linear", "--omega", "--output", "--preset"]
+    model = common + ["--cutoff", "--gauge"]
+    sweep = model + ["--kpath", "--kpoints", "--order"]
+    want = {
+        None: ["--version"],
+        "check-geometry": common,
+        "fourier": common + ["--cutoff"],
+        "effective": model + ["--prune"],
+        "selection-rules": model + ["--prune"],
+        "bands": sweep + ["--prune"],
+        "verify": sweep + ["--omegas"],
+    }
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {None: parser, **sub.choices}
+    assert list(got) == list(want)
+    for name, p in got.items():
+        flags = sorted(s for a in p._actions for s in a.option_strings)
+        assert flags == sorted(want[name] + ["--help", "-h"]), name
+
+
+def test_steps_flag_is_gone(tmp_path, capsys):
+    # the integrator's starting resolution is fixed; a large value used to
+    # compute a whole propagator and then exit 2 with a false "did not settle"
+    chain = ["--preset", "chain", "--omega", "10", "--linear", "13", "--kpoints", "2"]
+    for command in ("bands", "verify"):
+        code, out, err = run(capsys, command, *chain, "--steps", "5000", "--output", str(tmp_path))
+        assert code == 1, command
+        assert "--steps" in err and not out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_that_is_not_a_directory_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    chain = ["--preset", "chain", "--omega", "10", "--linear", "13"]
+    for target in (taken, taken / "below"):
+        code, out, err = run(capsys, "fourier", *chain, "--output", str(target))
+        assert code == 1
+        assert err.startswith("error:") and "--output" in err and not out
+    assert taken.read_text() == "keep"
+
+
+def test_fourier_refuses_a_cutoff_above_the_cap(tmp_path, capsys):
+    chain = ["--preset", "chain", "--omega", "10", "--linear", "13", "--output", str(tmp_path)]
+    code, out, err = run(capsys, "fourier", *chain, "--cutoff", "257")
+    assert code == 1
+    assert "cutoff" in err and not out
+    assert list(tmp_path.iterdir()) == []

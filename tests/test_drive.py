@@ -16,7 +16,7 @@ from floquet_forge import (
     rescale_drive,
 )
 from floquet_forge import PRESET_NAMES
-from floquet_forge.drive import _harmonics_at
+from floquet_forge.drive import MAX_CUTOFF, _harmonics_at
 from floquet_forge.lattice import _pair_table
 from helpers import (
     peierls_lattice,
@@ -152,6 +152,17 @@ def test_explicit_cutoff_too_small_raises():
     drive = linear_drive(3.0, [40.0])  # z ~ 13, spectrum reaches past n = 16
     with pytest.raises(CutoffTooSmallError):
         lattice_harmonics(lat, drive, cutoff=8)
+
+
+def test_explicit_cutoff_is_capped_like_the_automatic_one():
+    lat = preset("chain")
+    drive = linear_drive(10.0, [13.0])
+    a = np.array([[1.0]])
+    with pytest.raises(ValidationError, match="cutoff"):
+        _harmonics_at(drive, a, [1.0], MAX_CUTOFF + 1)
+    with pytest.raises(ValidationError, match="cutoff"):
+        lattice_harmonics(lat, drive, cutoff=MAX_CUTOFF + 1)
+    assert lattice_harmonics(lat, drive, cutoff=MAX_CUTOFF)[lat.bonds[0]].cutoff == MAX_CUTOFF
 
 
 def test_auto_cutoff_escalates_until_parseval_holds():

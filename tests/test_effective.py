@@ -138,6 +138,15 @@ def test_gauge_parse():
         Gauge.parse("covariant")
 
 
+def test_gauge_parse_passes_a_gauge_through_and_refuses_non_names():
+    for g in Gauge:
+        assert Gauge.parse(g) is g
+    assert Gauge.parse(" Static-Free ") is Gauge.STATIC_FREE
+    for bad in (3, None, Gauge, b"floquet"):
+        with pytest.raises(ValidationError, match="gauge"):
+            Gauge.parse(bad)
+
+
 def test_two_step_amplitude_is_exactly_antisymmetric():
     """Swapping hop order negates the fast-path amplitude bit for bit."""
     rng = np.random.default_rng(8)

@@ -24,15 +24,17 @@ from floquet_forge import (
     match_distance,
     match_permutation,
     offset_matrices_at_time,
+    phase,
     preset,
     propagate_period,
     quasienergies_from_propagator,
     rescale_drive,
     reciprocal_vectors,
     scaling_errors,
+    translational_identity_check,
     undriven_offsets,
 )
-from floquet_forge import floquet, lattice
+from floquet_forge import PRESET_NAMES, floquet, lattice
 from floquet_forge.floquet import thread_count
 from floquet_forge.lattice import offset_dict
 from helpers import random_drive, torus_hamiltonian
@@ -106,7 +108,7 @@ def test_propagation_is_periodic_in_k():
     assert match_distance(a.quasienergies, b.quasienergies, 12.0) < 1e-10
 
 
-def test_propagate_validates_inputs():
+def test_propagate_validates_inputs(monkeypatch):
     lat = preset("chain")
     drive = linear_drive(5.0, [2.0])
     with pytest.raises(ValidationError):
@@ -115,14 +117,19 @@ def test_propagate_validates_inputs():
         propagate_period(lat, circular_drive(5.0, 1.0), np.array([0.1]))
     # two bands force genuine non-commuting-step error that one doubling
     # cannot push below 1e-16*omega
+    monkeypatch.setattr(floquet, "RICHARDSON_TOL", 1e-16)
+    monkeypatch.setattr(floquet, "MAX_STEPS", 1024)
     with pytest.raises(ConvergenceError):
-        propagate_period(
-            preset("zigzag"),
-            circular_drive(5.0, 8.0),
-            np.array([0.3, 0.4]),
-            tol=1e-16,
-            max_steps=1024,
-        )
+        propagate_period(preset("zigzag"), circular_drive(5.0, 8.0), np.array([0.3, 0.4]))
+
+
+def test_propagate_refuses_a_start_with_no_doubling_under_the_cap():
+    # a start above MAX_STEPS // 2 could only end in a false "did not settle"
+    lat, drive, k = preset("chain"), linear_drive(10.0, [13.0]), np.array([0.7])
+    for steps in (floquet.MAX_STEPS // 2 + 1, floquet.MAX_STEPS, 10**9):
+        with pytest.raises(ValidationError, match="steps"):
+            propagate_period(lat, drive, k, steps=steps)
+    assert propagate_period(lat, drive, k, steps=floquet.MAX_STEPS // 2).steps == floquet.MAX_STEPS
 
 
 def test_unrefined_propagation_takes_requested_steps():
@@ -142,10 +149,9 @@ def test_unrefined_propagation_fails_on_nan_unitarity(monkeypatch):
 def test_refined_propagation_fails_on_nan_unitarity(monkeypatch):
     # a NaN drift never counts as settled: the step count escalates past the cap
     monkeypatch.setattr(floquet, "_unitarity_error", lambda U: float("nan"))
+    monkeypatch.setattr(floquet, "MAX_STEPS", 1024)
     with pytest.raises(ConvergenceError, match="did not settle"):
-        propagate_period(
-            preset("chain"), linear_drive(7.0, [3.0]), np.array([0.7]), max_steps=1024
-        )
+        propagate_period(preset("chain"), linear_drive(7.0, [3.0]), np.array([0.7]))
 
 
 def test_cached_bond_factors_reproduce_a_cold_build_bit_for_bit():
@@ -215,12 +221,20 @@ def test_fit_power_law_excludes_floor_points():
     w = np.array([10.0, 20.0, 40.0, 80.0])
     e = np.array([1e-3, 1e-4, 1e-13, 1e-14])
     with pytest.warns(RuntimeWarning):
-        fit = fit_power_law(w, e, floor=1e-11)
+        fit = fit_power_law(w, e)
     assert list(fit.excluded_omegas) == [40.0, 80.0]
     assert np.isclose(fit.slope, np.log(1e-4 / 1e-3) / np.log(2.0))
     with pytest.raises(ConvergenceError):
         with pytest.warns(RuntimeWarning):
-            fit_power_law(w, np.full(4, 1e-15), floor=1e-11)
+            fit_power_law(w, np.full(4, 1e-15))
+
+
+def test_fit_power_law_refuses_bad_omegas_before_fitting():
+    # these used to reach LAPACK and fail there with a LinAlgError
+    e = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+    for bad in (0.0, -10.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="omegas"):
+            fit_power_law([bad, 10.0, 20.0, 40.0], e)
 
 
 def test_fit_power_law_refuses_a_non_finite_error():
@@ -377,6 +391,42 @@ def test_commutator_probe_validates_torus():
         magnus_commutator_probe(kag, drive, 0.1, 0.9, (4,))
     with pytest.raises(ValidationError):
         magnus_commutator_probe(kag, drive, 0.1, 0.9, (1, 4))
+
+
+def test_both_torus_checks_apply_one_extent_rule():
+    kag = preset("kagome")
+    drive = circular_drive(7.0, 5.0)
+    C = offset_matrices_at_time(kag, drive, 0.1)
+    D = offset_matrices_at_time(kag, drive, 0.9)
+    for torus in ((4,), (1, 4), (4, 4, 4)):
+        messages = []
+        for check in (
+            lambda: magnus_commutator_probe(kag, drive, 0.1, 0.9, torus),
+            lambda: translational_identity_check(C, D, torus),
+        ):
+            with pytest.raises(ValidationError, match="torus") as info:
+                check()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_offset_matrices_at_time_match_the_per_bond_route_bit_for_bit():
+    # one phase evaluation per bond, as offset_matrices_at_time once did
+    rng = np.random.default_rng(41)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        for _ in range(3):
+            drive = random_drive(rng, lat.space_dim, omega=float(rng.uniform(6.0, 15.0)))
+            for t in rng.uniform(0.0, drive.period, size=2):
+                want = {}
+                for b in lat.bonds:
+                    chi = float(phase(drive, lat.displacement(b), float(t)))
+                    m = want.setdefault(b.cell_offset, np.zeros((lat.basis_count,) * 2, complex))
+                    m[b.target_basis, b.source_basis] += b.amplitude * np.exp(1j * chi)
+                got = offset_matrices_at_time(lat, drive, float(t))
+                assert [om.offset for om in got] == sorted(want)
+                for om in got:
+                    assert om.matrix.tobytes() == want[om.offset].tobytes()
 
 
 def test_bloch_hamiltonian_t_is_hermitian_and_periodic():
