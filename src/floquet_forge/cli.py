@@ -32,6 +32,7 @@ from .drive import (
 from .effective import DEFAULT_PRUNE_TOL, Gauge, build_effective_model
 from .errors import ConsistencyError, ConvergenceError, ValidationError
 from .floquet import (
+    _first_occurrences,
     _on_pool,
     _truncated_bloch,
     error_matrix,
@@ -178,6 +179,8 @@ def _require_drive(drive) -> DriveSpec:
 
 
 def _outdir(args) -> str:
+    """The --output directory, created if missing. Every command that writes
+    resolves it before computing, so an unusable path is refused at once."""
     try:
         os.makedirs(args.output, exist_ok=True)
     except OSError as exc:
@@ -232,6 +235,7 @@ def _cmd_check_geometry(args) -> int:
 def _cmd_fourier(args) -> int:
     lattice, drive, _ = _load_inputs(args)
     drive = _require_drive(drive)
+    outdir = _outdir(args)
     table = lattice_harmonics(lattice, drive, args.cutoff)
     rows = []
     cutoff = 0
@@ -241,7 +245,7 @@ def _cmd_fourier(args) -> int:
         for n in range(-h.cutoff, h.cutoff + 1):
             g = h.coeff(n)
             rows.append((bond_id(b), n, g.real, g.imag, abs(g)))
-    path = os.path.join(_outdir(args), "fourier.csv")
+    path = os.path.join(outdir, "fourier.csv")
     write_csv(path, ["bond", "n", "re", "im", "abs"], rows)
     print(f"wrote {path}: {len(lattice.bonds)} bonds at cutoff {cutoff}")
     return 0
@@ -250,6 +254,7 @@ def _cmd_fourier(args) -> int:
 def _cmd_effective(args) -> int:
     lattice, drive, name = _load_inputs(args)
     drive = _require_drive(drive)
+    outdir = _outdir(args)
     model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
     payload = {
         "version": __version__,
@@ -262,7 +267,7 @@ def _cmd_effective(args) -> int:
         "order0": _offsets_payload(model.order0),
         "order1": _offsets_payload(model.order1),
     }
-    path = os.path.join(_outdir(args), "effective.json")
+    path = os.path.join(outdir, "effective.json")
     write_json(path, payload)
     print(
         f"wrote {path}: {len(model.order0)} leading and "
@@ -283,6 +288,7 @@ def _selection_table(report) -> str:
 
 def _cmd_selection(args) -> int:
     lattice, drive, name = _load_inputs(args)
+    outdir = _outdir(args)
     report = enumerate_processes(lattice)
     verdict = None
     model = None
@@ -326,7 +332,6 @@ def _cmd_selection(args) -> int:
             "violations": [] if verdict is None else list(verdict.violations),
         },
     }
-    outdir = _outdir(args)
     write_json(os.path.join(outdir, "selection.json"), payload)
     text = _selection_table(report)
     with open(os.path.join(outdir, "selection.txt"), "w", newline="") as fh:
@@ -342,26 +347,28 @@ def _cmd_selection(args) -> int:
 def _cmd_bands(args) -> int:
     lattice, drive, name = _load_inputs(args)
     drive = _require_drive(drive)
-    model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
     kp = named_kpath(lattice, args.kpath, args.kpoints)
+    outdir = _outdir(args)
+    model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
+    first = _first_occurrences(kp.points)
 
     def task(ik: int):
         return propagate_period(lattice, drive, kp.points[ik])
 
-    spectra = _on_pool(task, [(ik,) for ik in range(len(kp.points))])
+    spectra = _on_pool(task, [(ik,) for ik in sorted(set(first))])
 
     coord_names = [f"k_{i}" for i in range(lattice.space_dim)]
     rows = []
     for ik, k in enumerate(kp.points):
         e = np.linalg.eigvalsh(_truncated_bloch(model, k, args.order))
-        quasi = spectra[(ik,)].quasienergies
+        quasi = spectra[(first[ik],)].quasienergies
         perm = match_permutation(e, quasi, drive.omega)
         for band in range(len(e)):
             rows.append(
                 (float(kp.distances[ik]), *map(float, k), band, float(e[band]),
                  float(quasi[perm[band]]))
             )
-    path = os.path.join(_outdir(args), "bands.csv")
+    path = os.path.join(outdir, "bands.csv")
     write_csv(
         path,
         ["k_distance", *coord_names, "band", "effective_energy", "quasienergy"],
@@ -385,6 +392,7 @@ def _cmd_verify(args) -> int:
         ) from None
     kp = named_kpath(lattice, args.kpath, args.kpoints)
     gauge = Gauge.parse(args.gauge)
+    outdir = _outdir(args)
 
     def family(w: float) -> DriveSpec:
         return rescale_drive(drive, w)
@@ -398,7 +406,6 @@ def _cmd_verify(args) -> int:
     expected = EXPECTED_SLOPE[args.order]
     passed = fit.slope <= expected + SLOPE_MARGIN
 
-    outdir = _outdir(args)
     coord_names = [f"k_{i}" for i in range(lattice.space_dim)]
     rows = [
         (omegas[iw], ik, *map(float, kp.points[ik]), float(matrix[iw, ik]))

@@ -16,10 +16,10 @@ class (6 of kagome's 12 bonds, 4 of Lieb's 8), all classes in one batched
 FFT with the sines and cosines of t evaluated once. The cutoff escalation
 keeps the spectra while the sample count stays the same. The result is
 bit-identical to one FFT per bond: each row goes through the same
-elementwise operations in the same order (the displacement dot products stay
-one per row), numpy's FFT transforms each row on its own, and the Parseval
-check runs per class in bond order, so the first failing bond names the
-error.
+elementwise operations in the same order (``np.vecdot`` takes the
+displacement dot products with the kernel of one scalar dot per row),
+numpy's FFT transforms each row on its own, and the Parseval check runs per
+class in bond order, so the first failing bond names the error.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def phase(drive: DriveSpec, a, t):
                 f"drive acts in {h.cos_amplitude.shape[0]} dimensions, "
                 f"displacement has {a.shape[-1]}"
             )
-        # one dot per displacement: a matrix-vector product rounds differently
-        ca = np.array([float(h.cos_amplitude @ r) for r in rows]).reshape(lead) / (h.m * w)
-        sa = np.array([float(h.sin_amplitude @ r) for r in rows]).reshape(lead) / (h.m * w)
+        # vecdot runs the scalar dot kernel per row: rows @ a rounds differently
+        ca = np.vecdot(rows, h.cos_amplitude).reshape(lead) / (h.m * w)
+        sa = np.vecdot(rows, h.sin_amplitude).reshape(lead) / (h.m * w)
         chi = chi + ca * np.sin(h.m * w * t) - sa * np.cos(h.m * w * t)
     return chi if chi.ndim else float(chi)
 

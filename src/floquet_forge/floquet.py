@@ -17,15 +17,17 @@ cache of read-only arrays, so every k of a sweep reuses them.
 
 Every propagating sweep goes through one core, ``_sweep_errors``: it
 validates the inputs once, builds one effective model per omega, propagates
-each (omega, k) point once for all truncation orders, and returns the matched
-distances with shape (order, omega, k). ``error_matrix`` and
+each bit-distinct (omega, k) point once for all truncation orders (a k that
+repeats, such as the closing vertex of a k-path, gets its first occurrence's
+results, which are the bits a recomputation would give), and returns the
+matched distances with shape (order, omega, k). ``error_matrix`` and
 ``scaling_errors`` are reductions of that array. The (omega, k) points are
 embarrassingly parallel; one thread pool, ``_on_pool``, runs them and the
-per-k propagations of ``cli bands``. Workers share only the cache above,
-which is thread-safe (two workers missing the same entry both build it, with
-identical results). Results are gathered by task key. The pool size is
-capped by the FLOQUET_FORGE_THREADS environment variable (0 or unset means
-one worker per CPU).
+per-k propagations of ``cli bands``, which skips repeated k the same way.
+Workers share only the cache above, which is thread-safe (two workers missing
+the same entry both build it, with identical results). Results are gathered
+by task key. The pool size is capped by the FLOQUET_FORGE_THREADS environment
+variable (0 or unset means one worker per CPU).
 """
 
 from __future__ import annotations
@@ -176,9 +178,10 @@ def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int)
     """H(t) at wave vector k on every time the bond terms were built for."""
     d = lattice.basis_count
     H = np.zeros((n_times, d, d), dtype=complex)
-    for target, source, R, amplitude, E in terms:
-        factor = amplitude * np.exp(1j * float(k @ R))
-        H[:, target, source] += factor * E
+    # one scalar dot kernel per bond, as in bloch_matrix: R @ k rounds differently
+    kR = np.vecdot(np.array([R for _, _, R, _, _ in terms]), k)
+    for (target, source, _, amplitude, E), x in zip(terms, kR):
+        H[:, target, source] += amplitude * np.exp(1j * x) * E
     return H
 
 
@@ -405,27 +408,43 @@ def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
     return effective_bloch(model, k)
 
 
+def _first_occurrences(points) -> list:
+    """For each point, the index of its first bit-equal occurrence.
+
+    Points compare by shape and float64 bytes, so -0.0 and 0.0 differ: a
+    repeat is only ever a point whose every computation gives the same bits.
+    """
+    seen = {}
+    return [
+        seen.setdefault((a.shape, a.tobytes()), i)
+        for i, a in enumerate(np.asarray(p, dtype=float) for p in points)
+    ]
+
+
 def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff) -> np.ndarray:
     """Matched distances between exact quasienergies and the effective
     spectrum truncated at each of ``orders``, shape (orders, omega, k) with
-    omegas ascending."""
+    omegas ascending. A repeated k is computed once; its columns are copies
+    of its first occurrence's."""
     if not orders or any(o not in (0, 1) for o in orders):
         raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
     gauge = Gauge.parse(gauge)
     ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
     models = [build_effective_model(lattice, drive, gauge, cutoff) for drive in drives]
+    first = _first_occurrences(k_list)
 
     def task(iw: int, ik: int) -> np.ndarray:
         return propagate_period(lattice, drives[iw], k_list[ik]).quasienergies
 
-    exact = _on_pool(task, [(iw, ik) for iw in range(len(ws)) for ik in range(len(k_list))])
+    distinct = sorted(set(first))
+    exact = _on_pool(task, [(iw, ik) for iw in range(len(ws)) for ik in distinct])
 
     out = np.zeros((len(orders), len(ws), len(k_list)))
     for (iw, ik), eps in exact.items():
         for io, o in enumerate(orders):
             e = np.linalg.eigvalsh(_truncated_bloch(models[iw], k_list[ik], o))
             out[io, iw, ik] = match_distance(e, eps, ws[iw])
-    return out
+    return out[:, :, first]
 
 
 def error_matrix(

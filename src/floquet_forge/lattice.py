@@ -334,15 +334,16 @@ def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
     offs, mats = _offset_stack(tuple(offsets))
     A = np.atleast_2d(np.asarray(bravais_vectors, dtype=float))
     k = np.asarray(k, dtype=float)
-    # One dot per offset and an in-order running sum give the same bits as
-    # summing offset by offset; a mat-vec R @ k or a vectorized reduction
-    # over the offsets rounds differently.
+    # Same bits as summing offset by offset. np.vecdot runs, row by row, the
+    # dot kernel of a scalar k @ r, where R @ k, einsum and an elementwise
+    # sum round differently. add.accumulate over a stack led by a zero block
+    # adds in order, (0 + t0) + t1 + ..., signed zeros included; add.reduce
+    # would switch to pairwise summation.
     R = offs @ A
-    phases = np.exp(1j * np.array([float(k @ r) for r in R]))
-    H = np.zeros(mats.shape[1:], dtype=complex)
-    for term in phases[:, None, None] * mats:
-        H += term
-    return H
+    terms = np.empty((len(R) + 1,) + mats.shape[1:], dtype=complex)
+    terms[0] = 0
+    np.multiply(np.exp(1j * np.vecdot(R, k))[:, None, None], mats, out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,17 @@
-"""Shared builders for randomized test inputs."""
+"""Shared builders for randomized test inputs, and a propagation counter."""
 
 import numpy as np
 
-from floquet_forge import Bond, DriveSpec, Harmonic, LatticeSpec, close_hermitian
+from floquet_forge import (
+    Bond,
+    DriveSpec,
+    Harmonic,
+    LatticeSpec,
+    cli,
+    close_hermitian,
+    floquet,
+    propagate_period,
+)
 
 
 def random_drive(rng, dim, omega=None, max_harmonics=3, scale=3.0):
@@ -169,3 +178,18 @@ def reference_lattice_harmonics(lattice, drive, cutoff=None):
             if n >= 256:
                 raise
             n *= 2
+
+
+def count_propagations(monkeypatch):
+    """Wrap propagate_period where the sweep core and ``cli bands`` call it;
+    the returned list gets each call's k (list.append is atomic, so pool
+    threads may share it)."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return propagate_period(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "propagate_period", counting)
+    monkeypatch.setattr(cli, "propagate_period", counting)
+    return calls

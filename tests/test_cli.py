@@ -23,6 +23,7 @@ from floquet_forge import (
 )
 from floquet_forge.cli import _build_parser, main
 from floquet_forge.config import load_config
+from helpers import count_propagations
 
 
 def run(capsys, *argv):
@@ -290,3 +291,43 @@ def test_fourier_refuses_a_cutoff_above_the_cap(tmp_path, capsys):
     assert code == 1
     assert "cutoff" in err and not out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_path_points_are_propagated_once(tmp_path, capsys, monkeypatch):
+    # GXG on zig-zag holds 5 bit-distinct points of 9; GMKG on kagome repeats
+    # only its closing Gamma, 24 of 25
+    calls = count_propagations(monkeypatch)
+    code, _, err = run(
+        capsys, "verify", "--preset", "zigzag", "--omega", "10", "--circular", "21.2",
+        "--output", str(tmp_path),
+    )
+    assert code == 0, err
+    assert len(calls) == 4 * 5
+    calls.clear()
+    code, _, err = run(
+        capsys, "bands", "--preset", "kagome", "--omega", "25", "--circular", "30",
+        "--kpath", "GMKG", "--kpoints", "8", "--output", str(tmp_path),
+    )
+    assert code == 0, err
+    assert len(calls) == 24
+    assert len({k.tobytes() for k in calls}) == 24
+    with open(tmp_path / "bands.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # the closing Gamma (last 3 rows) repeats the opening one's quasienergies
+    assert [r["quasienergy"] for r in rows[:3]] == [r["quasienergy"] for r in rows[-3:]]
+
+
+def test_unusable_output_is_refused_before_any_propagation(tmp_path, capsys, monkeypatch):
+    calls = count_propagations(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for argv in (
+        ["bands", "--preset", "kagome", "--omega", "25", "--circular", "30",
+         "--kpath", "GMKG", "--kpoints", "8"],
+        ["verify", "--preset", "zigzag", "--omega", "10", "--circular", "21.2"],
+    ):
+        code, out, err = run(capsys, *argv, "--output", str(taken))
+        assert code == 1, argv
+        assert err.startswith("error:") and "--output" in err and not out
+    assert calls == []
+    assert taken.read_text() == "keep"

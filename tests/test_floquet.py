@@ -37,7 +37,7 @@ from floquet_forge import (
 from floquet_forge import PRESET_NAMES, floquet, lattice
 from floquet_forge.floquet import thread_count
 from floquet_forge.lattice import offset_dict
-from helpers import random_drive, torus_hamiltonian
+from helpers import count_propagations, random_drive, torus_hamiltonian
 
 
 def test_fold_lands_in_half_open_window():
@@ -257,6 +257,44 @@ def test_error_matrix_shape_and_order():
     assert np.all(m > 0)
     # rows come back sorted by omega and decay with it
     assert np.all(m[0] > m[-1])
+
+
+def test_error_matrix_propagates_a_repeated_k_once(monkeypatch):
+    lat = preset("kagome")
+    base = circular_drive(10.0, 15.0)
+
+    def family(w):
+        return rescale_drive(base, w)
+
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    a, b = np.array([0.4, -0.3]), np.array([1.1, 0.6])
+    distinct = error_matrix(lat, family, [a, b], omegas, order=1)
+    calls = count_propagations(monkeypatch)
+    m = error_matrix(lat, family, [a, b, a.copy(), b, a], omegas, order=1)
+    assert len(calls) == len(omegas) * 2
+    for col, src in ((0, 0), (1, 1), (2, 0), (3, 1), (4, 0)):
+        assert m[:, col].tobytes() == distinct[:, src].tobytes()
+
+
+def test_first_occurrences_compare_bits():
+    first = floquet._first_occurrences
+    assert first([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], np.array([0.0, 1.0])]) == [0, 1, 0, 0]
+    tiny = np.nextafter(1.0, 2.0)
+    assert first([[1.0], [tiny], [1.0], [tiny]]) == [0, 1, 0, 1]
+    assert first([[1.0, 2.0], [[1.0, 2.0]]]) == [0, 1]
+
+
+def test_exact_quasienergies_are_periodic_under_reciprocal_vectors():
+    rng = np.random.default_rng(47)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        drive = random_drive(rng, lat.space_dim, omega=float(rng.uniform(8.0, 15.0)), scale=4.0)
+        G = reciprocal_vectors(lat)
+        k = rng.normal(size=lat.space_dim)
+        want = propagate_period(lat, drive, k).quasienergies
+        for shift in (*G, -G.sum(axis=0)):
+            got = propagate_period(lat, drive, k + shift).quasienergies
+            assert match_distance(got, want, drive.omega) <= 1e-9 * drive.omega, name
 
 
 def test_scaling_errors_shares_the_sweep():

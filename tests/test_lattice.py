@@ -220,6 +220,40 @@ def test_bloch_matrix_matches_the_per_offset_loop_bit_for_bit():
                         assert bloch_matrix(given, k, lat.bravais_vectors).tobytes() == want
 
 
+def test_bloch_matrix_keeps_the_scalar_bits_and_signed_zeros_on_every_preset():
+    rng = np.random.default_rng(43)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        ks = [np.zeros(lat.space_dim), -np.zeros(lat.space_dim)]
+        ks += list(rng.normal(scale=3.0, size=(6, lat.space_dim)))
+        d, origin = lat.basis_count, (0,) * lat.dimension
+        # an all -0.0 on-site block: the sum from +0 gives +0 everywhere, a
+        # sum that starts at the first term would keep -0.0
+        sets = [undriven_offsets(lat), (OffsetMatrix(origin, np.full((d, d), -0.0 + 0j)),)]
+        sets.append(tuple(OffsetMatrix(o.offset, -0.0 * o.matrix) for o in sets[0]))
+        for gauge in Gauge:
+            model = build_effective_model(lat, random_drive(rng, lat.space_dim), gauge)
+            sets += [o for o in (model.order0, model.order1) if o]
+        for offsets in sets:
+            for k in ks:
+                want = reference_bloch(offsets, k, lat.bravais_vectors)
+                assert bloch_matrix(offsets, k, lat.bravais_vectors).tobytes() == want.tobytes()
+
+
+def test_vecdot_rounds_like_the_per_row_dot():
+    # bloch_matrix, drive.phase and the propagator's H(t) take k . R and
+    # a . R for many rows at once with np.vecdot because it runs the same
+    # per-row kernel as one np.dot per row; a numpy that changes this
+    # breaks the bit-for-bit tests above, and this test names the cause
+    rng = np.random.default_rng(44)
+    for dim in (1, 2, 3):
+        for _ in range(200):
+            rows = rng.normal(scale=10.0, size=(5, dim))
+            v = rng.normal(scale=10.0, size=dim)
+            want = np.array([np.dot(v, r) for r in rows])
+            assert np.vecdot(rows, v).tobytes() == want.tobytes()
+
+
 def test_bloch_matrix_errors_are_not_cached():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     open_set = (OffsetMatrix((1,), m),)
