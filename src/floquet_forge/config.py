@@ -1,8 +1,10 @@
 """Config file parsing for the CLI.
 
-The format is sectioned key/value text in the TOML style, except that the
-``bond`` and ``harmonic`` keys repeat (one line per entry), which rules out a
-strict TOML parser. Grammar actually supported:
+Each line of a config file is one TOML statement: a ``[lattice]`` or
+``[drive]`` header, a ``key = value`` pair, a comment, or nothing. The
+``bond`` and ``harmonic`` keys repeat (one line per entry), which TOML
+forbids within one document, so every line is parsed on its own with
+:mod:`tomllib`:
 
     [lattice]
     preset = "kagome"            # or the explicit keys below
@@ -15,15 +17,15 @@ strict TOML parser. Grammar actually supported:
     omega = 20.0
     harmonic = {m = 1, a = [30.0, 0.0], b = [0.0, 30.0]}
 
-Values are numbers, booleans, double-quoted strings, lists, or inline tables;
-``#`` starts a comment. ``preset`` excludes every other lattice key. The
-``a``/``b`` harmonic vectors are the cosine/sine force amplitudes; a missing
-one defaults to zeros. Every diagnostic is a single line naming the field.
+``preset`` excludes every other lattice key. The ``a``/``b`` harmonic
+vectors are the cosine/sine force amplitudes; a missing one defaults to
+zeros. A boolean is neither a number nor an integer. Every diagnostic is a
+single line naming the line or the field.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from dataclasses import dataclass
 
 from .drive import DriveSpec, Harmonic, _check_drive_dim
@@ -33,158 +35,45 @@ from .presets import preset as make_preset
 
 __all__ = ["RunConfig", "parse_config_text", "load_config", "lattice_from_items", "drive_from_items"]
 
-_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<punct>[{}\[\],=])
-      | (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<atom>[^\s{}\[\],=#"]+)
-    )""",
-    re.VERBOSE,
-)
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
-def _tokenize(text: str, where: str):
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValidationError(f"{where}: cannot read {text[pos:].strip()!r}")
-            return
-        pos = m.end()
-        if m.lastgroup == "punct":
-            yield m.group("punct")
-        elif m.lastgroup == "string":
-            yield ("str", m.group("string")[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        else:
-            yield ("atom", m.group("atom"))
-
-
-class _Tokens:
-    def __init__(self, text: str, where: str):
-        self._items = list(_tokenize(text, where))
-        self._pos = 0
-        self.where = where
-
-    def peek(self):
-        return self._items[self._pos] if self._pos < len(self._items) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValidationError(f"{self.where}: unexpected end of value")
-        self._pos += 1
-        return tok
-
-    def expect(self, punct: str):
-        tok = self.next()
-        if tok != punct:
-            raise ValidationError(f"{self.where}: expected '{punct}', got {tok!r}")
-
-    def done(self) -> bool:
-        return self._pos >= len(self._items)
-
-
-def _atom_value(text: str, where: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(
-            f"{where}: {text!r} is not a number, boolean, or quoted string"
-        ) from None
-
-
-def _parse_value(toks: _Tokens):
-    tok = toks.next()
-    if tok == "[":
-        items = []
-        if toks.peek() == "]":
-            toks.next()
-            return items
-        while True:
-            items.append(_parse_value(toks))
-            tok = toks.next()
-            if tok == "]":
-                return items
-            if tok != ",":
-                raise ValidationError(f"{toks.where}: expected ',' or ']' in list")
-    if tok == "{":
-        table = {}
-        if toks.peek() == "}":
-            toks.next()
-            return table
-        while True:
-            key = toks.next()
-            if not (isinstance(key, tuple) and key[0] in ("atom", "str")):
-                raise ValidationError(f"{toks.where}: expected a key inside {{...}}")
-            toks.expect("=")
-            table[key[1]] = _parse_value(toks)
-            tok = toks.next()
-            if tok == "}":
-                return table
-            if tok != ",":
-                raise ValidationError(f"{toks.where}: expected ',' or '}}' in table")
-    if isinstance(tok, tuple):
-        return tok[1] if tok[0] == "str" else _atom_value(tok[1], toks.where)
-    raise ValidationError(f"{toks.where}: unexpected {tok!r}")
-
 
 def parse_config_text(text: str) -> dict:
     """Parse the sectioned text into {section: [(key, value), ...]} keeping
     repeated keys in order."""
     sections = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        header = line.lstrip().startswith("[")
+        key = line.partition("=")[0].strip() if "=" in line and not header else ""
+        where = f"line {lineno} ({key})" if key else f"line {lineno}"
+        try:
+            parsed = tomllib.loads(line)
+        except tomllib.TOMLDecodeError as exc:
+            # One line per parse: tomllib's "line 1" tells nothing, its column does.
+            msg = str(exc).replace("at line 1, ", "").replace("end of document", "end of line")
+            raise ValidationError(f"{where}: {msg}") from None
+        if not parsed:
             continue
-        where = f"line {lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ValidationError(f"{where}: malformed section header {line!r}")
-            name = line[1:-1].strip()
-            if name not in ("lattice", "drive"):
-                raise ValidationError(f"{where}: unknown section [{name}]")
-            current = sections.setdefault(name, [])
-            continue
-        if current is None:
+        if header:
+            if parsed not in ({"lattice": {}}, {"drive": {}}):
+                raise ValidationError(f"{where}: unknown section {line.partition('#')[0].strip()}")
+            current = sections.setdefault(next(iter(parsed)), [])
+        elif current is None:
             raise ValidationError(f"{where}: key outside of any [section]")
-        if "=" not in line:
-            raise ValidationError(f"{where}: expected 'key = value', got {line!r}")
-        key, _, rest = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ValidationError(f"{where}: empty key")
-        toks = _Tokens(rest.strip(), f"{where} ({key})")
-        value = _parse_value(toks)
-        if not toks.done():
-            raise ValidationError(f"{where} ({key}): trailing text after value")
-        current.append((key, value))
+        else:
+            current.extend(parsed.items())
     return sections
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number_list(value, field: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(x, (int, float)) for x in value):
+    if not isinstance(value, list) or not all(map(_is_number, value)):
         raise ValidationError(f"{field} must be a list of numbers")
     return [float(x) for x in value]
 
@@ -206,11 +95,15 @@ def _bond_from_table(table, index: int) -> Bond:
     for req in ("to", "from", "offset", "amplitude_re"):
         if req not in table:
             raise ValidationError(f"{field}: missing key '{req}'")
-    if not isinstance(table["to"], int) or not isinstance(table["from"], int):
-        raise ValidationError(f"{field}: 'to' and 'from' must be integers")
+    for key in ("to", "from"):
+        if not _is_integer(table[key]):
+            raise ValidationError(f"{field}: '{key}' must be an integer")
     offset = table["offset"]
-    if not isinstance(offset, list) or not all(isinstance(x, int) for x in offset):
+    if not isinstance(offset, list) or not all(map(_is_integer, offset)):
         raise ValidationError(f"{field}: 'offset' must be a list of integers")
+    for key in ("amplitude_re", "amplitude_im"):
+        if not _is_number(table.get(key, 0.0)):
+            raise ValidationError(f"{field}: '{key}' must be a number")
     amp = complex(float(table["amplitude_re"]), float(table.get("amplitude_im", 0.0)))
     return Bond(table["to"], table["from"], tuple(offset), amp)
 
@@ -240,7 +133,7 @@ def lattice_from_items(items) -> tuple:
             raise ValidationError(f"[lattice] unknown key '{k}'")
         if k != "bond" and keys.count(k) > 1:
             raise ValidationError(f"[lattice] key '{k}' given more than once")
-    if not isinstance(table["dimension"], int):
+    if not _is_integer(table["dimension"]):
         raise ValidationError("[lattice] dimension must be an integer")
     bonds = [
         _bond_from_table(v, i + 1)
@@ -264,7 +157,7 @@ def _harmonic_from_table(table, index: int) -> Harmonic:
     unknown = set(table) - {"m", "a", "b"}
     if unknown:
         raise ValidationError(f"{field}: unknown key '{sorted(unknown)[0]}'")
-    if "m" not in table or not isinstance(table["m"], int):
+    if "m" not in table or not _is_integer(table["m"]):
         raise ValidationError(f"{field}: integer key 'm' is required")
     if "a" not in table and "b" not in table:
         raise ValidationError(f"{field}: at least one of 'a', 'b' is required")
@@ -285,7 +178,7 @@ def drive_from_items(items) -> DriveSpec:
     if keys.count("omega") != 1:
         raise ValidationError("[drive] key 'omega' is required exactly once")
     omega = dict(items)["omega"]
-    if not isinstance(omega, (int, float)) or isinstance(omega, bool):
+    if not _is_number(omega):
         raise ValidationError("[drive] omega must be a number")
     harmonics = [
         _harmonic_from_table(v, i + 1)

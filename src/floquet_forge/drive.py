@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, ValidationError
-from .lattice import Bond, LatticeSpec, _pair_table, require_closed
+from .lattice import Bond, LatticeSpec, _integer, _pair_table, require_closed
 
 __all__ = [
     "Harmonic",
@@ -64,7 +64,7 @@ class Harmonic:
     sin_amplitude: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _integer(self.m, "harmonic index m"))
         object.__setattr__(self, "cos_amplitude", _vec(self.cos_amplitude))
         object.__setattr__(self, "sin_amplitude", _vec(self.sin_amplitude))
         if self.m < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -54,6 +55,16 @@ class Geometry(Enum):
     NON_BRAVAIS = "non-bravais"
 
 
+def _integer(value, field: str) -> int:
+    """``value`` as a plain ``int``; a bool or a non-integral value is refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Bond:
     """Directed tunneling amplitude: create on ``target_basis`` in the cell at
@@ -69,7 +80,11 @@ class Bond:
     amplitude: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "cell_offset", tuple(int(x) for x in self.cell_offset))
+        for field in ("target_basis", "source_basis"):
+            object.__setattr__(self, field, _integer(getattr(self, field), f"bond {field}"))
+        object.__setattr__(
+            self, "cell_offset", tuple(_integer(x, "bond cell_offset entry") for x in self.cell_offset)
+        )
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if self.target_basis < 0 or self.source_basis < 0:
             raise ValidationError(f"bond {self._label()}: negative basis index")
@@ -126,6 +141,7 @@ class LatticeSpec:
     bonds: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
         if self.dimension not in (1, 2, 3):
             raise ValidationError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         A = np.atleast_2d(np.asarray(self.bravais_vectors, dtype=float))

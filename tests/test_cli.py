@@ -293,6 +293,49 @@ def test_fourier_refuses_a_cutoff_above_the_cap(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cutoff_overflow_exits_1(tmp_path, capsys):
+    # CutoffTooSmallError is a ValidationError: the input asks for more than the cap
+    for argv in (
+        ["effective", "--preset", "kagome", "--omega", "1", "--circular", "2000"],
+        ["fourier", "--preset", "chain", "--omega", "10", "--linear", "13", "--cutoff", "2"],
+    ):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+        assert code == 1, argv
+        assert "too small" in err and not out, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys):
+    # a boolean used to be read as 1, and a string or list amplitude to raise
+    # an uncaught ValueError or TypeError
+    text = (
+        "[lattice]\ndimension = 1\nbravais = [[1.0, 0.0]]\nbasis = [[0.0, 0.0], [0.5, 0.5]]\n"
+        "bond = {to = 1, from = 0, offset = [0], amplitude_re = -1.0}\n"
+        "[drive]\nomega = 12.5\nharmonic = {m = 1, a = [6.0, 0.0]}\n"
+    )
+    edits = [
+        ("dimension = 1", "dimension = true"),
+        ("to = 1", "to = true"),
+        ("offset = [0]", "offset = [true]"),
+        ("amplitude_re = -1.0", "amplitude_re = true"),
+        ("amplitude_re = -1.0", 'amplitude_re = "x"'),
+        ("amplitude_re = -1.0", "amplitude_re = -1.0, amplitude_im = [1]"),
+        ("m = 1", "m = true"),
+        ("[6.0, 0.0]", "[6.0, true]"),
+    ]
+    cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfg.write_text(text)
+    assert run(capsys, "effective", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+    (out_dir / "effective.json").unlink()
+    for old, new in edits:
+        cfg.write_text(text.replace(old, new))
+        code, out, err = run(capsys, "effective", "--config", str(cfg), "--output", str(out_dir))
+        assert code == 1, new
+        assert err.startswith("error:") and err.count("\n") == 1 and not out, new
+        assert list(out_dir.iterdir()) == [], new
+
+
 def test_repeated_path_points_are_propagated_once(tmp_path, capsys, monkeypatch):
     # GXG on zig-zag holds 5 bit-distinct points of 9; GMKG on kagome repeats
     # only its closing Gamma, 24 of 25

@@ -1,7 +1,12 @@
+import importlib.util
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from floquet_forge import ValidationError
+import floquet_forge
+from floquet_forge import ValidationError, config
 from floquet_forge.config import (
     drive_from_items,
     lattice_from_items,
@@ -46,10 +51,108 @@ def test_parse_diagnostics_carry_line_numbers():
         parse_config_text("[sweep]\n")
     with pytest.raises(ValidationError, match="outside"):
         parse_config_text("omega = 3\n")
-    with pytest.raises(ValidationError, match="trailing"):
+    with pytest.raises(ValidationError, match="line 2"):
         parse_config_text("[drive]\nomega = 3 4\n")
     with pytest.raises(ValidationError, match="line 3"):
         parse_config_text("[drive]\nomega = 1\nharmonic = {m = }\n")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ZIGZAG_LATTICE = [
+    ("dimension", 1),
+    ("bravais", [[1.0, 0.0]]),
+    ("basis", [[0.0, 0.0], [0.5, 0.5]]),
+    ("bond", {"to": 1, "from": 0, "offset": [0], "amplitude_re": -1.0}),
+    ("bond", {"to": 0, "from": 1, "offset": [1], "amplitude_re": -1.0}),
+]
+
+
+def _two_harmonics(a1, a2x, a2y):
+    return [
+        ("omega", 12.5),
+        ("harmonic", {"m": 1, "a": [a1, 0.0], "b": [0.0, a1]}),
+        ("harmonic", {"m": 2, "a": [a2x, a2y]}),
+    ]
+
+
+def _documented_forms(tmp_path):
+    readme = (ROOT / "README.md").read_text().split("### Config files")[1]
+    yield "README", readme.split("```toml\n")[1].split("```")[0]
+    doc = config.__doc__
+    example = doc[doc.index("    [lattice]"):doc.index("\n\n", doc.index("    [drive]"))]
+    yield "docstring", textwrap.dedent(example)
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in (0, 1):
+        cli_workload = workloads.Cli(floquet_forge, seed, str(tmp_path / f"seed{seed}"))
+        yield f"bench seed {seed}", Path(cli_workload.argvs[2][-1]).read_text()
+
+
+def test_documented_forms_parse_as_before(tmp_path):
+    # items recorded with the hand-written parser this one replaced; repr
+    # comparison also pins int against float and the order of table keys
+    want = {
+        "README": {
+            "lattice": [("preset", "zigzag")],
+            "drive": _two_harmonics(6.0, 1.0, 0.5),
+        },
+        "docstring": {
+            "lattice": [
+                ("preset", "kagome"),
+                ("dimension", 1),
+                ("bravais", [[1.0]]),
+                ("basis", [[0.0]]),
+                ("bond", {"to": 0, "from": 0, "offset": [1], "amplitude_re": -1.0}),
+            ],
+            "drive": [("omega", 20.0), ("harmonic", {"m": 1, "a": [30.0, 0.0], "b": [0.0, 30.0]})],
+        },
+        "bench seed 0": {"lattice": ZIGZAG_LATTICE, "drive": _two_harmonics(6.0, 1.0, 0.5)},
+        "bench seed 1": {
+            "lattice": ZIGZAG_LATTICE,
+            "drive": _two_harmonics(5.920718296033277, 0.9867863826722127, 0.4933931913361064),
+        },
+    }
+    got = dict(_documented_forms(tmp_path))
+    assert list(got) == list(want)
+    for name, text in got.items():
+        assert repr(parse_config_text(text)) == repr(want[name]), name
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "omega = .5",
+        "omega = 5.",
+        "omega = 01",
+        "omega = Infinity",
+        "my key = 1",
+        "harmonic = {m = 1, m = 2}",
+        'preset = "\\d"',
+    ],
+)
+def test_forms_outside_toml_are_refused(line):
+    with pytest.raises(ValidationError, match=r"^line 2\b") as info:
+        parse_config_text("[drive]\n" + line + "\n")
+    assert "\n" not in str(info.value) and "at line" not in str(info.value)
+
+
+def test_toml_forms_parse_as_toml():
+    cases = {
+        "preset = 'single-quoted'": "single-quoted",
+        "a = [1, 2,]": [1, 2],
+        "omega = 0x10": 16,
+        'preset = "a\\nb"': "a\nb",
+    }
+    for line, value in cases.items():
+        ((_, got),) = parse_config_text("[drive]\n" + line + "\n")["drive"]
+        assert got == value, line
+
+
+def test_parse_diagnostic_names_line_key_and_column():
+    # tomllib's wording may change between Python versions; the frame may not
+    with pytest.raises(ValidationError, match=r"^line 2 \(omega\): \w.* \(column 9\)$"):
+        parse_config_text("[drive]\nomega = .5\n")
 
 
 def test_lattice_from_preset_excludes_other_keys():
@@ -139,3 +242,46 @@ def test_load_config_reports_missing_file_and_dim_mismatch(tmp_path):
     q.write_text('[lattice]\npreset = "lieb"\n')
     cfg = load_config(q)
     assert cfg.drive is None
+
+
+def _zigzag(dimension=1, **bond):
+    """ZIGZAG_LATTICE with ``dimension`` and keys of its first bond replaced."""
+    first = ("bond", {**ZIGZAG_LATTICE[3][1], **bond})
+    return [("dimension", dimension), *ZIGZAG_LATTICE[1:3], first, ZIGZAG_LATTICE[4]]
+
+
+def test_integer_fields_refuse_booleans_and_non_integers():
+    cases = [
+        (lambda v: lattice_from_items(_zigzag(dimension=v)), "dimension"),
+        (lambda v: lattice_from_items(_zigzag(to=v)), "bond #1: 'to'"),
+        (lambda v: lattice_from_items(_zigzag(**{"from": v})), "bond #1: 'from'"),
+        (lambda v: drive_from_items([("omega", 5), ("harmonic", {"m": v, "a": [1.0]})]), "'m'"),
+    ]
+    for build, field in cases:
+        for value in (True, 1.0, "1"):
+            with pytest.raises(ValidationError, match=field):
+                build(value)
+
+
+def test_integer_lists_refuse_booleans():
+    for offset in ([True], [1.0], [0, "1"]):
+        with pytest.raises(ValidationError, match="'offset' must be a list of integers"):
+            lattice_from_items(_zigzag(offset=offset))
+
+
+def test_number_fields_refuse_booleans_and_non_numbers():
+    for key in ("amplitude_re", "amplitude_im"):
+        for value in (True, "x", [1]):
+            with pytest.raises(ValidationError, match=f"bond #1: '{key}' must be a number"):
+                lattice_from_items(_zigzag(**{key: value}))
+
+
+def test_number_lists_refuse_booleans():
+    with pytest.raises(ValidationError, match="harmonic #1 a must be a list of numbers"):
+        drive_from_items([("omega", 5), ("harmonic", {"m": 1, "a": [6.0, True]})])
+    with pytest.raises(ValidationError, match="harmonic #1 b must be a list of numbers"):
+        drive_from_items([("omega", 5), ("harmonic", {"m": 1, "b": [False, 1.0]})])
+    for key in ("bravais", "basis"):
+        items = [(k, [[True, 0.0]] if k == key else v) for k, v in _zigzag()]
+        with pytest.raises(ValidationError, match=f"{key} row must be a list of numbers"):
+            lattice_from_items(items)

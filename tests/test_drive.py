@@ -47,6 +47,13 @@ def test_harmonic_validation():
         DriveSpec(5.0, (Harmonic(1, [1.0], [0.0]), Harmonic(2, [1.0, 0.0], [0.0, 0.0])))
 
 
+def test_harmonic_index_refuses_bools_and_non_integers():
+    for m in (1.7, 2.0, True, "1"):
+        with pytest.raises(ValidationError, match="harmonic index m must be an integer"):
+            Harmonic(m, [1.0], [0.0])
+    assert type(Harmonic(np.int64(2), [1.0], [0.0]).m) is int
+
+
 def test_non_finite_drive_input_is_refused():
     with pytest.raises(ValidationError, match="cos_amplitude must be finite"):
         circular_drive(10.0, float("nan"))

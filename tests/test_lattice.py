@@ -62,6 +62,23 @@ def test_bond_normalizes_and_validates():
         Bond(0, 0, (0, 0), 1.0)
 
 
+def test_integer_fields_refuse_bools_and_non_integers():
+    for build in (
+        lambda: Bond(True, 0, (1,), -1.0),
+        lambda: Bond(0, 1.5, (1,), -1.0),
+        lambda: Bond(0, 0, (1.5,), -1.0),
+        lambda: Bond(0, 0, (np.True_,), -1.0),
+        lambda: LatticeSpec(True, [[1.0]], [[0.0]], ()),
+        lambda: LatticeSpec(1.0, [[1.0]], [[0.0]], ()),
+    ):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build()
+    # numpy integers are integers, stored as plain ints
+    b = Bond(np.int64(1), np.int32(0), (np.int64(-1),), -1.0)
+    assert [type(x) for x in (b.target_basis, b.source_basis, *b.cell_offset)] == [int] * 3
+    assert type(LatticeSpec(np.int64(1), [[1.0]], [[0.0]], ()).dimension) is int
+
+
 def test_bond_conjugate_is_involution():
     b = Bond(2, 1, (1, -3), 0.5 + 0.25j)
     rev = b.conjugate()
