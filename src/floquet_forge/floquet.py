@@ -6,6 +6,16 @@ fixed-step fourth-order composition of exact midpoint exponentials, so every
 propagator is unitary to rounding at any step count; accuracy is certified
 separately by a step-doubling check on the matched quasienergies.
 
+Spectra are compared by an optimal pairing under the circular distance
+|fold(a_i - b_j)|. ``_assignment`` solves that pairing with Crouse's
+shortest-augmenting-path method, ported from the square case of scipy's
+``linear_sum_assignment`` with its scan order and tie rule (reversed column
+scan; on equal reduced cost an unassigned column wins). It returns the
+permutation scipy returns, so matched distances keep their bits, while the
+package needs numpy alone at run time: the matrices have a few rows, and
+importing scipy.optimize for them cost more start-up time and memory than
+any run's matching.
+
 The settling tolerance RICHARDSON_TOL * omega, the cap MAX_STEPS and the
 fit's ERROR_FLOOR are constants, not arguments: every run certifies alike.
 
@@ -33,13 +43,13 @@ variable (0 or unset means one worker per CPU).
 from __future__ import annotations
 
 import functools
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .drive import DriveSpec, _check_drive_dim, phase
 from .effective import EffectiveModel, Gauge, build_effective_model, effective_bloch
@@ -97,22 +107,95 @@ def fold(values, omega: float):
     return float(y) if y.ndim == 0 else y
 
 
+def _assignment(cost) -> list:
+    """Column of each row in a minimum-cost perfect matching of a square
+    matrix of finite floats, given as a list of row lists.
+
+    The shortest-augmenting-path method of Crouse, IEEE Trans. Aerosp.
+    Electron. Syst. 52, 1679 (2016), in the form scipy's
+    ``linear_sum_assignment`` runs for a square matrix: rows are augmented in
+    order, the columns still open are scanned from the last one down, and of
+    two columns at the same reduced cost the one that is not yet assigned
+    wins. The reduced cost and dual updates are the same float expressions
+    in the same order, so ties, exact or at rounding, go the same way and the
+    returned permutation is the one scipy returns.
+    """
+    n = len(cost)
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        in_tree = [False] * n
+        scanned = [False] * n
+        remaining = list(range(n - 1, -1, -1))
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            in_tree[i] = True
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            scanned[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(n):
+            if in_tree[i] and i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(n):
+            if scanned[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def match_permutation(a, b, omega: float) -> np.ndarray:
     """Optimal assignment of b onto a by circular quasienergy distance.
 
     Returns indices ``perm`` with b[perm[i]] matched to a[i]. Plain sorting
     breaks near the zone edge where the spectrum wraps; the assignment cost
-    |fold(a_i - b_j)| does not.
+    |fold(a_i - b_j)| does not. ``_assignment`` solves it by Crouse's
+    shortest augmenting path, ported from scipy's ``linear_sum_assignment``
+    with the same tie rule (reversed column scan; at equal reduced cost an
+    unassigned column wins), so the optimum picked among ties, and every
+    matched distance, is scipy's while scipy is not imported. Non-finite
+    spectra and a non-finite or non-positive omega raise ValidationError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValidationError(f"cannot match spectra of shapes {a.shape} and {b.shape}")
+    for name, x in (("a", a), ("b", b)):
+        if not np.isfinite(x).all():
+            raise ValidationError(f"{name} must be finite, got {x.tolist()}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValidationError(f"omega must be finite and positive, got {omega}")
     cost = np.abs(fold(a[:, None] - b[None, :], omega))
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(a.shape[0], dtype=int)
-    perm[rows] = cols
-    return perm
+    if not np.isfinite(cost).all():
+        raise ValidationError(f"circular distances of {a.tolist()} and {b.tolist()} overflow")
+    return np.array(_assignment(cost.tolist()), dtype=int)
 
 
 def match_distance(a, b, omega: float) -> float:

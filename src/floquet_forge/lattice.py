@@ -111,6 +111,18 @@ class Bond:
         )
 
 
+def _float_rows(value, field: str) -> np.ndarray:
+    """``value`` as a 2d float array (one number or one row is one row);
+    ragged rows, deeper nesting and non-numbers are refused naming the field."""
+    try:
+        rows = np.atleast_2d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.ndim != 2:
+        raise ValidationError(f"{field} must be equal-length rows of numbers, got {value!r}")
+    return rows
+
+
 def _readonly(a, dtype=float) -> np.ndarray:
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
@@ -144,7 +156,7 @@ class LatticeSpec:
         object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
         if self.dimension not in (1, 2, 3):
             raise ValidationError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        A = np.atleast_2d(np.asarray(self.bravais_vectors, dtype=float))
+        A = _float_rows(self.bravais_vectors, "bravais_vectors")
         if A.shape[0] != self.dimension:
             raise ValidationError(
                 f"expected {self.dimension} bravais vectors, got {A.shape[0]}"
@@ -159,7 +171,7 @@ class LatticeSpec:
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValidationError("bravais vectors are linearly dependent")
-        S = np.atleast_2d(np.asarray(self.basis_sites, dtype=float))
+        S = _float_rows(self.basis_sites, "basis_sites")
         if not np.isfinite(S).all():
             raise ValidationError(f"basis_sites must be finite, got {S.tolist()}")
         if S.shape[1] != space_dim:

@@ -10,6 +10,7 @@ from floquet_forge import (
     cli,
     close_hermitian,
     floquet,
+    lattice_harmonics,
     propagate_period,
 )
 
@@ -61,6 +62,23 @@ def two_site_chain(j2=0.7):
         bonds=(Bond(1, 0, (0,), -1.0), Bond(0, 1, (1,), j2)),
     )
     return close_hermitian(spec)
+
+
+def bloch_harmonics(lattice, drive, ks):
+    """Fourier components H^(m)(k) = sum_b exp(i k.R_b) g_b^m of the Bloch
+    Hamiltonian H(t, k) = sum_m H^(m)(k) exp(i m omega t), for m in [-N, N]
+    at the package's harmonic cutoff N, with R_b the bond's cell offset in
+    Cartesian coordinates (the convention of bloch_matrix). Shape
+    (len(ks), 2N+1, d, d), indexed by m + N along the second axis."""
+    harmonics = lattice_harmonics(lattice, drive)
+    cutoff = next(iter(harmonics.values())).cutoff
+    ks = np.asarray(ks, dtype=float)
+    d = lattice.basis_count
+    H = np.zeros((len(ks), 2 * cutoff + 1, d, d), dtype=complex)
+    for b, h in harmonics.items():
+        R = np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors
+        H[:, :, b.target_basis, b.source_basis] += np.exp(1j * (ks @ R))[:, None] * h.coefficients
+    return H
 
 
 def torus_hamiltonian(table, extents, block):

@@ -223,6 +223,34 @@ def test_runs_as_a_module(tmp_path):
     assert "Non-Bravais" in done.stdout
 
 
+def test_runtime_imports_no_scipy(tmp_path):
+    # A fresh interpreter: numpy is the one run-time dependency. scipy stays
+    # a test dependency and must not come back through the package.
+    code = (
+        "import sys, floquet_forge\n"
+        "from floquet_forge.cli import main\n"
+        "assert main(['verify', '--preset', 'zigzag', '--omega', '10', '--circular', '21.2',"
+        " '--kpoints', '2', '--output', 'verify']) == 0\n"
+        "assert main(['bands', '--preset', 'kagome', '--omega', '10', '--circular', '15',"
+        " '--kpoints', '2', '--output', 'bands']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(floquet_forge.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout
+    assert (tmp_path / "verify" / "verify.csv").exists()
+    assert (tmp_path / "bands" / "bands.csv").exists()
+
+
 def test_cli_validation_failures_exit_1(tmp_path, capsys):
     bad = [
         ["check-geometry"],
@@ -306,8 +334,8 @@ def test_cutoff_overflow_exits_1(tmp_path, capsys):
 
 
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys):
-    # a boolean used to be read as 1, and a string or list amplitude to raise
-    # an uncaught ValueError or TypeError
+    # a boolean used to be read as 1, a string or list amplitude to raise an
+    # uncaught ValueError or TypeError, and ragged rows an uncaught ValueError
     text = (
         "[lattice]\ndimension = 1\nbravais = [[1.0, 0.0]]\nbasis = [[0.0, 0.0], [0.5, 0.5]]\n"
         "bond = {to = 1, from = 0, offset = [0], amplitude_re = -1.0}\n"
@@ -322,6 +350,8 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys):
         ("amplitude_re = -1.0", "amplitude_re = -1.0, amplitude_im = [1]"),
         ("m = 1", "m = true"),
         ("[6.0, 0.0]", "[6.0, true]"),
+        ("bravais = [[1.0, 0.0]]", "bravais = [[1.0, 0.0], [0.0]]"),
+        ("[0.5, 0.5]]", "[0.5]]"),
     ]
     cfg = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"

@@ -23,6 +23,7 @@ from floquet_forge import (
 from floquet_forge import effective
 from floquet_forge.lattice import from_offset_dict, is_hermitian_closed_offsets, offset_dict
 from helpers import (
+    bloch_harmonics,
     chiral_two_harmonic,
     composable_pairs,
     peierls_lattice,
@@ -263,6 +264,42 @@ def test_floquet_gauge_matches_magnus_exactly():
         sf_gaps.append(np.max(np.abs(effective_bloch(sf, k) - want)))
     ratio = sf_gaps[0] / sf_gaps[1]
     assert 2.5 < ratio < 6.5
+
+
+def commutator_order1(Hm, omega, gauge):
+    """First-order term of the high-frequency expansion from the Bloch
+    harmonics (Eckardt & Anisimovas, New J. Phys. 17, 093039 (2015), t0 = 0):
+    (1/w) sum_{m>=1} [H^(m), H^(-m)]/m in the static-free gauge, plus
+    (1/w) sum_{m>=1} ([H^(-m), H^(0)] - [H^(m), H^(0)])/m in the Floquet gauge."""
+    N = len(Hm) // 2
+    H0 = Hm[N]
+    total = np.zeros_like(H0)
+    for m in range(1, N + 1):
+        P, Q = Hm[N + m], Hm[N - m]
+        total += (P @ Q - Q @ P) / m
+        if gauge is Gauge.FLOQUET:
+            total += ((Q @ H0 - H0 @ Q) - (P @ H0 - H0 @ P)) / m
+    return total / omega
+
+
+def test_order1_equals_the_k_space_commutator_sums_in_both_gauges():
+    """An independent route to the first-order model: no pair table, no
+    two-step amplitudes, only Bloch harmonics and commutators."""
+    rng = np.random.default_rng(81)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        for _ in range(2):
+            drive = random_drive(rng, lat.space_dim)
+            ks = rng.uniform(-np.pi, np.pi, size=(3, lat.space_dim))
+            tol = 1e-12 * lat.amplitude_scale() ** 2 / drive.omega
+            for gauge in Gauge:
+                model = build_effective_model(lat, drive, gauge)
+                for k, Hm in zip(ks, bloch_harmonics(lat, drive, ks)):
+                    H0 = bloch_matrix(model.order0, k, model.bravais_vectors)
+                    assert np.abs(H0 - Hm[len(Hm) // 2]).max() <= tol, (name, gauge)
+                    shift = effective_bloch(model, k) - H0
+                    want = commutator_order1(Hm, drive.omega, gauge)
+                    assert np.abs(shift - want).max() <= tol, (name, gauge)
 
 
 def test_static_free_differs_from_floquet_gauge_at_first_order():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 
 import numpy as np
@@ -59,6 +61,68 @@ def test_match_permutation_recovers_shuffle():
     p = match_permutation(a, b, w)
     assert np.allclose(fold(a - b[p], w), 0.0, atol=1e-12)
     assert match_distance(a, b, w) < 1e-12
+
+
+def assignment_costs(rng, n):
+    """Square cost matrices of the kinds the matcher meets: random, exactly
+    tied small integers, near-degenerate clusters and pairs across the zone
+    edge, the last two as circular distances."""
+    w = 3.0
+    centres = rng.uniform(-1.0, 1.0, size=max(1, n // 2))
+    clusters = [rng.choice(centres, n) + rng.normal(scale=1e-14, size=n) for _ in "ab"]
+    edge = [rng.choice([-1.0, 1.0], n) * (w / 2 - rng.uniform(0.0, 1e-3, n)) for _ in "ab"]
+    return [
+        rng.uniform(0.0, 1.0, (n, n)),
+        rng.integers(0, 3, (n, n)).astype(float),
+        np.abs(fold(clusters[0][:, None] - clusters[1][None, :], w)),
+        np.abs(fold(edge[0][:, None] - edge[1][None, :], w)),
+    ]
+
+
+def test_assignment_returns_scipys_permutation():
+    # the matcher must break ties as scipy does, so matched distances keep their bits
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        for _ in range(100):
+            for cost in assignment_costs(rng, n):
+                rows, cols = linear_sum_assignment(cost)
+                assert floquet._assignment(cost.tolist()) == cols.tolist(), cost
+
+
+def test_assignment_cost_is_the_brute_force_minimum():
+    rng = np.random.default_rng(42)
+    for n in range(1, 7):
+        for _ in range(20):
+            for cost in assignment_costs(rng, n):
+                cols = floquet._assignment(cost.tolist())
+                assert sorted(cols) == list(range(n))
+                best = min(
+                    math.fsum(cost[i, p[i]] for i in range(n))
+                    for p in itertools.permutations(range(n))
+                )
+                # optimal up to the rounding of the dual updates
+                assert math.fsum(cost[i, cols[i]] for i in range(n)) - best <= 1e-14 * n
+
+
+def test_matching_refuses_non_finite_input():
+    nan, inf = float("nan"), float("inf")
+    for a, b, omega, name in [
+        ([nan, 0.0], [0.0, 1.0], 10.0, "a must be finite"),
+        ([0.0, 1.0], [0.0, inf], 10.0, "b must be finite"),
+        ([0.0, 1.0], [-inf, 1.0], 10.0, "b must be finite"),
+        ([0.0, 1.0], [0.0, 1.0], nan, "omega must be finite and positive"),
+        ([0.0, 1.0], [0.0, 1.0], inf, "omega must be finite and positive"),
+        ([0.0, 1.0], [0.0, 1.0], 0.0, "omega must be finite and positive"),
+        ([0.0, 1.0], [0.0, 1.0], -4.0, "omega must be finite and positive"),
+        ([1e308, 0.0], [-1e308, 0.0], 10.0, "overflow"),
+    ]:
+        for match in (match_permutation, match_distance):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValidationError, match=name
+            ):
+                match(a, b, omega)
 
 
 def test_quasienergies_from_synthetic_propagator():

@@ -111,6 +111,21 @@ def test_non_finite_lattice_input_is_refused():
         LatticeSpec(2, [[1.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0]], ())
 
 
+def test_ragged_or_nested_rows_are_refused_naming_the_field():
+    # numpy used to escape with "setting an array element with a sequence"
+    with pytest.raises(ValidationError, match="bravais_vectors must be equal-length rows"):
+        LatticeSpec(2, [[1.0, 0.0], [0.0]], [[0.0, 0.0]], ())
+    with pytest.raises(ValidationError, match="basis_sites must be equal-length rows"):
+        LatticeSpec(1, [[1.0, 0.0]], [[0.0, 0.0], [0.5]], ())
+    with pytest.raises(ValidationError, match="bravais_vectors must be equal-length rows"):
+        LatticeSpec(1, [["x", 0.0]], [[0.0, 0.0]], ())
+    # rows of rows used to be accepted as a 3d array
+    with pytest.raises(ValidationError, match="bravais_vectors must be equal-length rows"):
+        LatticeSpec(1, [[[1.0]]], [[0.0]], ())
+    with pytest.raises(ValidationError, match="basis_sites must be equal-length rows"):
+        LatticeSpec(1, [[1.0]], [[[0.0]]], ())
+
+
 def test_lattice_arrays_are_read_only():
     lat = preset("chain")
     with pytest.raises(ValueError):
