@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .drive import DriveSpec, Harmonic, _check_drive_dim
 from .errors import ValidationError
-from .lattice import Bond, LatticeSpec, close_hermitian
+from .lattice import Bond, LatticeSpec, _integer, close_hermitian
 from .presets import preset as make_preset
 
 __all__ = ["RunConfig", "parse_config_text", "load_config", "lattice_from_items", "drive_from_items"]
@@ -95,9 +95,8 @@ def _bond_from_table(table, index: int) -> Bond:
     for req in ("to", "from", "offset", "amplitude_re"):
         if req not in table:
             raise ValidationError(f"{field}: missing key '{req}'")
-    for key in ("to", "from"):
-        if not _is_integer(table[key]):
-            raise ValidationError(f"{field}: '{key}' must be an integer")
+    to = _integer(table["to"], f"{field}: 'to'")
+    source = _integer(table["from"], f"{field}: 'from'")
     offset = table["offset"]
     if not isinstance(offset, list) or not all(map(_is_integer, offset)):
         raise ValidationError(f"{field}: 'offset' must be a list of integers")
@@ -105,7 +104,7 @@ def _bond_from_table(table, index: int) -> Bond:
         if not _is_number(table.get(key, 0.0)):
             raise ValidationError(f"{field}: '{key}' must be a number")
     amp = complex(float(table["amplitude_re"]), float(table.get("amplitude_im", 0.0)))
-    return Bond(table["to"], table["from"], tuple(offset), amp)
+    return Bond(to, source, tuple(offset), amp)
 
 
 def lattice_from_items(items) -> tuple:
@@ -133,8 +132,7 @@ def lattice_from_items(items) -> tuple:
             raise ValidationError(f"[lattice] unknown key '{k}'")
         if k != "bond" and keys.count(k) > 1:
             raise ValidationError(f"[lattice] key '{k}' given more than once")
-    if not _is_integer(table["dimension"]):
-        raise ValidationError("[lattice] dimension must be an integer")
+    dimension = _integer(table["dimension"], "[lattice] dimension")
     bonds = [
         _bond_from_table(v, i + 1)
         for i, (k, v) in enumerate(kv for kv in items if kv[0] == "bond")
@@ -142,7 +140,7 @@ def lattice_from_items(items) -> tuple:
     if not bonds:
         raise ValidationError("[lattice] needs at least one bond")
     spec = LatticeSpec(
-        table["dimension"],
+        dimension,
         _matrix(table["bravais"], "[lattice] bravais"),
         _matrix(table["basis"], "[lattice] basis"),
         tuple(bonds),

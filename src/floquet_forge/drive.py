@@ -24,6 +24,7 @@ class in bond order, so the first failing bond names the error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,14 @@ class Harmonic:
                 raise ValidationError(f"harmonic m={self.m}: {field} must be finite, got {v}")
 
 
+def _check_omega(omega) -> float:
+    """``omega`` as a float; a non-finite or non-positive one is refused."""
+    omega = float(omega)
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValidationError(f"omega must be finite and positive, got {omega}")
+    return omega
+
+
 @dataclass(frozen=True, eq=False)
 class DriveSpec:
     """Angular frequency plus force harmonics. An empty harmonic tuple is the
@@ -88,10 +97,8 @@ class DriveSpec:
     harmonics: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", _check_omega(self.omega))
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValidationError(f"omega must be finite and positive, got {self.omega}")
         seen = set()
         dim = None
         for h in self.harmonics:
@@ -190,7 +197,7 @@ def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutof
     failing row's tail. Escalations that keep the sample count reuse the
     spectra: 1024 samples serve cutoffs 32 through 128.
     """
-    n = DEFAULT_CUTOFF if cutoff is None else int(cutoff)
+    n = DEFAULT_CUTOFF if cutoff is None else _integer(cutoff, "cutoff")
     if not 1 <= n <= MAX_CUTOFF:
         raise ValidationError(f"cutoff must be in [1, {MAX_CUTOFF}], got {n}")
     spectra = {}

@@ -263,9 +263,12 @@ def build_effective_model(
     Gauge or its name); entries below prune_tol * |j|^2 / omega become exact
     zeros and offset classes that vanish entirely are dropped. On a Bravais
     lattice (one basis site) it is empty: every process cancels against its
-    hop-order-reversed partner.
+    hop-order-reversed partner. A NaN or negative prune_tol raises
+    ValidationError; an infinite one drops order 1.
     """
     gauge = Gauge.parse(gauge)
+    if not prune_tol >= 0:
+        raise ValidationError(f"prune_tol must be >= 0, got {prune_tol}")
     h = lattice_harmonics(lattice, drive, cutoff)
     used_cutoff = next(iter(h.values())).cutoff if h else 0
     return EffectiveModel(

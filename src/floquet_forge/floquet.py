@@ -51,12 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import DriveSpec, _check_drive_dim, phase
+from .drive import DriveSpec, _check_drive_dim, _check_omega, phase
 from .effective import EffectiveModel, Gauge, build_effective_model, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
     _bond_blocks,
+    _integer,
     _pair_table,
     _torus_extents,
     _torus_matrix,
@@ -82,7 +83,6 @@ __all__ = [
     "gauge_difference_errors",
     "commutator_offsets",
     "magnus_commutator_probe",
-    "thread_count",
 ]
 
 MIN_STEPS = 512
@@ -100,7 +100,9 @@ _WEIGHTS = np.array([_G1, 1.0 - 2.0 * _G1, _G1])
 
 
 def fold(values, omega: float):
-    """Map energies into the first Floquet zone (-omega/2, omega/2]."""
+    """Map energies into the first Floquet zone (-omega/2, omega/2]. A
+    non-finite or non-positive omega raises ValidationError."""
+    omega = _check_omega(omega)
     v = np.asarray(values, dtype=float)
     y = v - omega * np.round(v / omega)
     y = np.where(y <= -0.5 * omega, y + omega, y)
@@ -180,18 +182,19 @@ def match_permutation(a, b, omega: float) -> np.ndarray:
     shortest augmenting path, ported from scipy's ``linear_sum_assignment``
     with the same tie rule (reversed column scan; at equal reduced cost an
     unassigned column wins), so the optimum picked among ties, and every
-    matched distance, is scipy's while scipy is not imported. Non-finite
-    spectra and a non-finite or non-positive omega raise ValidationError.
+    matched distance, is scipy's while scipy is not imported. Empty or
+    non-finite spectra and a non-finite or non-positive omega (refused by
+    ``fold``) raise ValidationError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValidationError(f"cannot match spectra of shapes {a.shape} and {b.shape}")
+    if not a.size:
+        raise ValidationError("cannot match empty spectra a and b")
     for name, x in (("a", a), ("b", b)):
         if not np.isfinite(x).all():
             raise ValidationError(f"{name} must be finite, got {x.tolist()}")
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValidationError(f"omega must be finite and positive, got {omega}")
     cost = np.abs(fold(a[:, None] - b[None, :], omega))
     if not np.isfinite(cost).all():
         raise ValidationError(f"circular distances of {a.tolist()} and {b.tolist()} overflow")
@@ -224,6 +227,8 @@ def _check_k(lattice: LatticeSpec, k) -> np.ndarray:
         raise ValidationError(
             f"k must have {lattice.space_dim} Cartesian components, got shape {k.shape}"
         )
+    if not np.isfinite(k).all():
+        raise ValidationError(f"k must be finite, got {k.tolist()}")
     return k
 
 
@@ -349,7 +354,7 @@ def propagate_period(
     """
     require_closed(lattice)
     _check_drive_dim(lattice, drive)
-    steps = int(steps)
+    steps = _integer(steps, "steps")
     if not MIN_STEPS <= steps <= MAX_STEPS // 2:
         raise ValidationError(f"steps must be in [{MIN_STEPS}, {MAX_STEPS // 2}], got {steps}")
     w = drive.omega
@@ -541,7 +546,7 @@ def error_matrix(
 ) -> np.ndarray:
     """Matched quasienergy distances per sweep point, shape (n_omega, n_k)
     with omegas ascending. Row maxima feed :func:`fit_power_law`."""
-    orders = (int(order),)
+    orders = (_integer(order, "order"),)
     return _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff)[0]
 
 
@@ -568,7 +573,7 @@ def scaling_errors(
     exact. With the first-order correction included it falls about as
     1/omega^2.
     """
-    orders = tuple(sorted({int(o) for o in orders}))
+    orders = tuple(sorted({_integer(o, "orders entry") for o in orders}))
     errors = _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff)
     return {o: e.max(axis=1) for o, e in zip(orders, errors)}
 

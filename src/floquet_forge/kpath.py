@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import LatticeSpec, reciprocal_vectors
+from .lattice import LatticeSpec, _integer, reciprocal_vectors
 
-__all__ = ["KPath", "high_symmetry_points", "default_path", "named_kpath", "bz_grid"]
+__all__ = ["KPath", "high_symmetry_points", "named_kpath", "bz_grid"]
 
 
 def _family(lattice: LatticeSpec) -> str:
@@ -74,7 +74,7 @@ def named_kpath(lattice: LatticeSpec, path: str | None = None, per_segment: int 
     The first vertex is included once; every leg then contributes per_segment
     points ending exactly on its terminal vertex.
     """
-    per_segment = int(per_segment)
+    per_segment = _integer(per_segment, "per_segment")
     if per_segment < 1:
         raise ValidationError(f"per_segment must be >= 1, got {per_segment}")
     labels = (path or default_path(lattice)).strip().upper()
@@ -101,7 +101,7 @@ def named_kpath(lattice: LatticeSpec, path: str | None = None, per_segment: int 
 
 def bz_grid(lattice: LatticeSpec, per_axis: int) -> np.ndarray:
     """Uniform fractional grid over the zone: all sums of n_i/N g_i."""
-    per_axis = int(per_axis)
+    per_axis = _integer(per_axis, "per_axis")
     if per_axis < 1:
         raise ValidationError(f"per_axis must be >= 1, got {per_axis}")
     g = reciprocal_vectors(lattice)

@@ -38,12 +38,8 @@ __all__ = [
     "OffsetMatrix",
     "Geometry",
     "close_hermitian",
-    "require_closed",
     "classify_geometry",
     "bloch_matrix",
-    "offset_dict",
-    "from_offset_dict",
-    "is_hermitian_closed_offsets",
     "reciprocal_vectors",
     "undriven_offsets",
     "translational_identity_check",
@@ -285,7 +281,7 @@ class OffsetMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(int(x) for x in self.offset))
+        object.__setattr__(self, "offset", tuple(_integer(x, "offset entry") for x in self.offset))
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"offset {self.offset}: matrix must be square, got {m.shape}")
@@ -465,7 +461,7 @@ def undriven_offsets(spec: LatticeSpec) -> tuple:
 def _torus_extents(torus, dim: int, offsets) -> tuple:
     """Integer torus extents, one per lattice dimension, each at least one
     cell and twice the largest component of the given cell offsets."""
-    extents = tuple(int(L) for L in torus)
+    extents = tuple(_integer(L, "torus extent") for L in torus)
     if len(extents) != dim:
         raise ValidationError(f"torus has {len(extents)} extents, lattice dimension is {dim}")
     max_off = max((abs(x) for off in offsets for x in off), default=0)

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .effective import DEFAULT_PRUNE_TOL
 from .errors import ConsistencyError, ValidationError
 from .lattice import LatticeSpec, _pair_table, offset_dict, require_closed
 
@@ -207,7 +208,7 @@ class ConsistencyVerdict:
 def cross_validate(
     report: ProcessReport,
     model,
-    prune_tol: float = 1e-10,
+    prune_tol: float = DEFAULT_PRUNE_TOL,
     strict: bool = True,
 ) -> ConsistencyVerdict:
     """Check every forced-zero coupling against a computed first-order model.

@@ -233,6 +233,10 @@ def test_prune_tolerance_scales_the_cut():
     # raw accumulation keeps cancellation residue the default prune removes
     raw = offset_dict(kept)
     assert max(abs(raw[o]).max() for o in raw) > 0
+    # NaN or a negative value would skip pruning silently and keep every entry
+    for bad in (float("nan"), -1.0, -np.inf):
+        with pytest.raises(ValidationError, match="prune_tol must be >= 0"):
+            build_effective_model(lat, drive, prune_tol=bad)
 
 
 def test_zigzag_first_order_blocks_are_diagonal():

@@ -121,3 +121,58 @@ def test_one_thread_pool_helper_builds_every_pool():
         "    with concurrent.futures.ThreadPoolExecutor() as pool: pass\n"
     )
     assert list(_pool_owners(ast.parse(sample))) == ["_on_pool", "bands"]
+
+
+def _int_calls(tree):
+    """The top-level function (or class, or '<module>') around every call of
+    the builtin ``int``."""
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "int":
+                yield owner
+
+
+def test_integers_are_read_through_one_rule():
+    # int() truncates 0.5 to 0 and reads True as 1; every integer input goes
+    # through lattice._integer instead. Only rendering (serialization) and the
+    # FLOQUET_FORGE_THREADS text (floquet.thread_count) may call it.
+    found = {
+        (path.name, owner)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for owner in _int_calls(ast.parse(path.read_text()))
+        if path.name != "serialization.py"
+    }
+    assert found == {("floquet.py", "thread_count")}
+    # the check itself can fail
+    sample = (
+        "n = int(text)\n"
+        "def thread_count():\n"
+        "    return int(raw)\n"
+        "def bz_grid(lattice, per_axis):\n"
+        "    per_axis = int(per_axis)\n"
+        "    return np.zeros(per_axis, dtype=int)\n"
+        "class OffsetMatrix:\n"
+        "    def __post_init__(self):\n"
+        "        self.offset = tuple(int(x) for x in self.offset)\n"
+    )
+    assert list(_int_calls(ast.parse(sample))) == [
+        "<module>", "thread_count", "bz_grid", "OffsetMatrix"
+    ]
+
+
+def test_helpers_outside_the_api_stay_importable_but_unexported():
+    from floquet_forge import floquet, kpath, lattice
+
+    helpers = [
+        (floquet, "thread_count"),
+        (kpath, "default_path"),
+        (lattice, "require_closed"),
+        (lattice, "offset_dict"),
+        (lattice, "from_offset_dict"),
+        (lattice, "is_hermitian_closed_offsets"),
+    ]
+    for mod, name in helpers:
+        assert callable(getattr(mod, name)), name
+        assert name not in mod.__all__, name
+        assert not hasattr(floquet_forge, name), name

@@ -14,6 +14,7 @@ from floquet_forge import (
     bloch_hamiltonian_t,
     bloch_matrix,
     build_effective_model,
+    bz_grid,
     circular_drive,
     commutator_offsets,
     effective_bloch,
@@ -50,6 +51,13 @@ def test_fold_lands_in_half_open_window():
     assert np.allclose(fold(f, w), f)
     assert np.allclose(fold(x + 5 * w, w), f)
     assert fold(np.array([-3.0]), w)[0] == 3.0
+
+
+def test_fold_and_drives_share_one_omega_rule():
+    for omega in (0.0, -4.0, float("nan"), float("inf")):
+        for build in (lambda w: fold([1.0], w), lambda w: DriveSpec(w, ())):
+            with pytest.raises(ValidationError, match="omega must be finite and positive"):
+                build(omega)
 
 
 def test_match_permutation_recovers_shuffle():
@@ -117,6 +125,7 @@ def test_matching_refuses_non_finite_input():
         ([0.0, 1.0], [0.0, 1.0], 0.0, "omega must be finite and positive"),
         ([0.0, 1.0], [0.0, 1.0], -4.0, "omega must be finite and positive"),
         ([1e308, 0.0], [-1e308, 0.0], 10.0, "overflow"),
+        ([], [], 10.0, "empty spectra"),
     ]:
         for match in (match_permutation, match_distance):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -179,6 +188,13 @@ def test_propagate_validates_inputs(monkeypatch):
         propagate_period(lat, drive, np.array([0.1]), steps=100)
     with pytest.raises(ValidationError):
         propagate_period(lat, circular_drive(5.0, 1.0), np.array([0.1]))
+    # a non-finite k fails before any integration, not in eig after a period
+    kagome, kagome_drive = preset("kagome"), circular_drive(20.0, 24.0)
+    for k in ([float("nan"), 0.1], [0.1, float("-inf")]):
+        with pytest.raises(ValidationError, match="k must be finite"):
+            propagate_period(kagome, kagome_drive, k)
+        with pytest.raises(ValidationError, match="k must be finite"):
+            bloch_hamiltonian_t(kagome, kagome_drive, k, 0.3)
     # two bands force genuine non-commuting-step error that one doubling
     # cannot push below 1e-16*omega
     monkeypatch.setattr(floquet, "RICHARDSON_TOL", 1e-16)
@@ -440,12 +456,22 @@ def test_scaling_fit_on_gauge_difference():
     def family(w):
         return rescale_drive(base, w)
 
-    from floquet_forge import bz_grid
-
     ks = bz_grid(lat, 8)
     errs = gauge_difference_errors(lat, family, ks, [10.0, 20.0, 40.0, 80.0])
     fit = fit_power_law(np.array([10.0, 20.0, 40.0, 80.0]), errs)
     assert -2.3 < fit.slope < -1.7
+
+
+def test_lieb_truncation_errors_fall_as_one_and_two_powers_of_omega():
+    # the third geometry for the two-sided order-0 target: on Lieb, as on
+    # kagome, the first-order term moves the bands at O(1/omega)
+    lat = preset("lieb")
+    z, bond = 1.2, 0.5
+    base = circular_drive(10.0, z * 10.0 / bond)
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    errs = scaling_errors(lat, lambda w: rescale_drive(base, w), bz_grid(lat, 4), omegas)
+    assert -1.3 < fit_power_law(omegas, errs[0]).slope < -0.7
+    assert -2.3 < fit_power_law(omegas, errs[1]).slope < -1.7
 
 
 def test_commutator_offsets_structure():

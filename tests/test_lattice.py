@@ -14,14 +14,20 @@ from floquet_forge import (
     ValidationError,
     bloch_matrix,
     build_effective_model,
+    bz_grid,
+    circular_drive,
     classify_geometry,
     close_hermitian,
     enumerate_processes,
+    error_matrix,
     lattice_harmonics,
     linear_drive,
+    magnus_commutator_probe,
+    named_kpath,
     preset,
     propagate_period,
     reciprocal_vectors,
+    scaling_errors,
     translational_identity_check,
     undriven_offsets,
 )
@@ -77,6 +83,37 @@ def test_integer_fields_refuse_bools_and_non_integers():
     b = Bond(np.int64(1), np.int32(0), (np.int64(-1),), -1.0)
     assert [type(x) for x in (b.target_basis, b.source_basis, *b.cell_offset)] == [int] * 3
     assert type(LatticeSpec(np.int64(1), [[1.0]], [[0.0]], ()).dimension) is int
+
+
+KAGOME = preset("kagome")
+CHAIN = preset("chain")
+DRIVE = circular_drive(20.0, 24.0)
+OMEGAS = [10.0, 20.0, 40.0, 80.0]
+
+
+def _chain_family(w):
+    return linear_drive(w, [w])
+
+
+# every integer argument the package reads, by the field its message names
+INTEGER_ARGUMENTS = {
+    "cutoff": lambda v: lattice_harmonics(KAGOME, DRIVE, cutoff=v),
+    "steps": lambda v: propagate_period(KAGOME, DRIVE, [0.1, 0.2], steps=v),
+    "order": lambda v: error_matrix(CHAIN, _chain_family, [[0.1]], OMEGAS, order=v),
+    "orders entry": lambda v: scaling_errors(CHAIN, _chain_family, [[0.1]], OMEGAS, orders=(0, v)),
+    "per_segment": lambda v: named_kpath(preset("lieb"), "GX", v),
+    "per_axis": lambda v: bz_grid(KAGOME, v),
+    "offset entry": lambda v: OffsetMatrix((v, 0), np.eye(2)),
+    "torus extent": lambda v: magnus_commutator_probe(KAGOME, DRIVE, 0.1, 0.2, (v, 4)),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, True])
+@pytest.mark.parametrize("field", INTEGER_ARGUMENTS)
+def test_every_integer_argument_refuses_bools_and_non_integers(field, value):
+    # one rule, lattice._integer: no argument truncates 0.5 to 0 or reads True as 1
+    with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+        INTEGER_ARGUMENTS[field](value)
 
 
 def test_bond_conjugate_is_involution():
