@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .drive import DriveSpec, Harmonic, _check_drive_dim
 from .errors import ValidationError
-from .lattice import Bond, LatticeSpec, _integer, close_hermitian
+from .lattice import Bond, LatticeSpec, _integer
 from .presets import preset as make_preset
 
 __all__ = ["RunConfig", "parse_config_text", "load_config", "lattice_from_items", "drive_from_items"]
@@ -108,10 +108,7 @@ def _bond_from_table(table, index: int) -> Bond:
 
 
 def lattice_from_items(items) -> tuple:
-    """Build (LatticeSpec, preset name or None) from the [lattice] section.
-
-    The returned spec is always Hermitian-closed.
-    """
+    """Build (LatticeSpec, preset name or None) from the [lattice] section."""
     keys = [k for k, _ in items]
     table = dict(items)
     if "preset" in keys:
@@ -145,7 +142,7 @@ def lattice_from_items(items) -> tuple:
         _matrix(table["basis"], "[lattice] basis"),
         tuple(bonds),
     )
-    return close_hermitian(spec), None
+    return spec, None
 
 
 def _harmonic_from_table(table, index: int) -> Harmonic:
@@ -187,7 +184,7 @@ def drive_from_items(items) -> DriveSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Parsed config: a closed lattice, an optional drive, and the preset
+    """Parsed config: a lattice, an optional drive, and the preset
     name when the lattice came from one."""
 
     lattice: LatticeSpec

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, ValidationError
-from .lattice import Bond, LatticeSpec, _integer, _pair_table, require_closed
+from .lattice import Bond, LatticeSpec, _integer, _pair_table, _real
 
 __all__ = [
     "Harmonic",
@@ -81,8 +81,9 @@ class Harmonic:
 
 
 def _check_omega(omega) -> float:
-    """``omega`` as a float; a non-finite or non-positive one is refused."""
-    omega = float(omega)
+    """``omega`` as a float; a bool, a non-number, a non-finite or a
+    non-positive value is refused."""
+    omega = _real(omega, "omega")
     if not (math.isfinite(omega) and omega > 0):
         raise ValidationError(f"omega must be finite and positive, got {omega}")
     return omega
@@ -227,14 +228,13 @@ def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutof
 
 
 def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None = None) -> dict:
-    """{bond: BondHarmonics} for every bond of a closed lattice, at one cutoff.
+    """{bond: BondHarmonics} for every bond of a lattice, at one cutoff.
 
     With ``cutoff=None`` the cutoff starts at 32 and doubles (up to 256) until
     every bond's Parseval tail is below 1e-10; an explicit one (also at most
     256) is used as given and raises CutoffTooSmallError on a deficit. Bonds
     with bit-equal displacement and amplitude share one read-only array.
     """
-    require_closed(lattice)
     _check_drive_dim(lattice, drive)
     if not lattice.bonds:
         return {}
@@ -266,7 +266,8 @@ def rescale_drive(drive: DriveSpec, omega: float) -> DriveSpec:
 
     z ~ F.a/omega, so all harmonic amplitudes scale by omega_new/omega_old.
     """
-    r = float(omega) / drive.omega
+    omega = _check_omega(omega)
+    r = omega / drive.omega
     hs = tuple(
         Harmonic(h.m, r * h.cos_amplitude, r * h.sin_amplitude) for h in drive.harmonics
     )

@@ -42,6 +42,7 @@ from .lattice import (
     LatticeSpec,
     _bond_blocks,
     _pair_table,
+    _real,
     bloch_matrix,
     from_offset_dict,
 )
@@ -264,9 +265,10 @@ def build_effective_model(
     zeros and offset classes that vanish entirely are dropped. On a Bravais
     lattice (one basis site) it is empty: every process cancels against its
     hop-order-reversed partner. A NaN or negative prune_tol raises
-    ValidationError; an infinite one drops order 1.
+    ValidationError, as does a non-number; an infinite one drops order 1.
     """
     gauge = Gauge.parse(gauge)
+    prune_tol = _real(prune_tol, "prune_tol")
     if not prune_tol >= 0:
         raise ValidationError(f"prune_tol must be >= 0, got {prune_tol}")
     h = lattice_harmonics(lattice, drive, cutoff)

@@ -64,7 +64,6 @@ from .lattice import (
     bloch_matrix,
     from_offset_dict,
     offset_dict,
-    require_closed,
 )
 
 __all__ = [
@@ -275,7 +274,6 @@ def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int)
 
 def bloch_hamiltonian_t(lattice: LatticeSpec, drive: DriveSpec, k, t: float) -> np.ndarray:
     """Instantaneous Bloch Hamiltonian of the driven lattice at time t."""
-    require_closed(lattice)
     _check_drive_dim(lattice, drive)
     k = _check_k(lattice, k)
     terms = _bond_terms(lattice, drive, np.array([float(t)]))
@@ -284,7 +282,6 @@ def bloch_hamiltonian_t(lattice: LatticeSpec, drive: DriveSpec, k, t: float) -> 
 
 def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) -> tuple:
     """Instantaneous tunneling matrices per cell offset, phases included."""
-    require_closed(lattice)
     _check_drive_dim(lattice, drive)
     terms = _bond_terms(lattice, drive, np.array([float(t)]))
     return from_offset_dict(_bond_blocks(lattice, [a * E[0] for *_, a, E in terms]))
@@ -352,7 +349,6 @@ def propagate_period(
     uses the defaults; ``steps`` and ``refine`` stay parameters because the
     benchmark's tracer reads both by name to count resolutions and substeps.
     """
-    require_closed(lattice)
     _check_drive_dim(lattice, drive)
     steps = _integer(steps, "steps")
     if not MIN_STEPS <= steps <= MAX_STEPS // 2:
@@ -416,11 +412,6 @@ class PowerLawFit:
     excluded_omegas: np.ndarray
     excluded_errors: np.ndarray
 
-    @property
-    def residuals(self) -> np.ndarray:
-        predicted = self.slope * np.log(self.omegas) + self.intercept
-        return np.log(self.errors) - predicted
-
 
 def fit_power_law(omegas, errors) -> PowerLawFit:
     """Fit error ~ omega^slope, dropping points at the numerical floor.
@@ -466,7 +457,6 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
 
 def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
     """Validated sweep inputs: (ascending omegas, their drives, k list)."""
-    require_closed(lattice)
     ws = sorted(float(w) for w in omegas)
     if len(set(ws)) != len(ws):
         raise ValidationError("sweep frequencies must be distinct")

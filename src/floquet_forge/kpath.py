@@ -77,7 +77,11 @@ def named_kpath(lattice: LatticeSpec, path: str | None = None, per_segment: int 
     per_segment = _integer(per_segment, "per_segment")
     if per_segment < 1:
         raise ValidationError(f"per_segment must be >= 1, got {per_segment}")
-    labels = (path or default_path(lattice)).strip().upper()
+    if path is None:
+        path = default_path(lattice)
+    elif not isinstance(path, str):
+        raise ValidationError(f"k-path must be a string of vertex letters, got {path!r}")
+    labels = path.strip().upper()
     table = high_symmetry_points(lattice)
     if len(labels) < 2:
         raise ValidationError(f"k-path needs at least two vertices, got '{labels}'")

@@ -8,7 +8,9 @@ everything is stored per offset class; ``OffsetMatrix`` is the basic carrier
 for any such translationally invariant single-particle operator.
 
 Both carriers are immutable, so their checks run once. A ``LatticeSpec``
-decides at construction whether its bond list is Hermitian-closed.
+completes its bond list at construction: every reverse bond is present
+exactly once, with the conjugate amplitude, so every consumer reads a
+Hermitian static Hamiltonian.
 ``bloch_matrix`` validates and stacks an offset set on its first call and
 keeps the result in a small bounded cache keyed on the tuple of
 ``OffsetMatrix`` objects: tuples of frozen, identity-compared carriers with
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +40,6 @@ __all__ = [
     "LatticeSpec",
     "OffsetMatrix",
     "Geometry",
-    "close_hermitian",
     "classify_geometry",
     "bloch_matrix",
     "reciprocal_vectors",
@@ -59,6 +61,13 @@ def _integer(value, field: str) -> int:
     except TypeError:
         pass
     raise ValidationError(f"{field} must be an integer, got {value!r}")
+
+
+def _real(value, field: str) -> float:
+    """``value`` as a float; a bool or a non-real value is refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{field} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +148,10 @@ class LatticeSpec:
     basis_sites : (basis_count, space_dim) array
         Cartesian positions of the sites inside one unit cell.
     bonds : tuple of Bond
-        Directed tunneling amplitudes. Use :func:`close_hermitian` to obtain
-        the canonical representation with every reverse bond present.
+        Directed tunneling amplitudes. The stored tuple is the Hermitian
+        closure: each missing reverse (q<-p, -offset, conj j) is added, exact
+        duplicates collapse, and the bonds are sorted by (target, source,
+        offset). A duplicate or reverse with a different amplitude is refused.
     """
 
     dimension: int
@@ -180,8 +191,8 @@ class LatticeSpec:
                     raise ValidationError(f"basis sites {i} and {j} coincide")
         object.__setattr__(self, "bravais_vectors", _readonly(A))
         object.__setattr__(self, "basis_sites", _readonly(S))
-        object.__setattr__(self, "bonds", tuple(self.bonds))
-        for b in self.bonds:
+        bonds = tuple(self.bonds)
+        for b in bonds:
             if not isinstance(b, Bond):
                 raise ValidationError("bonds must be Bond instances")
             if b.target_basis >= len(S) or b.source_basis >= len(S):
@@ -190,7 +201,7 @@ class LatticeSpec:
                 raise ValidationError(
                     f"bond {b._label()}: offset length {len(b.cell_offset)} != dimension {self.dimension}"
                 )
-        object.__setattr__(self, "_hermitian_closed", _bonds_closed(self.bonds))
+        object.__setattr__(self, "bonds", _closed_bonds(bonds))
 
     @property
     def basis_count(self) -> int:
@@ -211,33 +222,11 @@ class LatticeSpec:
             return 0.0
         return max(abs(b.amplitude) for b in self.bonds)
 
-    def is_hermitian_closed(self) -> bool:
-        """Whether every bond's reverse is present, with the conjugate
-        amplitude, exactly once. Decided once, at construction."""
-        return self._hermitian_closed
 
-
-def _bonds_closed(bonds: tuple) -> bool:
-    table = {(b.target_basis, b.source_basis, b.cell_offset): b.amplitude for b in bonds}
-    if len(table) != len(bonds):
-        return False
-    for b in bonds:
-        rev = b.conjugate()
-        amp = table.get((rev.target_basis, rev.source_basis, rev.cell_offset))
-        if amp is None or amp != rev.amplitude:
-            return False
-    return True
-
-
-def close_hermitian(spec: LatticeSpec) -> LatticeSpec:
-    """Return a spec whose bond list contains every reverse bond exactly once.
-
-    For each bond (p<-q, offset, j) the bond (q<-p, -offset, conj(j)) is added
-    if absent. Exact duplicates collapse to a single entry; a duplicate with a
-    different amplitude is a validation error. Idempotent.
-    """
+def _closed_bonds(bonds: tuple) -> tuple:
+    """The Hermitian closure of a bond list, as ``LatticeSpec.bonds`` describes."""
     table = {}
-    for b in spec.bonds:
+    for b in bonds:
         key = (b.target_basis, b.source_basis, b.cell_offset)
         if key in table and table[key].amplitude != b.amplitude:
             raise ValidationError(
@@ -256,15 +245,7 @@ def close_hermitian(spec: LatticeSpec) -> LatticeSpec:
                 )
         else:
             table[key] = rev
-    bonds = tuple(sorted(table.values(), key=lambda b: (b.target_basis, b.source_basis, b.cell_offset)))
-    return LatticeSpec(spec.dimension, spec.bravais_vectors, spec.basis_sites, bonds)
-
-
-def require_closed(spec: LatticeSpec) -> None:
-    if not spec.is_hermitian_closed():
-        raise ValidationError(
-            "lattice bond list is not Hermitian-closed; apply close_hermitian first"
-        )
+    return tuple(sorted(table.values(), key=lambda b: (b.target_basis, b.source_basis, b.cell_offset)))
 
 
 def classify_geometry(spec: LatticeSpec) -> Geometry:
@@ -454,7 +435,6 @@ def _bond_blocks(spec: LatticeSpec, values) -> dict:
 
 def undriven_offsets(spec: LatticeSpec) -> tuple:
     """The bare tunneling matrices J_offset of the static Hamiltonian."""
-    require_closed(spec)
     return from_offset_dict(_bond_blocks(spec, [b.amplitude for b in spec.bonds]))
 
 

@@ -10,7 +10,8 @@ sites at b1/2 and b2/2. All nearest-neighbor bonds carry the same amplitude
 
 import numpy as np
 
-from .lattice import Bond, LatticeSpec, close_hermitian
+from .errors import ValidationError
+from .lattice import Bond, LatticeSpec
 
 __all__ = ["PRESET_NAMES", "preset"]
 
@@ -95,12 +96,12 @@ _ALIASES = {"zig-zag": "zigzag", "honeycomb": "hexagonal"}
 
 
 def preset(name: str, amplitude: complex = -1.0) -> LatticeSpec:
-    """Return the named Hermitian-closed preset lattice."""
-    from .errors import ValidationError
-
+    """Return the named preset lattice."""
+    if not isinstance(name, str):
+        raise ValidationError(f"preset name must be a string, got {name!r}")
     key = _ALIASES.get(name.strip().lower(), name.strip().lower())
     if key not in _BUILDERS:
         raise ValidationError(
             f"unknown preset '{name}'; available: {', '.join(PRESET_NAMES)}"
         )
-    return close_hermitian(_BUILDERS[key](amplitude))
+    return _BUILDERS[key](amplitude)

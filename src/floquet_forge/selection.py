@@ -27,7 +27,7 @@ import numpy as np
 
 from .effective import DEFAULT_PRUNE_TOL
 from .errors import ConsistencyError, ValidationError
-from .lattice import LatticeSpec, _pair_table, offset_dict, require_closed
+from .lattice import LatticeSpec, _pair_table, _real, offset_dict
 
 __all__ = [
     "ProcessClass",
@@ -128,7 +128,6 @@ def enumerate_processes(lattice: LatticeSpec) -> ProcessReport:
 # report cannot go stale. A spec that is refused raises again on every call.
 @functools.lru_cache(maxsize=8)
 def _process_report(lattice: LatticeSpec) -> ProcessReport:
-    require_closed(lattice)
     table = _pair_table(lattice)
     displacements = table.displacements
     _check_displacement_condition(lattice, displacements)
@@ -215,11 +214,12 @@ def cross_validate(
 
     A forced-zero coupling with a first-order entry above
     prune_tol * |j|^2 / omega signals an implementation bug by construction.
-    ``prune_tol`` must be finite and non-negative; an infinite one would pass
+    ``prune_tol`` must be a finite, non-negative number; an infinite one would pass
     every coupling. Below a few machine epsilons it is raised to that floor,
     the rounding noise order 1 leaves in an exact zero. With ``strict`` a violation raises ConsistencyError;
     otherwise the verdict lists the offending couplings.
     """
+    prune_tol = _real(prune_tol, "prune_tol")
     if not (np.isfinite(prune_tol) and prune_tol >= 0):
         raise ValidationError(f"prune_tol must be finite and >= 0, got {prune_tol}")
     threshold = max(prune_tol, _ROUNDING_FLOOR) * model.amplitude_scale**2 / model.omega

@@ -8,7 +8,6 @@ from floquet_forge import (
     Harmonic,
     LatticeSpec,
     cli,
-    close_hermitian,
     floquet,
     lattice_harmonics,
     propagate_period,
@@ -55,13 +54,12 @@ def chiral_two_harmonic(omega=20.0):
 
 def two_site_chain(j2=0.7):
     """Minimal non-Bravais spec: a 1d chain with alternating bond amplitudes."""
-    spec = LatticeSpec(
+    return LatticeSpec(
         dimension=1,
         bravais_vectors=[[1.0]],
         basis_sites=[[0.0], [0.4]],
         bonds=(Bond(1, 0, (0,), -1.0), Bond(0, 1, (1,), j2)),
     )
-    return close_hermitian(spec)
 
 
 def bloch_harmonics(lattice, drive, ks):
@@ -122,8 +120,7 @@ def peierls_lattice(lattice, vector_potential):
         if (b.target_basis, b.source_basis, b.cell_offset) < reverse:
             phase = np.exp(1j * float(A @ lattice.displacement(b)))
             half.append(Bond(b.target_basis, b.source_basis, b.cell_offset, b.amplitude * phase))
-    spec = LatticeSpec(lattice.dimension, lattice.bravais_vectors, lattice.basis_sites, half)
-    return close_hermitian(spec)
+    return LatticeSpec(lattice.dimension, lattice.bravais_vectors, lattice.basis_sites, half)
 
 
 def strong_drive(lattice, z, omega=15.0):

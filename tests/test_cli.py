@@ -390,6 +390,16 @@ def test_repeated_path_points_are_propagated_once(tmp_path, capsys, monkeypatch)
     assert [r["quasienergy"] for r in rows[:3]] == [r["quasienergy"] for r in rows[-3:]]
 
 
+def test_empty_kpath_exits_1(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "bands", "--preset", "zigzag", "--omega", "10", "--circular", "2",
+        "--kpath", "", "--kpoints", "2", "--output", str(tmp_path),
+    )
+    assert code == 1
+    assert "at least two vertices" in err and not out
+    assert not (tmp_path / "bands.csv").exists()
+
+
 def test_unusable_output_is_refused_before_any_propagation(tmp_path, capsys, monkeypatch):
     calls = count_propagations(monkeypatch)
     taken = tmp_path / "taken"

@@ -174,7 +174,7 @@ def test_lattice_from_explicit_keys():
     ]
     lat, name = lattice_from_items(items)
     assert name is None
-    assert lat.is_hermitian_closed()
+    assert {b.conjugate() for b in lat.bonds} == set(lat.bonds)
     assert lat.basis_count == 2 and len(lat.bonds) == 4
     amp = {(b.target_basis, b.source_basis, b.cell_offset): b.amplitude for b in lat.bonds}
     assert amp[(0, 1, (1,))] == -0.5 + 0.25j

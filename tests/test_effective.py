@@ -237,6 +237,9 @@ def test_prune_tolerance_scales_the_cut():
     for bad in (float("nan"), -1.0, -np.inf):
         with pytest.raises(ValidationError, match="prune_tol must be >= 0"):
             build_effective_model(lat, drive, prune_tol=bad)
+    for bad in ("x", None, True):
+        with pytest.raises(ValidationError, match="prune_tol must be a real number"):
+            build_effective_model(lat, drive, prune_tol=bad)
 
 
 def test_zigzag_first_order_blocks_are_diagonal():

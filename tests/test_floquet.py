@@ -54,10 +54,23 @@ def test_fold_lands_in_half_open_window():
 
 
 def test_fold_and_drives_share_one_omega_rule():
+    base = circular_drive(10.0, 15.0)
+    builds = (
+        lambda w: fold([1.0], w),
+        lambda w: DriveSpec(w, ()),
+        lambda w: circular_drive(w, 1.0),
+        lambda w: rescale_drive(base, w),
+    )
     for omega in (0.0, -4.0, float("nan"), float("inf")):
-        for build in (lambda w: fold([1.0], w), lambda w: DriveSpec(w, ())):
+        for build in builds:
             with pytest.raises(ValidationError, match="omega must be finite and positive"):
                 build(omega)
+    # a bool is not a frequency, nor is a string, even one that reads as a number
+    for omega in (True, "x", "10", None, [10.0]):
+        for build in builds:
+            with pytest.raises(ValidationError, match="omega must be a real number"):
+                build(omega)
+    assert DriveSpec(np.float32(2.5), ()).omega == 2.5
 
 
 def test_match_permutation_recovers_shuffle():
@@ -288,13 +301,18 @@ def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
     assert 0 < info.currsize <= info.maxsize == 8
 
 
+def log_residuals(fit):
+    """log(error) minus the fitted line, at each omega the fit kept."""
+    return np.log(fit.errors) - (fit.slope * np.log(fit.omegas) + fit.intercept)
+
+
 def test_fit_power_law_recovers_exponent():
     w = np.array([10.0, 20.0, 40.0, 80.0])
     fit = fit_power_law(w, 3.0 * w**-2.0)
     assert np.isclose(fit.slope, -2.0, atol=1e-12)
     assert np.isclose(np.exp(fit.intercept), 3.0)
     assert fit.excluded_omegas.size == 0
-    assert np.allclose(fit.residuals, 0.0, atol=1e-12)
+    assert np.allclose(log_residuals(fit), 0.0, atol=1e-12)
 
 
 def test_fit_power_law_excludes_floor_points():
@@ -444,7 +462,7 @@ def test_scaling_fit_bundles_sweep_and_fit():
     assert errors[1].shape == (4,)
     fit = fit_power_law(np.array(omegas), errors[1])
     assert -2.5 < fit.slope < -1.5
-    assert np.all(np.abs(fit.residuals) < 0.5)
+    assert np.all(np.abs(log_residuals(fit)) < 0.5)
 
 
 def test_scaling_fit_on_gauge_difference():

@@ -6,7 +6,6 @@ from floquet_forge import (
     Bond,
     ValidationError,
     bz_grid,
-    close_hermitian,
     high_symmetry_points,
     named_kpath,
     preset,
@@ -16,13 +15,12 @@ from floquet_forge.kpath import default_path
 
 
 def square_lattice():
-    spec = LatticeSpec(
+    return LatticeSpec(
         2,
         [[1.0, 0.0], [0.0, 1.0]],
         [[0.0, 0.0]],
         (Bond(0, 0, (1, 0), -1.0), Bond(0, 0, (0, 1), -1.0)),
     )
-    return close_hermitian(spec)
 
 
 def test_default_paths_by_family():
@@ -85,14 +83,24 @@ def test_named_kpath_custom_and_invalid_labels():
         named_kpath(lat, "G")
 
 
+def test_kpath_must_be_a_string_of_two_or_more_vertices():
+    lat = preset("lieb")
+    assert named_kpath(lat, None, per_segment=2).labels == "GXMG"
+    for bad in (5, ["G", "X"]):
+        with pytest.raises(ValidationError, match="k-path must be a string"):
+            named_kpath(lat, bad)
+    # an empty path is refused like a blank one, not read as the default
+    for bad in ("", "  "):
+        with pytest.raises(ValidationError, match="at least two vertices"):
+            named_kpath(lat, bad)
+
+
 def test_oblique_lattice_has_no_named_path():
-    spec = close_hermitian(
-        LatticeSpec(
-            2,
-            [[1.0, 0.0], [0.45, 1.3]],
-            [[0.0, 0.0]],
-            (Bond(0, 0, (1, 0), -1.0), Bond(0, 0, (0, 1), -1.0)),
-        )
+    spec = LatticeSpec(
+        2,
+        [[1.0, 0.0], [0.45, 1.3]],
+        [[0.0, 0.0]],
+        (Bond(0, 0, (1, 0), -1.0), Bond(0, 0, (0, 1), -1.0)),
     )
     with pytest.raises(ValidationError):
         high_symmetry_points(spec)

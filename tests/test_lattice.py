@@ -17,7 +17,6 @@ from floquet_forge import (
     bz_grid,
     circular_drive,
     classify_geometry,
-    close_hermitian,
     enumerate_processes,
     error_matrix,
     lattice_harmonics,
@@ -36,7 +35,6 @@ from floquet_forge.lattice import (
     from_offset_dict,
     is_hermitian_closed_offsets,
     offset_dict,
-    require_closed,
 )
 from helpers import composable_pairs, random_drive, random_offset_matrices
 
@@ -179,43 +177,52 @@ def test_displacement_combines_offset_and_basis():
     assert np.allclose(a2, [0.5, -0.5])
 
 
-def test_close_hermitian_adds_reverses_once():
+def test_lattice_spec_adds_reverses_once():
     spec = LatticeSpec(1, [[1.0]], [[0.0]], (Bond(0, 0, (1,), -1.0),))
-    closed = close_hermitian(spec)
-    assert len(closed.bonds) == 2
-    assert closed.is_hermitian_closed()
-    again = close_hermitian(closed)
-    assert again.bonds == closed.bonds
-
-
-def test_close_hermitian_rejects_conflicting_amplitudes():
-    spec = LatticeSpec(
-        1,
-        [[1.0]],
-        [[0.0]],
-        (Bond(0, 0, (1,), -1.0), Bond(0, 0, (-1,), 0.5)),
+    assert spec.bonds == (Bond(0, 0, (-1,), -1.0), Bond(0, 0, (1,), -1.0))
+    again = LatticeSpec(1, [[1.0]], [[0.0]], spec.bonds)
+    assert again.bonds == spec.bonds
+    # a closed list is only sorted, by (target, source, offset); exact
+    # duplicates collapse
+    bonds = (Bond(1, 0, (0,), -1.0), Bond(0, 1, (1,), 0.5j), Bond(1, 0, (-1,), -0.5j))
+    unsorted = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], bonds + (Bond(0, 1, (0,), -1.0),) + bonds)
+    assert unsorted.bonds == (
+        Bond(0, 1, (0,), -1.0),
+        Bond(0, 1, (1,), 0.5j),
+        Bond(1, 0, (-1,), -0.5j),
+        Bond(1, 0, (0,), -1.0),
     )
-    with pytest.raises(ValidationError):
-        close_hermitian(spec)
 
 
-def test_require_closed_raises_on_open_spec():
-    spec = LatticeSpec(1, [[1.0]], [[0.0]], (Bond(0, 0, (1,), -1.0),))
-    assert not spec.is_hermitian_closed()
-    with pytest.raises(ValidationError):
-        require_closed(spec)
-    require_closed(close_hermitian(spec))
-    # the verdict is fixed at construction; every entry point still refuses
-    drive = linear_drive(10.0, [5.0])
-    for call in (
-        lambda: build_effective_model(spec, drive),
-        lambda: lattice_harmonics(spec, drive),
-        lambda: propagate_period(spec, drive, np.array([0.3])),
-        lambda: enumerate_processes(spec),
-        lambda: undriven_offsets(spec),
+def test_lattice_spec_rejects_conflicting_amplitudes():
+    for second, message in (
+        (Bond(0, 0, (-1,), 0.5), "conflicts with its reverse"),
+        (Bond(0, 0, (1,), 0.5), "conflicting duplicate"),
     ):
-        with pytest.raises(ValidationError, match="not Hermitian-closed"):
-            call()
+        with pytest.raises(ValidationError, match=message):
+            LatticeSpec(1, [[1.0]], [[0.0]], (Bond(0, 0, (1,), -1.0), second))
+
+
+def test_open_bond_lists_are_closed_for_every_entry_point():
+    # one bond given; every entry point sees the closed spec's two bonds
+    spec = LatticeSpec(1, [[1.0]], [[0.0]], (Bond(0, 0, (1,), -1.0),))
+    closed = LatticeSpec(1, [[1.0]], [[0.0]], (Bond(0, 0, (-1,), -1.0), Bond(0, 0, (1,), -1.0)))
+    drive = linear_drive(10.0, [5.0])
+    k = np.array([0.3])
+    assert list(lattice_harmonics(spec, drive)) == list(closed.bonds)
+    for open_set, closed_set in (
+        (undriven_offsets(spec), undriven_offsets(closed)),
+        (build_effective_model(spec, drive).order0, build_effective_model(closed, drive).order0),
+    ):
+        assert [(om.offset, om.matrix.tobytes()) for om in open_set] == [
+            (om.offset, om.matrix.tobytes()) for om in closed_set
+        ]
+    assert propagate_period(spec, drive, k).quasienergies.tobytes() == (
+        propagate_period(closed, drive, k).quasienergies.tobytes()
+    )
+    assert [(c.offset, c.verdict, len(c.processes)) for c in enumerate_processes(spec).couplings] == [
+        (c.offset, c.verdict, len(c.processes)) for c in enumerate_processes(closed).couplings
+    ]
 
 
 def test_geometry_classification_counts_basis_sites():

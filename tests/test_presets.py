@@ -7,8 +7,14 @@ from floquet_forge import PRESET_NAMES, Geometry, ValidationError, classify_geom
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_are_hermitian_closed(name):
     lat = preset(name)
-    assert lat.is_hermitian_closed()
+    assert {b.conjugate() for b in lat.bonds} == set(lat.bonds)
     assert lat.amplitude_scale() == 1.0
+
+
+def test_preset_name_must_be_a_string():
+    for bad in (3, None, b"chain"):
+        with pytest.raises(ValidationError, match="preset name must be a string"):
+            preset(bad)
 
 
 def test_preset_geometry_split():
