@@ -19,8 +19,8 @@ forbids within one document, so every line is parsed on its own with
 
 ``preset`` excludes every other lattice key. The ``a``/``b`` harmonic
 vectors are the cosine/sine force amplitudes; a missing one defaults to
-zeros. A boolean is neither a number nor an integer. Every diagnostic is a
-single line naming the line or the field.
+zeros. Values are read as the library reads them: a boolean or a string is
+not a number. Each diagnostic is a single line naming the line or the field.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from __future__ import annotations
 import tomllib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .drive import DriveSpec, Harmonic, _check_drive_dim
 from .errors import ValidationError
-from .lattice import Bond, LatticeSpec, _integer
+from .lattice import Bond, LatticeSpec, _integer, _numbers, _real
 from .presets import preset as make_preset
 
 __all__ = ["RunConfig", "parse_config_text", "load_config", "lattice_from_items", "drive_from_items"]
@@ -64,26 +66,6 @@ def parse_config_text(text: str) -> dict:
     return sections
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number_list(value, field: str) -> list:
-    if not isinstance(value, list) or not all(map(_is_number, value)):
-        raise ValidationError(f"{field} must be a list of numbers")
-    return [float(x) for x in value]
-
-
-def _matrix(value, field: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{field} must be a non-empty list of rows")
-    return [_number_list(row, f"{field} row") for row in value]
-
-
 def _bond_from_table(table, index: int) -> Bond:
     field = f"[lattice] bond #{index}"
     if not isinstance(table, dict):
@@ -97,14 +79,13 @@ def _bond_from_table(table, index: int) -> Bond:
             raise ValidationError(f"{field}: missing key '{req}'")
     to = _integer(table["to"], f"{field}: 'to'")
     source = _integer(table["from"], f"{field}: 'from'")
-    offset = table["offset"]
-    if not isinstance(offset, list) or not all(map(_is_integer, offset)):
-        raise ValidationError(f"{field}: 'offset' must be a list of integers")
-    for key in ("amplitude_re", "amplitude_im"):
-        if not _is_number(table.get(key, 0.0)):
-            raise ValidationError(f"{field}: '{key}' must be a number")
-    amp = complex(float(table["amplitude_re"]), float(table.get("amplitude_im", 0.0)))
-    return Bond(to, source, tuple(offset), amp)
+    if not isinstance(table["offset"], list):
+        raise ValidationError(f"{field}: 'offset' must be a list")
+    offset = tuple(_integer(x, f"{field}: 'offset' entry") for x in table["offset"])
+    real, imag = (
+        _real(table.get(k, 0.0), f"{field}: '{k}'") for k in ("amplitude_re", "amplitude_im")
+    )
+    return Bond(to, source, offset, complex(real, imag))
 
 
 def lattice_from_items(items) -> tuple:
@@ -138,8 +119,8 @@ def lattice_from_items(items) -> tuple:
         raise ValidationError("[lattice] needs at least one bond")
     spec = LatticeSpec(
         dimension,
-        _matrix(table["bravais"], "[lattice] bravais"),
-        _matrix(table["basis"], "[lattice] basis"),
+        _numbers(table["bravais"], "[lattice] bravais", float),
+        _numbers(table["basis"], "[lattice] basis", float),
         tuple(bonds),
     )
     return spec, None
@@ -152,17 +133,14 @@ def _harmonic_from_table(table, index: int) -> Harmonic:
     unknown = set(table) - {"m", "a", "b"}
     if unknown:
         raise ValidationError(f"{field}: unknown key '{sorted(unknown)[0]}'")
-    if "m" not in table or not _is_integer(table["m"]):
-        raise ValidationError(f"{field}: integer key 'm' is required")
+    if "m" not in table:
+        raise ValidationError(f"{field}: missing key 'm'")
+    m = _integer(table["m"], f"{field}: 'm'")
     if "a" not in table and "b" not in table:
         raise ValidationError(f"{field}: at least one of 'a', 'b' is required")
-    a = _number_list(table["a"], f"{field} a") if "a" in table else None
-    b = _number_list(table["b"], f"{field} b") if "b" in table else None
-    if a is None:
-        a = [0.0] * len(b)
-    if b is None:
-        b = [0.0] * len(a)
-    return Harmonic(table["m"], a, b)
+    given = {key: _numbers(table[key], f"{field}: '{key}'", float) for key in "ab" if key in table}
+    zeros = np.zeros_like(next(iter(given.values())))
+    return Harmonic(m, given.get("a", zeros), given.get("b", zeros))
 
 
 def drive_from_items(items) -> DriveSpec:
@@ -172,14 +150,12 @@ def drive_from_items(items) -> DriveSpec:
             raise ValidationError(f"[drive] unknown key '{k}'")
     if keys.count("omega") != 1:
         raise ValidationError("[drive] key 'omega' is required exactly once")
-    omega = dict(items)["omega"]
-    if not _is_number(omega):
-        raise ValidationError("[drive] omega must be a number")
+    omega = _real(dict(items)["omega"], "[drive] omega")
     harmonics = [
         _harmonic_from_table(v, i + 1)
         for i, (k, v) in enumerate(kv for kv in items if kv[0] == "harmonic")
     ]
-    return DriveSpec(float(omega), tuple(harmonics))
+    return DriveSpec(omega, tuple(harmonics))
 
 
 @dataclass(frozen=True, eq=False)

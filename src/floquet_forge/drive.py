@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, ValidationError
-from .lattice import Bond, LatticeSpec, _integer, _pair_table, _real
+from .lattice import Bond, LatticeSpec, _integer, _items, _numbers, _pair_table, _real
 
 __all__ = [
     "Harmonic",
@@ -48,14 +48,6 @@ MAX_CUTOFF = 256
 PARSEVAL_TOL = 1e-10
 
 
-def _vec(a) -> np.ndarray:
-    v = np.array(a, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError("harmonic amplitude must be a vector")
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class Harmonic:
     """One Fourier component of the force: A_m cos(m w t) + B_m sin(m w t)."""
@@ -66,18 +58,20 @@ class Harmonic:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _integer(self.m, "harmonic index m"))
-        object.__setattr__(self, "cos_amplitude", _vec(self.cos_amplitude))
-        object.__setattr__(self, "sin_amplitude", _vec(self.sin_amplitude))
         if self.m < 1:
             raise ValidationError(f"harmonic index must be >= 1, got {self.m}")
+        for field in ("cos_amplitude", "sin_amplitude"):
+            v = _numbers(getattr(self, field), f"harmonic m={self.m}: {field}", float)
+            if v.ndim != 1:
+                raise ValidationError(f"harmonic m={self.m}: {field} must be a vector, got {v}")
+            if not np.isfinite(v).all():
+                raise ValidationError(f"harmonic m={self.m}: {field} must be finite, got {v}")
+            v.flags.writeable = False
+            object.__setattr__(self, field, v)
         if self.cos_amplitude.shape != self.sin_amplitude.shape:
             raise ValidationError(
                 f"harmonic m={self.m}: cos and sin amplitudes differ in length"
             )
-        for field in ("cos_amplitude", "sin_amplitude"):
-            v = getattr(self, field)
-            if not np.isfinite(v).all():
-                raise ValidationError(f"harmonic m={self.m}: {field} must be finite, got {v}")
 
 
 def _check_omega(omega) -> float:
@@ -99,7 +93,7 @@ class DriveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_omega(self.omega))
-        object.__setattr__(self, "harmonics", tuple(self.harmonics))
+        object.__setattr__(self, "harmonics", _items(self.harmonics, "harmonics"))
         seen = set()
         dim = None
         for h in self.harmonics:
@@ -252,12 +246,13 @@ def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None
 def circular_drive(omega: float, f0: float) -> DriveSpec:
     """Monochromatic force of fixed magnitude rotating in the plane:
     F(t) = f0 (cos wt, sin wt)."""
+    f0 = _real(f0, "f0")
     return DriveSpec(omega, (Harmonic(1, [f0, 0.0], [0.0, f0]),))
 
 
 def linear_drive(omega: float, amplitude) -> DriveSpec:
     """Monochromatic force along a fixed axis: F(t) = A cos(wt)."""
-    amplitude = np.asarray(amplitude, dtype=float)
+    amplitude = _numbers(amplitude, "amplitude", float)
     return DriveSpec(omega, (Harmonic(1, amplitude, np.zeros_like(amplitude)),))
 
 

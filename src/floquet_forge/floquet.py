@@ -58,7 +58,9 @@ from .lattice import (
     LatticeSpec,
     _bond_blocks,
     _integer,
+    _numbers,
     _pair_table,
+    _real,
     _torus_extents,
     _torus_matrix,
     bloch_matrix,
@@ -221,7 +223,7 @@ def quasienergies_from_propagator(U: np.ndarray, omega: float) -> np.ndarray:
 
 
 def _check_k(lattice: LatticeSpec, k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
+    k = _numbers(k, "k", float)
     if k.shape != (lattice.space_dim,):
         raise ValidationError(
             f"k must have {lattice.space_dim} Cartesian components, got shape {k.shape}"
@@ -229,6 +231,14 @@ def _check_k(lattice: LatticeSpec, k) -> np.ndarray:
     if not np.isfinite(k).all():
         raise ValidationError(f"k must be finite, got {k.tolist()}")
     return k
+
+
+def _time(t) -> np.ndarray:
+    """``t`` as a one-entry time array; a bool, a non-real or a non-finite value is refused."""
+    t = _real(t, "t")
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t}")
+    return np.array([t])
 
 
 def _bond_terms(lattice: LatticeSpec, drive: DriveSpec, times) -> tuple:
@@ -276,14 +286,14 @@ def bloch_hamiltonian_t(lattice: LatticeSpec, drive: DriveSpec, k, t: float) -> 
     """Instantaneous Bloch Hamiltonian of the driven lattice at time t."""
     _check_drive_dim(lattice, drive)
     k = _check_k(lattice, k)
-    terms = _bond_terms(lattice, drive, np.array([float(t)]))
+    terms = _bond_terms(lattice, drive, _time(t))
     return _hamiltonian_stack(lattice, k, terms, 1)[0]
 
 
 def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) -> tuple:
     """Instantaneous tunneling matrices per cell offset, phases included."""
     _check_drive_dim(lattice, drive)
-    terms = _bond_terms(lattice, drive, np.array([float(t)]))
+    terms = _bond_terms(lattice, drive, _time(t))
     return from_offset_dict(_bond_blocks(lattice, [a * E[0] for *_, a, E in terms]))
 
 
@@ -457,7 +467,7 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
 
 def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
     """Validated sweep inputs: (ascending omegas, their drives, k list)."""
-    ws = sorted(float(w) for w in omegas)
+    ws = sorted(_real(w, "omegas entry") for w in omegas)
     if len(set(ws)) != len(ws):
         raise ValidationError("sweep frequencies must be distinct")
     if len(ws) < 4:
@@ -466,12 +476,14 @@ def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
         raise ValidationError(
             f"sweep must span at least a factor 8 in omega, got {ws[-1] / ws[0]:.3g}"
         )
-    k_list = [np.asarray(k, dtype=float) for k in k_set]
+    k_list = [_numbers(k, "k", float) for k in k_set]
     if not k_list:
         raise ValidationError("k_set must be nonempty")
     drives = []
     for w in ws:
         drive = drive_family(w)
+        if not isinstance(drive, DriveSpec):
+            raise ValidationError(f"drive_family must return a DriveSpec, got {drive!r}")
         if abs(drive.omega - w) > 1e-9 * w:
             raise ValidationError(f"drive_family returned omega {drive.omega}, expected {w}")
         _check_drive_dim(lattice, drive)

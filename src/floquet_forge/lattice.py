@@ -70,6 +70,30 @@ def _real(value, field: str) -> float:
     raise ValidationError(f"{field} must be a real number, got {value!r}")
 
 
+def _numbers(value, field: str, dtype) -> np.ndarray:
+    """``value`` as a new array of ``dtype``, float or complex. A numpy array
+    passes on its dtype; in anything else each entry must be a number, so a
+    bool, a string, any other object (a complex where reals are read) or a
+    ragged nesting is refused, naming the field."""
+    kinds = "iuf" if dtype is float else "iufc"
+    entries = (value,) if isinstance(value, np.ndarray) else np.array(value, dtype=object).flat
+    if not all(np.asarray(x).dtype.kind in kinds for x in entries):
+        kind = "real" if dtype is float else "complex"
+        raise ValidationError(f"{field} must be {kind} numbers, got {value!r}")
+    try:
+        return np.array(value, dtype=dtype)
+    except ValueError:
+        raise ValidationError(f"{field} must be equal-length rows of numbers, got {value!r}") from None
+
+
+def _items(value, field: str) -> tuple:
+    """``value`` as a tuple; a value that is not iterable is refused, naming the field."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{field} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Bond:
     """Directed tunneling amplitude: create on ``target_basis`` in the cell at
@@ -87,10 +111,13 @@ class Bond:
     def __post_init__(self):
         for field in ("target_basis", "source_basis"):
             object.__setattr__(self, field, _integer(getattr(self, field), f"bond {field}"))
-        object.__setattr__(
-            self, "cell_offset", tuple(_integer(x, "bond cell_offset entry") for x in self.cell_offset)
-        )
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        offset = _items(self.cell_offset, "bond cell_offset")
+        offset = tuple(_integer(x, "bond cell_offset entry") for x in offset)
+        object.__setattr__(self, "cell_offset", offset)
+        amplitude = _numbers(self.amplitude, "bond amplitude", complex)
+        if amplitude.ndim:
+            raise ValidationError(f"bond amplitude must be one number, got {self.amplitude!r}")
+        object.__setattr__(self, "amplitude", complex(amplitude))
         if self.target_basis < 0 or self.source_basis < 0:
             raise ValidationError(f"bond {self._label()}: negative basis index")
         if not cmath.isfinite(self.amplitude):
@@ -114,18 +141,6 @@ class Bond:
             tuple(-x for x in self.cell_offset),
             np.conj(self.amplitude),
         )
-
-
-def _float_rows(value, field: str) -> np.ndarray:
-    """``value`` as a 2d float array (one number or one row is one row);
-    ragged rows, deeper nesting and non-numbers are refused naming the field."""
-    try:
-        rows = np.atleast_2d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError):
-        rows = None
-    if rows is None or rows.ndim != 2:
-        raise ValidationError(f"{field} must be equal-length rows of numbers, got {value!r}")
-    return rows
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -163,13 +178,18 @@ class LatticeSpec:
         object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
         if self.dimension not in (1, 2, 3):
             raise ValidationError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        A = _float_rows(self.bravais_vectors, "bravais_vectors")
+        for field in ("bravais_vectors", "basis_sites"):
+            rows = np.atleast_2d(_numbers(getattr(self, field), field, float))
+            if rows.ndim != 2:
+                raise ValidationError(f"{field} must be equal-length rows of numbers, got {rows.tolist()}")
+            if not np.isfinite(rows).all():
+                raise ValidationError(f"{field} must be finite, got {rows.tolist()}")
+            object.__setattr__(self, field, _readonly(rows))
+        A, S = self.bravais_vectors, self.basis_sites
         if A.shape[0] != self.dimension:
             raise ValidationError(
                 f"expected {self.dimension} bravais vectors, got {A.shape[0]}"
             )
-        if not np.isfinite(A).all():
-            raise ValidationError(f"bravais_vectors must be finite, got {A.tolist()}")
         space_dim = A.shape[1]
         if space_dim < self.dimension:
             raise ValidationError(
@@ -178,9 +198,6 @@ class LatticeSpec:
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValidationError("bravais vectors are linearly dependent")
-        S = _float_rows(self.basis_sites, "basis_sites")
-        if not np.isfinite(S).all():
-            raise ValidationError(f"basis_sites must be finite, got {S.tolist()}")
         if S.shape[1] != space_dim:
             raise ValidationError(
                 f"basis sites have {S.shape[1]} coordinates, bravais vectors have {space_dim}"
@@ -189,9 +206,7 @@ class LatticeSpec:
             for j in range(i + 1, len(S)):
                 if np.linalg.norm(S[i] - S[j]) < 1e-9:
                     raise ValidationError(f"basis sites {i} and {j} coincide")
-        object.__setattr__(self, "bravais_vectors", _readonly(A))
-        object.__setattr__(self, "basis_sites", _readonly(S))
-        bonds = tuple(self.bonds)
+        bonds = _items(self.bonds, "bonds")
         for b in bonds:
             if not isinstance(b, Bond):
                 raise ValidationError("bonds must be Bond instances")
@@ -262,8 +277,9 @@ class OffsetMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(_integer(x, "offset entry") for x in self.offset))
-        m = np.array(self.matrix, dtype=complex)
+        offset = _items(self.offset, "offset")
+        object.__setattr__(self, "offset", tuple(_integer(x, "offset entry") for x in offset))
+        m = _numbers(self.matrix, f"offset {self.offset}: matrix", complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"offset {self.offset}: matrix must be square, got {m.shape}")
         m.flags.writeable = False

@@ -184,7 +184,7 @@ def test_lattice_requires_bond_and_integer_offsets():
     base = [("dimension", 1), ("bravais", [[1.0]]), ("basis", [[0.0]])]
     with pytest.raises(ValidationError, match="at least one bond"):
         lattice_from_items(base)
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="bond #1: 'offset' entry must be an integer"):
         lattice_from_items(
             base + [("bond", {"to": 0, "from": 0, "offset": [1.5], "amplitude_re": 1.0})]
         )
@@ -204,7 +204,7 @@ def test_drive_from_items():
         drive_from_items([("harmonic", {"m": 1, "a": [1.0]})])
     with pytest.raises(ValidationError, match="exactly once"):
         drive_from_items([("omega", 1), ("omega", 2)])
-    with pytest.raises(ValidationError, match="must be a number"):
+    with pytest.raises(ValidationError, match=r"\[drive\] omega must be a real number"):
         drive_from_items([("omega", True)])
     with pytest.raises(ValidationError, match="at least one of"):
         drive_from_items([("omega", 5), ("harmonic", {"m": 1})])
@@ -265,23 +265,23 @@ def test_integer_fields_refuse_booleans_and_non_integers():
 
 def test_integer_lists_refuse_booleans():
     for offset in ([True], [1.0], [0, "1"]):
-        with pytest.raises(ValidationError, match="'offset' must be a list of integers"):
+        with pytest.raises(ValidationError, match="bond #1: 'offset' entry must be an integer"):
             lattice_from_items(_zigzag(offset=offset))
 
 
 def test_number_fields_refuse_booleans_and_non_numbers():
     for key in ("amplitude_re", "amplitude_im"):
         for value in (True, "x", [1]):
-            with pytest.raises(ValidationError, match=f"bond #1: '{key}' must be a number"):
+            with pytest.raises(ValidationError, match=f"bond #1: '{key}' must be a real number"):
                 lattice_from_items(_zigzag(**{key: value}))
 
 
 def test_number_lists_refuse_booleans():
-    with pytest.raises(ValidationError, match="harmonic #1 a must be a list of numbers"):
+    with pytest.raises(ValidationError, match="harmonic #1: 'a' must be real numbers"):
         drive_from_items([("omega", 5), ("harmonic", {"m": 1, "a": [6.0, True]})])
-    with pytest.raises(ValidationError, match="harmonic #1 b must be a list of numbers"):
+    with pytest.raises(ValidationError, match="harmonic #1: 'b' must be real numbers"):
         drive_from_items([("omega", 5), ("harmonic", {"m": 1, "b": [False, 1.0]})])
     for key in ("bravais", "basis"):
         items = [(k, [[True, 0.0]] if k == key else v) for k, v in _zigzag()]
-        with pytest.raises(ValidationError, match=f"{key} row must be a list of numbers"):
+        with pytest.raises(ValidationError, match=f"{key} must be real numbers"):
             lattice_from_items(items)

@@ -181,6 +181,42 @@ def test_integers_are_read_through_one_rule():
     ]
 
 
+def _bool_checks(tree):
+    """The top-level function (or class, or '<module>') around every
+    ``isinstance`` check for ``bool`` or ``np.bool_``, alone or in a tuple."""
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "isinstance":
+                kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else call.args[1:]
+                if any(getattr(k, "id", getattr(k, "attr", "")) in ("bool", "bool_") for k in kinds):
+                    yield owner
+
+
+def test_bools_are_refused_in_one_module():
+    # a bool is an int to Python and a number to numpy's casts; reading
+    # refuses it only in lattice's readers, and only serialization (which
+    # renders True as true) may test for it besides
+    found = {
+        path.name
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for _ in _bool_checks(ast.parse(path.read_text()))
+    }
+    assert found == {"lattice.py", "serialization.py"}
+    # the check itself can fail
+    sample = (
+        "ok = isinstance(x, int)\n"
+        "def _is_number(value):\n"
+        "    return isinstance(value, (int, float)) and not isinstance(value, bool)\n"
+        "def render(value):\n"
+        "    return isinstance(value, (np.bool_, int))\n"
+        "class Bond:\n"
+        "    def __post_init__(self):\n"
+        "        flag = bool(self.amplitude) or isinstance(self.amplitude, (numpy.bool_,))\n"
+    )
+    assert list(_bool_checks(ast.parse(sample))) == ["_is_number", "render", "Bond"]
+
+
 def test_helpers_outside_the_api_stay_importable_but_unexported():
     from floquet_forge import floquet, kpath, lattice
 

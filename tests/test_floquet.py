@@ -430,6 +430,26 @@ def test_sweep_preconditions():
         error_matrix(lat, broken_family, ks, [10.0, 20.0, 40.0, 80.0])
 
 
+def test_sweeps_refuse_a_drive_family_that_returns_no_drive():
+    # not a bare AttributeError on None.omega, which names no argument
+    with pytest.raises(ValidationError, match="^drive_family must return a DriveSpec, got None"):
+        gauge_difference_errors(preset("chain"), lambda w: None, [[0.1]], [10.0, 20.0, 40.0, 80.0])
+
+
+def test_times_must_be_finite():
+    # a NaN time would give a NaN matrix, and a NaN probe that no bound can fail
+    kagome, drive = preset("kagome"), circular_drive(20.0, 24.0)
+    for t in (float("nan"), float("inf"), np.float64("-inf")):
+        for call in (
+            lambda: bloch_hamiltonian_t(kagome, drive, [0.1, 0.2], t),
+            lambda: offset_matrices_at_time(kagome, drive, t),
+            lambda: commutator_offsets(kagome, drive, 0.1, t),
+            lambda: magnus_commutator_probe(kagome, drive, t, 0.2, (2, 2)),
+        ):
+            with pytest.raises(ValidationError, match="^t must be finite"):
+                call()
+
+
 def test_sweeps_parse_gauge_names_and_refuse_other_values():
     lat = preset("zigzag")
 

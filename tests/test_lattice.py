@@ -7,11 +7,14 @@ import pytest
 from floquet_forge import (
     PRESET_NAMES,
     Bond,
+    DriveSpec,
     Gauge,
     Geometry,
+    Harmonic,
     LatticeSpec,
     OffsetMatrix,
     ValidationError,
+    bloch_hamiltonian_t,
     bloch_matrix,
     build_effective_model,
     bz_grid,
@@ -19,10 +22,12 @@ from floquet_forge import (
     classify_geometry,
     enumerate_processes,
     error_matrix,
+    gauge_difference_errors,
     lattice_harmonics,
     linear_drive,
     magnus_commutator_probe,
     named_kpath,
+    offset_matrices_at_time,
     preset,
     propagate_period,
     reciprocal_vectors,
@@ -114,6 +119,72 @@ def test_every_integer_argument_refuses_bools_and_non_integers(field, value):
         INTEGER_ARGUMENTS[field](value)
 
 
+# every real or complex argument the package reads: (the field its message
+# names, a call that puts the value in that field)
+REAL_ARGUMENTS = {
+    "bond amplitude": ("bond amplitude", lambda v: Bond(0, 0, (1,), v)),
+    "bravais_vectors": ("bravais_vectors", lambda v: LatticeSpec(1, [v], [[0.0]], ())),
+    "basis_sites": ("basis_sites", lambda v: LatticeSpec(1, [[1.0]], [v], ())),
+    "cos_amplitude": ("cos_amplitude", lambda v: Harmonic(1, [v], [0.0])),
+    "sin_amplitude": ("sin_amplitude", lambda v: Harmonic(1, [0.0], [v])),
+    "offset matrix": (r"offset \(0,\): matrix", lambda v: OffsetMatrix((0,), [[v]])),
+    "preset amplitude": ("bond amplitude", lambda v: preset("chain", v)),
+    "f0": ("f0", lambda v: circular_drive(10.0, v)),
+    "linear amplitude": ("amplitude", lambda v: linear_drive(10.0, [v])),
+    "k": ("k", lambda v: propagate_period(KAGOME, DRIVE, [v, 0.2])),
+    "sweep k": ("k", lambda v: gauge_difference_errors(CHAIN, _chain_family, [[v]], OMEGAS)),
+    "sweep omega": (
+        "omegas entry",
+        lambda v: scaling_errors(CHAIN, _chain_family, [[0.1]], [v, 20.0, 40.0, 80.0]),
+    ),
+    "t": ("t", lambda v: bloch_hamiltonian_t(KAGOME, DRIVE, [0.1, 0.2], v)),
+    "offsets t": ("t", lambda v: offset_matrices_at_time(KAGOME, DRIVE, v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1", np.array([True])], ids=["True", "str", "bool array"])
+@pytest.mark.parametrize("argument", REAL_ARGUMENTS)
+def test_every_real_argument_refuses_bools_and_strings(argument, value):
+    # one reader per kind in lattice (_real, _numbers): no argument reads True as 1 or "1" as 1.0
+    field, call = REAL_ARGUMENTS[argument]
+    with pytest.raises(ValidationError, match=rf"\b{field} must be [a-z ]*numbers?, got"):
+        call(value)
+
+
+def test_numpy_scalars_and_numeric_arrays_are_read_as_numbers():
+    assert Bond(0, 0, (1,), np.int64(-1)).amplitude == -1
+    assert Bond(0, 0, (1,), np.float32(0.5)).amplitude == 0.5
+    assert Bond(0, 0, (1,), np.complex128(1 - 2j)).amplitude == 1 - 2j
+    assert preset("chain", np.float32(-0.5)).bonds[0].amplitude == -0.5
+    lat = LatticeSpec(1, np.array([[2]]), np.array([[0.0], [0.5]], dtype=np.float32), ())
+    assert lat.bravais_vectors.tolist() == [[2.0]] and lat.basis_sites.tolist() == [[0.0], [0.5]]
+    h = Harmonic(1, np.array([1, 2]), [np.float32(0.5), np.int64(3)])
+    assert h.cos_amplitude.tolist() == [1.0, 2.0] and h.sin_amplitude.tolist() == [0.5, 3.0]
+    assert OffsetMatrix((0,), np.eye(2, dtype=int)).matrix.tolist() == np.eye(2).tolist()
+    assert circular_drive(10.0, np.int64(3)).harmonics[0].cos_amplitude.tolist() == [3.0, 0.0]
+    assert linear_drive(10.0, np.array([2])).harmonics[0].cos_amplitude.tolist() == [2.0]
+    # the same bits as from plain floats
+    H = bloch_hamiltonian_t(KAGOME, DRIVE, np.array([1, 0]), np.float32(0.25))
+    assert np.array_equal(H, bloch_hamiltonian_t(KAGOME, DRIVE, [1.0, 0.0], 0.25))
+    got = gauge_difference_errors(CHAIN, _chain_family, np.array([[0]]), np.array([10, 20, 40, 80]))
+    assert np.array_equal(got, gauge_difference_errors(CHAIN, _chain_family, [[0.0]], OMEGAS))
+
+
+SEQUENCE_ARGUMENTS = {
+    "bond cell_offset": lambda: Bond(0, 0, 5, 1.0),
+    "bonds": lambda: LatticeSpec(1, [[1.0]], [[0.0]], 5),
+    "harmonics": lambda: DriveSpec(10.0, 5),
+    "offset": lambda: OffsetMatrix(3, [[1.0]]),
+}
+
+
+@pytest.mark.parametrize("field", SEQUENCE_ARGUMENTS)
+def test_non_sequences_are_refused_naming_the_field(field):
+    # a bare TypeError ('int' object is not iterable) would name no field
+    with pytest.raises(ValidationError, match=f"^{field} must be a sequence, got"):
+        SEQUENCE_ARGUMENTS[field]()
+
+
 def test_bond_conjugate_is_involution():
     b = Bond(2, 1, (1, -3), 0.5 + 0.25j)
     rev = b.conjugate()
@@ -152,7 +223,7 @@ def test_ragged_or_nested_rows_are_refused_naming_the_field():
         LatticeSpec(2, [[1.0, 0.0], [0.0]], [[0.0, 0.0]], ())
     with pytest.raises(ValidationError, match="basis_sites must be equal-length rows"):
         LatticeSpec(1, [[1.0, 0.0]], [[0.0, 0.0], [0.5]], ())
-    with pytest.raises(ValidationError, match="bravais_vectors must be equal-length rows"):
+    with pytest.raises(ValidationError, match="bravais_vectors must be real numbers"):
         LatticeSpec(1, [["x", 0.0]], [[0.0, 0.0]], ())
     # rows of rows used to be accepted as a 3d array
     with pytest.raises(ValidationError, match="bravais_vectors must be equal-length rows"):
