@@ -402,7 +402,7 @@ def _cmd_verify(args) -> int:
         order=args.order, gauge=gauge, cutoff=args.cutoff,
     )
     errors = matrix.max(axis=1)
-    fit = fit_power_law(np.asarray(omegas), errors)
+    fit = fit_power_law(omegas, errors)
     expected = EXPECTED_SLOPE[args.order]
     passed = fit.slope <= expected + SLOPE_MARGIN
 

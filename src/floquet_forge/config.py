@@ -139,6 +139,11 @@ def _harmonic_from_table(table, index: int) -> Harmonic:
     if "a" not in table and "b" not in table:
         raise ValidationError(f"{field}: at least one of 'a', 'b' is required")
     given = {key: _numbers(table[key], f"{field}: '{key}'", float) for key in "ab" if key in table}
+    for key, v in given.items():
+        if v.ndim != 1:
+            raise ValidationError(
+                f"{field}: '{key}' must be a list of real numbers, got {table[key]!r}"
+            )
     zeros = np.zeros_like(next(iter(given.values())))
     return Harmonic(m, given.get("a", zeros), given.get("b", zeros))
 

@@ -132,18 +132,15 @@ def phase(drive: DriveSpec, a, t):
     of displacements, shape (rows, dim), gives one row of phases per
     displacement, shape (rows,) + t.shape.
     """
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
+    a = _numbers(a, "a", float)
+    t = _numbers(t, "t", float)
+    if not a.ndim or drive.space_dim not in (None, a.shape[-1]):
+        raise ValidationError(f"a must end in the drive's {drive.space_dim or 'force'} axes, got {a.shape}")
     rows = a.reshape(-1, a.shape[-1])
     lead = a.shape[:-1] + (1,) * t.ndim
     w = drive.omega
     chi = np.zeros(a.shape[:-1] + t.shape)
     for h in drive.harmonics:
-        if h.cos_amplitude.shape[0] != a.shape[-1]:
-            raise ValidationError(
-                f"drive acts in {h.cos_amplitude.shape[0]} dimensions, "
-                f"displacement has {a.shape[-1]}"
-            )
         # vecdot runs the scalar dot kernel per row: rows @ a rounds differently
         ca = np.vecdot(rows, h.cos_amplitude).reshape(lead) / (h.m * w)
         sa = np.vecdot(rows, h.sin_amplitude).reshape(lead) / (h.m * w)

@@ -57,6 +57,7 @@ from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
     _bond_blocks,
+    _check_k,
     _integer,
     _numbers,
     _pair_table,
@@ -104,7 +105,7 @@ def fold(values, omega: float):
     """Map energies into the first Floquet zone (-omega/2, omega/2]. A
     non-finite or non-positive omega raises ValidationError."""
     omega = _check_omega(omega)
-    v = np.asarray(values, dtype=float)
+    v = _numbers(values, "values", float)
     y = v - omega * np.round(v / omega)
     y = np.where(y <= -0.5 * omega, y + omega, y)
     return float(y) if y.ndim == 0 else y
@@ -187,8 +188,8 @@ def match_permutation(a, b, omega: float) -> np.ndarray:
     non-finite spectra and a non-finite or non-positive omega (refused by
     ``fold``) raise ValidationError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _numbers(a, "a", float)
+    b = _numbers(b, "b", float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValidationError(f"cannot match spectra of shapes {a.shape} and {b.shape}")
     if not a.size:
@@ -204,8 +205,8 @@ def match_permutation(a, b, omega: float) -> np.ndarray:
 
 def match_distance(a, b, omega: float) -> float:
     """Largest circular distance in the optimal pairing of two spectra."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _numbers(a, "a", float)
+    b = _numbers(b, "b", float)
     perm = match_permutation(a, b, omega)
     return float(np.abs(fold(a - b[perm], omega)).max())
 
@@ -217,20 +218,9 @@ def quasienergies_from_propagator(U: np.ndarray, omega: float) -> np.ndarray:
     (-omega/2, omega/2]. Only eigenvalues of U are taken to a log branch,
     never the matrix itself.
     """
-    lam = np.linalg.eigvals(np.asarray(U, dtype=complex))
+    lam = np.linalg.eigvals(_numbers(U, "U", complex))
     eps = -np.angle(lam) * omega / (2.0 * np.pi)
     return np.sort(fold(eps, omega))
-
-
-def _check_k(lattice: LatticeSpec, k) -> np.ndarray:
-    k = _numbers(k, "k", float)
-    if k.shape != (lattice.space_dim,):
-        raise ValidationError(
-            f"k must have {lattice.space_dim} Cartesian components, got shape {k.shape}"
-        )
-    if not np.isfinite(k).all():
-        raise ValidationError(f"k must be finite, got {k.tolist()}")
-    return k
 
 
 def _time(t) -> np.ndarray:
@@ -285,7 +275,7 @@ def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int)
 def bloch_hamiltonian_t(lattice: LatticeSpec, drive: DriveSpec, k, t: float) -> np.ndarray:
     """Instantaneous Bloch Hamiltonian of the driven lattice at time t."""
     _check_drive_dim(lattice, drive)
-    k = _check_k(lattice, k)
+    k = _check_k(k, lattice.space_dim)
     terms = _bond_terms(lattice, drive, _time(t))
     return _hamiltonian_stack(lattice, k, terms, 1)[0]
 
@@ -364,7 +354,7 @@ def propagate_period(
     if not MIN_STEPS <= steps <= MAX_STEPS // 2:
         raise ValidationError(f"steps must be in [{MIN_STEPS}, {MAX_STEPS // 2}], got {steps}")
     w = drive.omega
-    k = _check_k(lattice, k)
+    k = _check_k(k, lattice.space_dim)
 
     U = _propagator(lattice, drive, k, steps)
     eps = quasienergies_from_propagator(U, w)
@@ -432,8 +422,8 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
     ValidationError; a non-finite error, or fewer than two informative
     points, raises ConvergenceError.
     """
-    x = np.asarray(omegas, dtype=float)
-    y = np.asarray(errors, dtype=float)
+    x = _numbers(omegas, "omegas", float)
+    y = _numbers(errors, "errors", float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("omegas and errors must be 1d arrays of equal length")
     if not np.all(np.isfinite(x) & (x > 0)):
@@ -476,7 +466,7 @@ def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
         raise ValidationError(
             f"sweep must span at least a factor 8 in omega, got {ws[-1] / ws[0]:.3g}"
         )
-    k_list = [_numbers(k, "k", float) for k in k_set]
+    k_list = [_check_k(k, lattice.space_dim) for k in k_set]
     if not k_list:
         raise ValidationError("k_set must be nonempty")
     drives = []
@@ -501,14 +491,12 @@ def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
 def _first_occurrences(points) -> list:
     """For each point, the index of its first bit-equal occurrence.
 
-    Points compare by shape and float64 bytes, so -0.0 and 0.0 differ: a
+    Points are float64 arrays, already read (a sweep's k list, a k-path's
+    points). They compare by shape and bytes, so -0.0 and 0.0 differ: a
     repeat is only ever a point whose every computation gives the same bits.
     """
     seen = {}
-    return [
-        seen.setdefault((a.shape, a.tobytes()), i)
-        for i, a in enumerate(np.asarray(p, dtype=float) for p in points)
-    ]
+    return [seen.setdefault((a.shape, a.tobytes()), i) for i, a in enumerate(points)]
 
 
 def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff) -> np.ndarray:

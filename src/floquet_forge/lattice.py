@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-import numbers
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -63,27 +63,42 @@ def _integer(value, field: str) -> int:
     raise ValidationError(f"{field} must be an integer, got {value!r}")
 
 
-def _real(value, field: str) -> float:
-    """``value`` as a float; a bool or a non-real value is refused."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValidationError(f"{field} must be a real number, got {value!r}")
-
-
-def _numbers(value, field: str, dtype) -> np.ndarray:
-    """``value`` as a new array of ``dtype``, float or complex. A numpy array
-    passes on its dtype; in anything else each entry must be a number, so a
-    bool, a string, any other object (a complex where reals are read) or a
-    ragged nesting is refused, naming the field."""
+def _numbers(value, field: str, dtype, scalar: bool = False) -> np.ndarray:
+    """``value`` as a new array of ``dtype``, float or complex, 0-d if ``scalar``.
+    Each entry must be a number numpy holds in a numeric dtype (an array is
+    judged by its dtype), so a bool, a string, an int beyond 64 bits, a
+    Fraction, another object (a complex where reals are read) or a ragged
+    nesting is refused, naming the field."""
     kinds = "iuf" if dtype is float else "iufc"
-    entries = (value,) if isinstance(value, np.ndarray) else np.array(value, dtype=object).flat
-    if not all(np.asarray(x).dtype.kind in kinds for x in entries):
-        kind = "real" if dtype is float else "complex"
-        raise ValidationError(f"{field} must be {kind} numbers, got {value!r}")
+    if isinstance(value, np.ndarray):
+        ok = value.dtype.kind in kinds
+    else:
+        ok = all(np.asarray(x).dtype.kind in kinds for x in np.array(value, dtype=object).flat)
     try:
-        return np.array(value, dtype=dtype)
+        array = np.array(value, dtype=dtype) if ok else None
     except ValueError:
         raise ValidationError(f"{field} must be equal-length rows of numbers, got {value!r}") from None
+    if array is None or (scalar and array.ndim):
+        kind = "real" if dtype is float else "complex"
+        wanted = f"a {kind} number" if scalar else f"{kind} numbers"
+        raise ValidationError(f"{field} must be {wanted}, got {value!r}")
+    return array
+
+
+def _real(value, field: str) -> float:
+    """``value`` as a float: the 0-d case of ``_numbers``."""
+    return float(_numbers(value, field, float, scalar=True))
+
+
+def _check_k(k, space_dim: int) -> np.ndarray:
+    """``k`` as a Cartesian wave vector: ``space_dim`` finite real components."""
+    k = _numbers(k, "k", float)
+    if k.shape != (space_dim,):
+        raise ValidationError(f"k must have {space_dim} Cartesian components, got shape {k.shape}")
+    # per component: np.isfinite(k).all() costs microseconds on bloch_matrix's path
+    if not all(map(math.isfinite, k.tolist())):
+        raise ValidationError(f"k must be finite, got {k.tolist()}")
+    return k
 
 
 def _items(value, field: str) -> tuple:
@@ -114,9 +129,7 @@ class Bond:
         offset = _items(self.cell_offset, "bond cell_offset")
         offset = tuple(_integer(x, "bond cell_offset entry") for x in offset)
         object.__setattr__(self, "cell_offset", offset)
-        amplitude = _numbers(self.amplitude, "bond amplitude", complex)
-        if amplitude.ndim:
-            raise ValidationError(f"bond amplitude must be one number, got {self.amplitude!r}")
+        amplitude = _numbers(self.amplitude, "bond amplitude", complex, scalar=True)
         object.__setattr__(self, "amplitude", complex(amplitude))
         if self.target_basis < 0 or self.source_basis < 0:
             raise ValidationError(f"bond {self._label()}: negative basis index")
@@ -313,7 +326,7 @@ def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
         neg = tuple(-x for x in off)
         if neg not in table:
             return False
-        if np.abs(table[neg] - m.conj().T).max() > tol * max(scale, 1.0):
+        if not np.abs(table[neg] - m.conj().T).max() <= tol * max(scale, 1.0):  # NaN: not closed
             return False
     return True
 
@@ -330,11 +343,14 @@ def _offset_stack(offsets: tuple) -> tuple:
         raise ValidationError(
             "offset set is empty: a Bloch matrix needs at least one block to fix its size"
         )
-    if not is_hermitian_closed_offsets(offsets):
-        raise ValidationError("offset set is not Hermitian-closed")
     keys = sorted(table)
     offs = np.array(keys, dtype=float)
     mats = np.array([table[off] for off in keys])
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(f"offset {keys[finite.argmin()]}: matrix must be finite")
+    if not is_hermitian_closed_offsets(offsets):
+        raise ValidationError("offset set is not Hermitian-closed")
     offs.flags.writeable = False
     mats.flags.writeable = False
     return offs, mats
@@ -344,8 +360,8 @@ def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
     """Sum of exp(i k . R_offset) * M_offset over the offset set.
 
     ``k`` is a Cartesian reciprocal vector; R_offset = offset @ bravais_vectors.
-    The offset set must be Hermitian-closed, so the result is Hermitian for
-    every real k. An empty offset set is refused, since it fixes no size.
+    The offset set must be finite and Hermitian-closed, so the result is
+    Hermitian for every k. An empty offset set is refused: it fixes no size.
 
     The checks and the stacking of the blocks run once per offset set, not
     once per k: a small bounded cache, keyed on the tuple of ``OffsetMatrix``
@@ -353,8 +369,10 @@ def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
     one model over many k share them, also across threads.
     """
     offs, mats = _offset_stack(tuple(offsets))
-    A = np.atleast_2d(np.asarray(bravais_vectors, dtype=float))
-    k = np.asarray(k, dtype=float)
+    A = _numbers(bravais_vectors, "bravais_vectors", float)
+    if A.ndim != 2 or len(A) != offs.shape[1]:
+        raise ValidationError(f"bravais_vectors must be {offs.shape[1]} rows, got shape {A.shape}")
+    k = _check_k(k, A.shape[1])
     # Same bits as summing offset by offset. np.vecdot runs, row by row, the
     # dot kernel of a scalar k @ r, where R @ k, einsum and an elementwise
     # sum round differently. add.accumulate over a stack led by a zero block

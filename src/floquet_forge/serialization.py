@@ -26,15 +26,8 @@ def fmt_float(x) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
-    raise ValidationError(f"cannot render {type(value).__name__} in a CSV cell")
+    """A string as it is; any other value as ``_render`` writes it in JSON."""
+    return value if isinstance(value, str) else _render(value, "")
 
 
 def write_csv(path, header, rows) -> None:

@@ -281,6 +281,9 @@ def test_number_lists_refuse_booleans():
         drive_from_items([("omega", 5), ("harmonic", {"m": 1, "a": [6.0, True]})])
     with pytest.raises(ValidationError, match="harmonic #1: 'b' must be real numbers"):
         drive_from_items([("omega", 5), ("harmonic", {"m": 1, "b": [False, 1.0]})])
+    # a scalar vector names the config field, not Harmonic's cos_amplitude
+    with pytest.raises(ValidationError, match=r"^\[drive\] harmonic #1: 'a' must be a list of"):
+        drive_from_items([("omega", 5), ("harmonic", {"m": 1, "a": 1.0})])
     for key in ("bravais", "basis"):
         items = [(k, [[True, 0.0]] if k == key else v) for k, v in _zigzag()]
         with pytest.raises(ValidationError, match=f"{key} must be real numbers"):

@@ -111,6 +111,14 @@ def test_phase_of_a_displacement_stack_is_each_rows_phase():
     assert isinstance(phase(drive, stack[0], 0.3), float)
 
 
+def test_phase_refuses_a_displacement_of_another_dimension():
+    # checked once against the drive, not per harmonic: a scalar is refused too
+    drive = circular_drive(10.0, 3.0)
+    for a in ([1.0], [1.0, 0.0, 0.0], [[1.0], [2.0]], 1.0):
+        with pytest.raises(ValidationError, match=r"^a must end in the drive's 2 axes"):
+            phase(drive, a, 0.3)
+
+
 def test_bond_harmonics_match_quadrature():
     """g^n from the FFT engine vs direct Fourier integrals of j e^{i chi}."""
     lat = preset("zigzag")

@@ -217,6 +217,59 @@ def test_bools_are_refused_in_one_module():
     assert list(_bool_checks(ast.parse(sample))) == ["_is_number", "render", "Bond"]
 
 
+def _parameter_casts(tree, exported):
+    """(owner, parameter) for every ``np.asarray``/``np.array`` call with a
+    ``dtype`` that casts a parameter of an exported function, or of a method
+    of an exported class, as given."""
+    for node in tree.body:
+        if getattr(node, "name", None) not in exported:
+            continue
+        functions = [node] if isinstance(node, ast.FunctionDef) else [
+            f for f in getattr(node, "body", ()) if isinstance(f, ast.FunctionDef)
+        ]
+        for fn in functions:
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            for call in ast.walk(fn):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", "") in ("asarray", "array")
+                    and any(k.arg == "dtype" for k in call.keywords)
+                    and call.args
+                    and getattr(call.args[0], "id", None) in params
+                ):
+                    yield node.name, call.args[0].id
+
+
+def test_exported_functions_read_their_arguments_through_one_rule():
+    # np.asarray(x, dtype=float) reads "1.5" as 1.5 and True as 1.0; every
+    # exported argument goes through lattice._numbers (or _real) instead
+    found = [
+        (mod.__name__, owner, param)
+        for mod in MODULES
+        for owner, param in _parameter_casts(ast.parse(inspect.getsource(mod)), set(mod.__all__))
+    ]
+    assert found == []
+    # the check itself can fail
+    sample = (
+        "def fold(values, omega):\n"
+        "    return np.asarray(values, dtype=float)\n"
+        "def phase(drive, a, t):\n"
+        "    a = _numbers(a, 'a', float)\n"
+        "    return numpy.array(t, dtype=complex), np.asarray(a)\n"
+        "def _private(v):\n"
+        "    return np.asarray(v, dtype=float)\n"
+        "class Spec:\n"
+        "    def at(self, bond, x):\n"
+        "        return np.asarray(bond.offset, dtype=float) @ np.array(x, dtype=float)\n"
+        "def bands(lattice):\n"
+        "    return np.array(lattice, dtype=object)\n"
+    )
+    exported = {"fold", "phase", "Spec", "bands"}
+    assert list(_parameter_casts(ast.parse(sample), exported)) == [
+        ("fold", "values"), ("phase", "t"), ("Spec", "x"), ("bands", "lattice")
+    ]
+
+
 def test_helpers_outside_the_api_stay_importable_but_unexported():
     from floquet_forge import floquet, kpath, lattice
 

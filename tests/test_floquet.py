@@ -375,8 +375,11 @@ def test_error_matrix_propagates_a_repeated_k_once(monkeypatch):
 
 
 def test_first_occurrences_compare_bits():
-    first = floquet._first_occurrences
-    assert first([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], np.array([0.0, 1.0])]) == [0, 1, 0, 0]
+    # the points are read float arrays (k_list of a sweep, a k-path's points)
+    def first(points):
+        return floquet._first_occurrences([np.array(p, dtype=float) for p in points])
+
+    assert first([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0, 1]]) == [0, 1, 0, 0]
     tiny = np.nextafter(1.0, 2.0)
     assert first([[1.0], [tiny], [1.0], [tiny]]) == [0, 1, 0, 1]
     assert first([[1.0, 2.0], [[1.0, 2.0]]]) == [0, 1]

@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,16 +21,23 @@ from floquet_forge import (
     bz_grid,
     circular_drive,
     classify_geometry,
+    effective_bloch,
     enumerate_processes,
     error_matrix,
+    fit_power_law,
+    fold,
     gauge_difference_errors,
     lattice_harmonics,
     linear_drive,
     magnus_commutator_probe,
+    match_distance,
+    match_permutation,
     named_kpath,
     offset_matrices_at_time,
+    phase,
     preset,
     propagate_period,
+    quasienergies_from_propagator,
     reciprocal_vectors,
     scaling_errors,
     translational_identity_check,
@@ -98,6 +106,10 @@ def _chain_family(w):
     return linear_drive(w, [w])
 
 
+CHAIN_OFFSETS = undriven_offsets(CHAIN)
+KAGOME_MODEL = build_effective_model(KAGOME, DRIVE)
+
+
 # every integer argument the package reads, by the field its message names
 INTEGER_ARGUMENTS = {
     "cutoff": lambda v: lattice_harmonics(KAGOME, DRIVE, cutoff=v),
@@ -139,13 +151,33 @@ REAL_ARGUMENTS = {
     ),
     "t": ("t", lambda v: bloch_hamiltonian_t(KAGOME, DRIVE, [0.1, 0.2], v)),
     "offsets t": ("t", lambda v: offset_matrices_at_time(KAGOME, DRIVE, v)),
+    "omega": ("omega", lambda v: DriveSpec(v, ())),
+    "fold values": ("values", lambda v: fold([1.5, v], 10.0)),
+    "match_permutation a": ("a", lambda v: match_permutation([v, 0.2], [0.1, 0.2], 10.0)),
+    "match_permutation b": ("b", lambda v: match_permutation([0.1, 0.2], [0.1, v], 10.0)),
+    "match_distance a": ("a", lambda v: match_distance([v, 0.2], [0.1, 0.2], 10.0)),
+    "match_distance b": ("b", lambda v: match_distance([0.1, 0.2], [0.1, v], 10.0)),
+    "propagator": ("U", lambda v: quasienergies_from_propagator([[v]], 10.0)),
+    "phase a": ("a", lambda v: phase(DRIVE, [v, 0.0], 0.1)),
+    "phase t": ("t", lambda v: phase(DRIVE, [1.0, 0.0], [0.1, v])),
+    "bloch bravais_vectors": ("bravais_vectors", lambda v: bloch_matrix(CHAIN_OFFSETS, [0.1], [[v]])),
+    "bloch k": ("k", lambda v: bloch_matrix(CHAIN_OFFSETS, [v], [[1.0]])),
+    "effective k": ("k", lambda v: effective_bloch(KAGOME_MODEL, [0.1, v])),
+    "fit omegas": (
+        "omegas",
+        lambda v: fit_power_law([v, 20.0, 40.0, 80.0], [1.0, 0.5, 0.25, 0.125]),
+    ),
+    "fit errors": (
+        "errors",
+        lambda v: fit_power_law([10.0, 20.0, 40.0, 80.0], [v, 0.5, 0.25, 0.125]),
+    ),
 }
 
 
 @pytest.mark.parametrize("value", [True, "1", np.array([True])], ids=["True", "str", "bool array"])
 @pytest.mark.parametrize("argument", REAL_ARGUMENTS)
 def test_every_real_argument_refuses_bools_and_strings(argument, value):
-    # one reader per kind in lattice (_real, _numbers): no argument reads True as 1 or "1" as 1.0
+    # one type test, lattice._numbers (_real is its 0-d case): no argument reads True as 1 or "1" as 1.0
     field, call = REAL_ARGUMENTS[argument]
     with pytest.raises(ValidationError, match=rf"\b{field} must be [a-z ]*numbers?, got"):
         call(value)
@@ -168,6 +200,25 @@ def test_numpy_scalars_and_numeric_arrays_are_read_as_numbers():
     assert np.array_equal(H, bloch_hamiltonian_t(KAGOME, DRIVE, [1.0, 0.0], 0.25))
     got = gauge_difference_errors(CHAIN, _chain_family, np.array([[0]]), np.array([10, 20, 40, 80]))
     assert np.array_equal(got, gauge_difference_errors(CHAIN, _chain_family, [[0.0]], OMEGAS))
+
+
+UNREPRESENTABLE = {
+    "bond amplitude": lambda v: Bond(0, 0, (1,), v),
+    "f0": lambda v: circular_drive(10.0, v),
+    "omega": lambda v: DriveSpec(v, ()),
+    "values": lambda v: fold([v], 10.0),
+}
+
+
+@pytest.mark.parametrize("value", [10**30, Fraction(1, 2), 10**400], ids=["1e30", "Fraction", "1e400"])
+@pytest.mark.parametrize("field", UNREPRESENTABLE)
+def test_numbers_numpy_cannot_hold_are_refused_alike(field, value):
+    # beyond 64 bits or not a numpy number at all: one refusal everywhere,
+    # never a bare OverflowError from float()
+    with pytest.raises(ValidationError, match=rf"^{field} must be (a )?(real|complex) numbers?, got"):
+        UNREPRESENTABLE[field](value)
+    with pytest.raises(ValidationError, match="^omega must be a real number, got"):
+        fold([1.0], value)
 
 
 SEQUENCE_ARGUMENTS = {
@@ -399,6 +450,28 @@ def test_vecdot_rounds_like_the_per_row_dot():
             v = rng.normal(scale=10.0, size=dim)
             want = np.array([np.dot(v, r) for r in rows])
             assert np.vecdot(rows, v).tobytes() == want.tobytes()
+
+
+def test_bloch_matrix_refuses_a_bad_k_or_geometry():
+    with pytest.raises(ValidationError, match=r"^k must have 1 Cartesian components, got shape \(2,\)"):
+        bloch_matrix(CHAIN_OFFSETS, [0.1, 0.2], [[1.0]])
+    with pytest.raises(ValidationError, match="^k must have 2 Cartesian components"):
+        effective_bloch(KAGOME_MODEL, [0.1])
+    with pytest.raises(ValidationError, match=r"^k must be finite, got \[nan\]"):
+        bloch_matrix(CHAIN_OFFSETS, [float("nan")], [[1.0]])
+    with pytest.raises(ValidationError, match="^bravais_vectors must be 1 rows"):
+        bloch_matrix(CHAIN_OFFSETS, [0.1], [[1.0], [2.0]])
+
+
+def test_bloch_matrix_refuses_a_non_finite_offset_set():
+    # a NaN block compares false with everything: closure must not pass on it
+    nan_set = (OffsetMatrix((1,), [[np.nan]]), OffsetMatrix((-1,), [[np.nan]]))
+    assert not is_hermitian_closed_offsets(nan_set)
+    with pytest.raises(ValidationError, match=r"^offset \(-1,\): matrix must be finite"):
+        bloch_matrix(nan_set, [0.3], [[1.0]])
+    inf_set = (OffsetMatrix((0,), [[np.inf]]),)
+    with pytest.raises(ValidationError, match="must be finite"):
+        bloch_matrix(inf_set, [0.3], [[1.0]])
 
 
 def test_bloch_matrix_errors_are_not_cached():
