@@ -250,6 +250,8 @@ def circular_drive(omega: float, f0: float) -> DriveSpec:
 def linear_drive(omega: float, amplitude) -> DriveSpec:
     """Monochromatic force along a fixed axis: F(t) = A cos(wt)."""
     amplitude = _numbers(amplitude, "amplitude", float)
+    if amplitude.ndim != 1:
+        raise ValidationError(f"amplitude must be a vector, got {amplitude}")
     return DriveSpec(omega, (Harmonic(1, amplitude, np.zeros_like(amplitude)),))
 
 

@@ -35,10 +35,9 @@ from enum import Enum
 
 import numpy as np
 
-from .drive import BondHarmonics, DriveSpec, _check_drive_dim, _harmonics_at, lattice_harmonics
+from .drive import BondHarmonics, DriveSpec, lattice_harmonics
 from .errors import ValidationError
 from .lattice import (
-    Bond,
     LatticeSpec,
     _bond_blocks,
     _pair_table,
@@ -49,10 +48,8 @@ from .lattice import (
 
 __all__ = [
     "Gauge",
-    "TwoStepAmplitude",
     "EffectiveModel",
     "beta_static_free",
-    "beta_general",
     "build_effective_model",
     "effective_bloch",
 ]
@@ -153,44 +150,6 @@ def beta_static_free(h1: BondHarmonics, h2: BondHarmonics) -> complex:
     n = np.arange(1, h1.cutoff + 1)
     terms = (h1.negative() * h2.positive() - h2.negative() * h1.positive()) / (n * h1.omega)
     return _row_sums(terms[None, :])[0]
-
-
-@dataclass(frozen=True, eq=False)
-class TwoStepAmplitude:
-    """One evaluated two-step process: first hop a_i, second hop a_j through
-    the named intermediate basis site."""
-
-    a_i: np.ndarray
-    a_j: np.ndarray
-    intermediate_basis: int
-    value: complex
-
-
-def beta_general(
-    lattice: LatticeSpec,
-    drive: DriveSpec,
-    gauge: Gauge,
-    bond1: Bond,
-    bond2: Bond,
-    cutoff: int | None = None,
-) -> TwoStepAmplitude:
-    """Two-step amplitude for hopping along ``bond1`` then ``bond2``.
-
-    Works for any gauge and any bond amplitudes (no displacement condition);
-    evaluates all three lines of the general expression.
-    """
-    gauge = Gauge.parse(gauge)
-    _check_drive_dim(lattice, drive)
-    if bond1.target_basis != bond2.source_basis:
-        raise ValidationError(
-            f"bonds do not compose: first hop ends on basis {bond1.target_basis}, "
-            f"second starts on basis {bond2.source_basis}"
-        )
-    a = np.array([lattice.displacement(bond1), lattice.displacement(bond2)])
-    _, G = _harmonics_at(drive, a, [bond1.amplitude, bond2.amplitude], cutoff)
-    f = _gauge_coefficients(G) if gauge is Gauge.STATIC_FREE else [0j, 0j]
-    value = _two_step(G, np.array([0]), np.array([1]), f, drive.omega)[0]
-    return TwoStepAmplitude(a[0], a[1], bond1.target_basis, value)
 
 
 def _order0_from_harmonics(lattice, harmonics) -> tuple:

@@ -59,6 +59,7 @@ from .lattice import (
     _bond_blocks,
     _check_k,
     _integer,
+    _items,
     _numbers,
     _pair_table,
     _real,
@@ -77,13 +78,10 @@ __all__ = [
     "match_distance",
     "quasienergies_from_propagator",
     "bloch_hamiltonian_t",
-    "offset_matrices_at_time",
     "propagate_period",
     "fit_power_law",
     "error_matrix",
     "scaling_errors",
-    "gauge_difference_errors",
-    "commutator_offsets",
     "magnus_commutator_probe",
 ]
 
@@ -265,8 +263,10 @@ def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int)
     """H(t) at wave vector k on every time the bond terms were built for."""
     d = lattice.basis_count
     H = np.zeros((n_times, d, d), dtype=complex)
+    # shaped (bonds, space_dim) also when a lattice has no bonds
+    R = np.array([r for _, _, r, _, _ in terms]).reshape(len(terms), len(k))
     # one scalar dot kernel per bond, as in bloch_matrix: R @ k rounds differently
-    kR = np.vecdot(np.array([R for _, _, R, _, _ in terms]), k)
+    kR = np.vecdot(R, k)
     for (target, source, _, amplitude, E), x in zip(terms, kR):
         H[:, target, source] += amplitude * np.exp(1j * x) * E
     return H
@@ -457,7 +457,7 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
 
 def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
     """Validated sweep inputs: (ascending omegas, their drives, k list)."""
-    ws = sorted(_real(w, "omegas entry") for w in omegas)
+    ws = sorted(_real(w, "omegas entry") for w in _items(omegas, "omegas"))
     if len(set(ws)) != len(ws):
         raise ValidationError("sweep frequencies must be distinct")
     if len(ws) < 4:
@@ -466,7 +466,7 @@ def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
         raise ValidationError(
             f"sweep must span at least a factor 8 in omega, got {ws[-1] / ws[0]:.3g}"
         )
-    k_list = [_check_k(k, lattice.space_dim) for k in k_set]
+    k_list = [_check_k(k, lattice.space_dim) for k in _items(k_set, "k_set")]
     if not k_list:
         raise ValidationError("k_set must be nonempty")
     drives = []
@@ -563,29 +563,9 @@ def scaling_errors(
     exact. With the first-order correction included it falls about as
     1/omega^2.
     """
-    orders = tuple(sorted({_integer(o, "orders entry") for o in orders}))
+    orders = tuple(sorted({_integer(o, "orders entry") for o in _items(orders, "orders")}))
     errors = _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff)
     return {o: e.max(axis=1) for o, e in zip(orders, errors)}
-
-
-def gauge_difference_errors(lattice: LatticeSpec, drive_family, k_set, omegas) -> np.ndarray:
-    """max over k of the matched distance between the two gauges' effective
-    spectra, per sweep frequency in ascending order. No propagation involved;
-    the difference shrinks one order faster than the truncation itself."""
-    ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
-    out = np.zeros(len(ws))
-    for iw, (w, drive) in enumerate(zip(ws, drives)):
-        mf = build_effective_model(lattice, drive, Gauge.FLOQUET)
-        ms = build_effective_model(lattice, drive, Gauge.STATIC_FREE)
-        out[iw] = max(
-            match_distance(
-                np.linalg.eigvalsh(effective_bloch(mf, k)),
-                np.linalg.eigvalsh(effective_bloch(ms, k)),
-                w,
-            )
-            for k in k_list
-        )
-    return out
 
 
 def commutator_offsets(lattice: LatticeSpec, drive: DriveSpec, t1: float, t2: float) -> tuple:

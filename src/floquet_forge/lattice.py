@@ -43,8 +43,6 @@ __all__ = [
     "classify_geometry",
     "bloch_matrix",
     "reciprocal_vectors",
-    "undriven_offsets",
-    "translational_identity_check",
 ]
 
 
@@ -467,15 +465,10 @@ def _bond_blocks(spec: LatticeSpec, values) -> dict:
     return table
 
 
-def undriven_offsets(spec: LatticeSpec) -> tuple:
-    """The bare tunneling matrices J_offset of the static Hamiltonian."""
-    return from_offset_dict(_bond_blocks(spec, [b.amplitude for b in spec.bonds]))
-
-
 def _torus_extents(torus, dim: int, offsets) -> tuple:
     """Integer torus extents, one per lattice dimension, each at least one
     cell and twice the largest component of the given cell offsets."""
-    extents = tuple(_integer(L, "torus extent") for L in torus)
+    extents = tuple(_integer(L, "torus extent") for L in _items(torus, "torus"))
     if len(extents) != dim:
         raise ValidationError(f"torus has {len(extents)} extents, lattice dimension is {dim}")
     max_off = max((abs(x) for off in offsets for x in off), default=0)
@@ -498,32 +491,3 @@ def _torus_matrix(table: dict, extents, d: int) -> np.ndarray:
             j = index[cj]
             M[i * d:(i + 1) * d, j * d:(j + 1) * d] += block
     return M
-
-
-def translational_identity_check(C, D, torus) -> float:
-    """Max deviation between the two-sided sum and the commutator sum.
-
-    For translationally invariant C and D on a torus,
-    sum_l (C_il D_lj - D_il C_lj) equals sum_l [C_il, D_lj] for all cells
-    (i, j); this evaluates both sides on the given torus extents and returns
-    the largest elementwise modulus of the difference.
-    """
-    tC = offset_dict(C)
-    tD = offset_dict(D)
-    if not tC or not tD:
-        raise ValidationError("offset sets must be nonempty")
-    d = next(iter(tC.values())).shape[0]
-    if next(iter(tD.values())).shape[0] != d:
-        raise ValidationError("C and D block sizes differ")
-    extents = _torus_extents(torus, len(next(iter(tC))), list(tC) + list(tD))
-    Cf = _torus_matrix(tC, extents, d)
-    Df = _torus_matrix(tD, extents, d)
-    n = Cf.shape[0] // d
-    lhs = Cf @ Df - Df @ Cf
-    # Commutator side: blockwise sum_l C_il D_lj - D_lj C_il. The first term
-    # is the (i, j) block of C @ D; the second needs the swapped block order.
-    C4 = Cf.reshape(n, d, n, d)
-    D4 = Df.reshape(n, d, n, d)
-    swapped = np.einsum("lajc,iclb->iajb", D4, C4).reshape(n * d, n * d)
-    rhs = Cf @ Df - swapped
-    return float(np.abs(lhs - rhs).max())

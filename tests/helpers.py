@@ -1,16 +1,32 @@
-"""Shared builders for randomized test inputs, and a propagation counter."""
+"""Shared builders for randomized test inputs, a propagation counter, and
+the oracles the tests check the package against."""
+
+from collections import namedtuple
 
 import numpy as np
 
 from floquet_forge import (
     Bond,
     DriveSpec,
+    Gauge,
     Harmonic,
     LatticeSpec,
+    build_effective_model,
     cli,
+    effective_bloch,
     floquet,
     lattice_harmonics,
+    match_distance,
     propagate_period,
+)
+from floquet_forge.drive import _harmonics_at
+from floquet_forge.effective import _gauge_coefficients, _two_step
+from floquet_forge.lattice import (
+    _bond_blocks,
+    _torus_extents,
+    _torus_matrix,
+    from_offset_dict,
+    offset_dict,
 )
 
 
@@ -208,3 +224,70 @@ def count_propagations(monkeypatch):
     monkeypatch.setattr(floquet, "propagate_period", counting)
     monkeypatch.setattr(cli, "propagate_period", counting)
     return calls
+
+
+def undriven_offsets(spec):
+    """The bare tunneling matrices J_offset of the static Hamiltonian."""
+    return from_offset_dict(_bond_blocks(spec, [b.amplitude for b in spec.bonds]))
+
+
+# one evaluated two-step process: first hop a_i, second hop a_j through the
+# named intermediate basis site
+TwoStepAmplitude = namedtuple("TwoStepAmplitude", "a_i a_j intermediate_basis value")
+
+
+def beta_general(lattice, drive, gauge, bond1, bond2):
+    """Two-step amplitude for hopping along ``bond1`` then ``bond2`` (they
+    must compose), all three lines of the general expression in ``gauge``:
+    the model builder's kernel on a one-pair stack, a second route to
+    ``beta_static_free``."""
+    a = np.array([lattice.displacement(bond1), lattice.displacement(bond2)])
+    _, G = _harmonics_at(drive, a, [bond1.amplitude, bond2.amplitude], None)
+    f = _gauge_coefficients(G) if gauge is Gauge.STATIC_FREE else [0j, 0j]
+    value = _two_step(G, np.array([0]), np.array([1]), f, drive.omega)[0]
+    return TwoStepAmplitude(a[0], a[1], bond1.target_basis, value)
+
+
+def gauge_difference_errors(lattice, drive_family, k_set, omegas):
+    """max over k of the matched distance between the two gauges' effective
+    spectra, per sweep frequency. No propagation involved; the difference
+    shrinks one order faster than the truncation itself."""
+    out = np.zeros(len(omegas))
+    for iw, w in enumerate(omegas):
+        drive = drive_family(w)
+        mf = build_effective_model(lattice, drive, Gauge.FLOQUET)
+        ms = build_effective_model(lattice, drive, Gauge.STATIC_FREE)
+        out[iw] = max(
+            match_distance(
+                np.linalg.eigvalsh(effective_bloch(mf, k)),
+                np.linalg.eigvalsh(effective_bloch(ms, k)),
+                w,
+            )
+            for k in k_set
+        )
+    return out
+
+
+def translational_identity_check(C, D, torus):
+    """Max deviation between the two-sided sum and the commutator sum.
+
+    For translationally invariant C and D on a torus,
+    sum_l (C_il D_lj - D_il C_lj) equals sum_l [C_il, D_lj] for all cells
+    (i, j); this evaluates both sides on the given torus extents (read by
+    the package's torus rule) and returns the largest elementwise modulus of
+    the difference.
+    """
+    tC, tD = offset_dict(C), offset_dict(D)
+    d = next(iter(tC.values())).shape[0]
+    extents = _torus_extents(torus, len(next(iter(tC))), list(tC) + list(tD))
+    Cf = _torus_matrix(tC, extents, d)
+    Df = _torus_matrix(tD, extents, d)
+    n = Cf.shape[0] // d
+    lhs = Cf @ Df - Df @ Cf
+    # Commutator side: blockwise sum_l C_il D_lj - D_lj C_il. The first term
+    # is the (i, j) block of C @ D; the second needs the swapped block order.
+    C4 = Cf.reshape(n, d, n, d)
+    D4 = Df.reshape(n, d, n, d)
+    swapped = np.einsum("lajc,iclb->iajb", D4, C4).reshape(n * d, n * d)
+    rhs = Cf @ Df - swapped
+    return float(np.abs(lhs - rhs).max())

@@ -12,7 +12,6 @@ from scipy.special import jv
 from floquet_forge import (
     Bond,
     Gauge,
-    beta_general,
     beta_static_free,
     build_effective_model,
     bz_grid,
@@ -22,26 +21,27 @@ from floquet_forge import (
     enumerate_processes,
     fit_power_law,
     fold,
-    gauge_difference_errors,
     lattice_harmonics,
     linear_drive,
     magnus_commutator_probe,
     match_distance,
-    offset_matrices_at_time,
     preset,
     propagate_period,
     rescale_drive,
     scaling_errors,
-    translational_identity_check,
     CouplingClass,
 )
+from floquet_forge.floquet import offset_matrices_at_time
 from floquet_forge.lattice import bloch_matrix, offset_dict
 from helpers import (
+    beta_general,
     chiral_two_harmonic,
     composable_pairs,
+    gauge_difference_errors,
     random_drive,
     random_offset_matrices,
     torus_hamiltonian,
+    translational_identity_check,
 )
 
 DRIVE_Z = 1.5

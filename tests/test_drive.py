@@ -198,6 +198,13 @@ def test_lattice_harmonics_share_one_cutoff():
     assert set(table) == set(lat.bonds)
 
 
+def test_linear_drive_refuses_a_non_vector_amplitude_naming_it():
+    # not "harmonic m=1: cos_amplitude must be a vector", a field the caller never passed
+    for amplitude in (5.0, [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="^amplitude must be a vector, got"):
+            linear_drive(10.0, amplitude)
+
+
 def test_harmonics_dimension_mismatch_is_refused():
     lat = preset("chain")
     with pytest.raises(ValidationError):

@@ -8,7 +8,6 @@ from floquet_forge import (
     Gauge,
     OffsetMatrix,
     ValidationError,
-    beta_general,
     beta_static_free,
     bloch_hamiltonian_t,
     bloch_matrix,
@@ -18,11 +17,11 @@ from floquet_forge import (
     lattice_harmonics,
     preset,
     reciprocal_vectors,
-    undriven_offsets,
 )
 from floquet_forge import effective
 from floquet_forge.lattice import from_offset_dict, is_hermitian_closed_offsets, offset_dict
 from helpers import (
+    beta_general,
     bloch_harmonics,
     chiral_two_harmonic,
     composable_pairs,
@@ -31,6 +30,7 @@ from helpers import (
     reference_lattice_harmonics,
     strong_drive,
     two_site_chain,
+    undriven_offsets,
 )
 
 
@@ -173,15 +173,6 @@ def test_general_form_reduces_to_fast_path_in_static_free_gauge():
         assert np.allclose(got.a_i, lat.displacement(b1))
         assert np.allclose(got.a_j, lat.displacement(b2))
         assert got.intermediate_basis == b1.target_basis
-
-
-def test_beta_rejects_non_composable_bonds():
-    lat = preset("kagome")
-    drive = circular_drive(10.0, 5.0)
-    b1 = lat.bonds[0]
-    bad = next(b for b in lat.bonds if b.source_basis != b1.target_basis)
-    with pytest.raises(ValidationError):
-        beta_general(lat, drive, Gauge.STATIC_FREE, b1, bad)
 
 
 def test_order0_matches_time_average():
@@ -398,17 +389,11 @@ def test_gauge_names_are_parsed_and_other_values_refused():
             build_effective_model(lat, drive, name, prune_tol=0.0).order1,
             build_effective_model(lat, drive, gauge, prune_tol=0.0).order1,
         )
-    b1, b2 = composable_pairs(lat)[0]
-    assert beta_general(lat, drive, "static-free", b1, b2).value == beta_general(
-        lat, drive, Gauge.STATIC_FREE, b1, b2
-    ).value
     for bad in ("magnus", 3, None, Gauge):
         with pytest.raises(ValidationError, match="gauge"):
             build_effective_model(lat, drive, bad)
         with pytest.raises(ValidationError, match="gauge"):
             build_effective_model(lat, drive, bad, prune_tol=0.0)
-        with pytest.raises(ValidationError, match="gauge"):
-            beta_general(lat, drive, bad, b1, b2)
 
 
 def test_effective_models_are_periodic_and_hermitian_closed():

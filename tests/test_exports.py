@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import floquet_forge
@@ -42,16 +43,15 @@ def test_public_api_is_pinned():
         "ConvergenceError", "Coupling", "CouplingClass", "CutoffTooSmallError",
         "DriveSpec", "EffectiveModel", "Gauge", "Geometry", "Harmonic", "KPath",
         "LatticeSpec", "OffsetMatrix", "PRESET_NAMES", "PowerLawFit", "ProcessClass",
-        "ProcessReport", "QuasiSpectrum", "TwoStepAmplitude", "TwoStepProcess",
-        "ValidationError", "__version__", "beta_general", "beta_static_free",
-        "bloch_hamiltonian_t", "bloch_matrix", "build_effective_model", "bz_grid",
-        "circular_drive", "classify_geometry", "commutator_offsets", "cross_validate",
-        "effective_bloch", "enumerate_processes", "error_matrix", "fit_power_law",
-        "fold", "gauge_difference_errors", "high_symmetry_points", "lattice_harmonics",
+        "ProcessReport", "QuasiSpectrum", "TwoStepProcess", "ValidationError",
+        "__version__", "beta_static_free", "bloch_hamiltonian_t", "bloch_matrix",
+        "build_effective_model", "bz_grid", "circular_drive", "classify_geometry",
+        "cross_validate", "effective_bloch", "enumerate_processes", "error_matrix",
+        "fit_power_law", "fold", "high_symmetry_points", "lattice_harmonics",
         "linear_drive", "magnus_commutator_probe", "match_distance", "match_permutation",
-        "named_kpath", "offset_matrices_at_time", "phase", "preset", "propagate_period",
+        "named_kpath", "phase", "preset", "propagate_period",
         "quasienergies_from_propagator", "reciprocal_vectors", "rescale_drive",
-        "scaling_errors", "translational_identity_check", "undriven_offsets",
+        "scaling_errors",
     ]
 
 
@@ -270,11 +270,67 @@ def test_exported_functions_read_their_arguments_through_one_rule():
     ]
 
 
+def _loads(tree):
+    """Every name and attribute the code under ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def _unused_exports(exported, src_trees, bench_trees, readme):
+    """Exported names that no source module reads outside the name's own
+    top-level definition, no benchmark script reads, and the README does not
+    name. Docstrings and strings do not count."""
+    used = set()
+    for tree in src_trees:
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            used.update(name for name in _loads(node) if name != owner)
+    for tree in bench_trees:
+        used.update(_loads(tree))
+    return [
+        name for name in exported
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+
+
+def test_every_export_is_used_outside_the_tests():
+    # the package exports what the CLI, the benchmark or a documented call
+    # uses; an oracle only tests call belongs in tests/helpers.py
+    root = Path(__file__).resolve().parents[1]
+    src = [ast.parse(p.read_text()) for p in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((root / "bench").glob("*.py"))]
+    readme = (root / "README.md").read_text()
+    assert _unused_exports(floquet_forge.__all__, src, bench, readme) == []
+    # the check itself can fail
+    sample_src = [ast.parse(
+        'def helper(x):\n'
+        '    """Calls docstring_only."""\n'
+        '    return helper(x)\n'
+        'class Spec:\n'
+        '    def at(self):\n'
+        '        return Spec()\n'
+        'def run(ff):\n'
+        '    return fold(1.0, 2.0), ff.scan, "string_only"\n'
+    )]
+    sample_bench = [ast.parse("ff.bench_only()\n")]
+    readme = "Call `documented`; `undocumented_x` is another name."
+    exported = ["helper", "Spec", "fold", "scan", "bench_only", "documented",
+                "undocumented", "docstring_only", "string_only"]
+    assert _unused_exports(exported, sample_src, sample_bench, readme) == [
+        "helper", "Spec", "undocumented", "docstring_only", "string_only"
+    ]
+
+
 def test_helpers_outside_the_api_stay_importable_but_unexported():
     from floquet_forge import floquet, kpath, lattice
 
     helpers = [
         (floquet, "thread_count"),
+        (floquet, "offset_matrices_at_time"),
+        (floquet, "commutator_offsets"),
         (kpath, "default_path"),
         (lattice, "offset_dict"),
         (lattice, "from_offset_dict"),

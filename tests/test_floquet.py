@@ -10,23 +10,21 @@ from floquet_forge import (
     DriveSpec,
     Gauge,
     Harmonic,
+    LatticeSpec,
     ValidationError,
     bloch_hamiltonian_t,
     bloch_matrix,
     build_effective_model,
     bz_grid,
     circular_drive,
-    commutator_offsets,
     effective_bloch,
     error_matrix,
     fit_power_law,
     fold,
-    gauge_difference_errors,
     linear_drive,
     magnus_commutator_probe,
     match_distance,
     match_permutation,
-    offset_matrices_at_time,
     phase,
     preset,
     propagate_period,
@@ -34,13 +32,18 @@ from floquet_forge import (
     rescale_drive,
     reciprocal_vectors,
     scaling_errors,
+)
+from floquet_forge import PRESET_NAMES, floquet, lattice
+from floquet_forge.floquet import commutator_offsets, offset_matrices_at_time, thread_count
+from floquet_forge.lattice import offset_dict
+from helpers import (
+    count_propagations,
+    gauge_difference_errors,
+    random_drive,
+    torus_hamiltonian,
     translational_identity_check,
     undriven_offsets,
 )
-from floquet_forge import PRESET_NAMES, floquet, lattice
-from floquet_forge.floquet import thread_count
-from floquet_forge.lattice import offset_dict
-from helpers import count_propagations, random_drive, torus_hamiltonian
 
 
 def test_fold_lands_in_half_open_window():
@@ -436,7 +439,19 @@ def test_sweep_preconditions():
 def test_sweeps_refuse_a_drive_family_that_returns_no_drive():
     # not a bare AttributeError on None.omega, which names no argument
     with pytest.raises(ValidationError, match="^drive_family must return a DriveSpec, got None"):
-        gauge_difference_errors(preset("chain"), lambda w: None, [[0.1]], [10.0, 20.0, 40.0, 80.0])
+        error_matrix(preset("chain"), lambda w: None, [[0.1]], [10.0, 20.0, 40.0, 80.0])
+
+
+def test_a_lattice_without_bonds_has_a_zero_hamiltonian():
+    # not a bare numpy ValueError from the bond stack of shape (0,)
+    empty = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())
+    drive = linear_drive(10.0, [5.0])
+    assert np.array_equal(bloch_hamiltonian_t(empty, drive, [0.3], 0.1), np.zeros((2, 2)))
+    spec = propagate_period(empty, drive, [0.3])
+    assert np.array_equal(spec.propagator, np.eye(2))
+    assert np.array_equal(spec.quasienergies, [0.0, 0.0])
+    with pytest.raises(ValidationError, match="^offset set is empty"):
+        error_matrix(empty, lambda w: linear_drive(w, [w]), [[0.3]], [10.0, 20.0, 40.0, 80.0])
 
 
 def test_times_must_be_finite():

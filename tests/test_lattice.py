@@ -26,30 +26,33 @@ from floquet_forge import (
     error_matrix,
     fit_power_law,
     fold,
-    gauge_difference_errors,
     lattice_harmonics,
     linear_drive,
     magnus_commutator_probe,
     match_distance,
     match_permutation,
     named_kpath,
-    offset_matrices_at_time,
     phase,
     preset,
     propagate_period,
     quasienergies_from_propagator,
     reciprocal_vectors,
     scaling_errors,
-    translational_identity_check,
-    undriven_offsets,
 )
 from floquet_forge import lattice
+from floquet_forge.floquet import offset_matrices_at_time
 from floquet_forge.lattice import (
     from_offset_dict,
     is_hermitian_closed_offsets,
     offset_dict,
 )
-from helpers import composable_pairs, random_drive, random_offset_matrices
+from helpers import (
+    composable_pairs,
+    random_drive,
+    random_offset_matrices,
+    translational_identity_check,
+    undriven_offsets,
+)
 
 
 def reference_bloch(offsets, k, bravais_vectors):
@@ -144,7 +147,7 @@ REAL_ARGUMENTS = {
     "f0": ("f0", lambda v: circular_drive(10.0, v)),
     "linear amplitude": ("amplitude", lambda v: linear_drive(10.0, [v])),
     "k": ("k", lambda v: propagate_period(KAGOME, DRIVE, [v, 0.2])),
-    "sweep k": ("k", lambda v: gauge_difference_errors(CHAIN, _chain_family, [[v]], OMEGAS)),
+    "sweep k": ("k", lambda v: error_matrix(CHAIN, _chain_family, [[v]], OMEGAS)),
     "sweep omega": (
         "omegas entry",
         lambda v: scaling_errors(CHAIN, _chain_family, [[0.1]], [v, 20.0, 40.0, 80.0]),
@@ -198,8 +201,8 @@ def test_numpy_scalars_and_numeric_arrays_are_read_as_numbers():
     # the same bits as from plain floats
     H = bloch_hamiltonian_t(KAGOME, DRIVE, np.array([1, 0]), np.float32(0.25))
     assert np.array_equal(H, bloch_hamiltonian_t(KAGOME, DRIVE, [1.0, 0.0], 0.25))
-    got = gauge_difference_errors(CHAIN, _chain_family, np.array([[0]]), np.array([10, 20, 40, 80]))
-    assert np.array_equal(got, gauge_difference_errors(CHAIN, _chain_family, [[0.0]], OMEGAS))
+    got = error_matrix(CHAIN, _chain_family, np.array([[0]]), np.array([10, 20, 40, 80]))
+    assert np.array_equal(got, error_matrix(CHAIN, _chain_family, [[0.0]], OMEGAS))
 
 
 UNREPRESENTABLE = {
@@ -226,6 +229,10 @@ SEQUENCE_ARGUMENTS = {
     "bonds": lambda: LatticeSpec(1, [[1.0]], [[0.0]], 5),
     "harmonics": lambda: DriveSpec(10.0, 5),
     "offset": lambda: OffsetMatrix(3, [[1.0]]),
+    "torus": lambda: magnus_commutator_probe(KAGOME, DRIVE, 0.1, 0.2, 4),
+    "orders": lambda: scaling_errors(CHAIN, _chain_family, [[0.1]], OMEGAS, orders=1),
+    "k_set": lambda: error_matrix(CHAIN, _chain_family, 3, OMEGAS),
+    "omegas": lambda: error_matrix(CHAIN, _chain_family, [[0.1]], 10),
 }
 
 
