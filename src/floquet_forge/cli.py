@@ -31,15 +31,9 @@ from .drive import (
 )
 from .effective import DEFAULT_PRUNE_TOL, Gauge, build_effective_model
 from .errors import ConsistencyError, ConvergenceError, ValidationError
-from .floquet import (
-    _first_occurrences,
-    _on_pool,
-    _truncated_bloch,
-    error_matrix,
-    fit_power_law,
-    match_permutation,
-    propagate_period,
-)
+from .floquet import _matched_spectra, error_matrix, fit_power_law
+# not called here: bench/selftest.py reads cli.propagate_period until ROADMAP item 1 lands
+from .floquet import propagate_period  # noqa: F401
 from .kpath import named_kpath
 from .lattice import Geometry, classify_geometry
 from .presets import PRESET_NAMES, preset
@@ -350,24 +344,14 @@ def _cmd_bands(args) -> int:
     kp = named_kpath(lattice, args.kpath, args.kpoints)
     outdir = _outdir(args)
     model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
-    first = _first_occurrences(kp.points)
-
-    def task(ik: int):
-        return propagate_period(lattice, drive, kp.points[ik])
-
-    spectra = _on_pool(task, [(ik,) for ik in sorted(set(first))])
+    E, Q = _matched_spectra(lattice, [drive], [model], kp.points, (args.order,))
 
     coord_names = [f"k_{i}" for i in range(lattice.space_dim)]
-    rows = []
-    for ik, k in enumerate(kp.points):
-        e = np.linalg.eigvalsh(_truncated_bloch(model, k, args.order))
-        quasi = spectra[(first[ik],)].quasienergies
-        perm = match_permutation(e, quasi, drive.omega)
-        for band in range(len(e)):
-            rows.append(
-                (float(kp.distances[ik]), *map(float, k), band, float(e[band]),
-                 float(quasi[perm[band]]))
-            )
+    rows = [
+        (float(kp.distances[ik]), *map(float, k), band, float(e), float(q))
+        for ik, k in enumerate(kp.points)
+        for band, (e, q) in enumerate(zip(E[0, 0, ik], Q[0, 0, ik]))
+    ]
     path = os.path.join(outdir, "bands.csv")
     write_csv(
         path,

@@ -25,19 +25,19 @@ H(t) and instantaneous offset matrices); on the integrator nodes they are
 built once per (lattice, drive, step count) and kept in a small bounded
 cache of read-only arrays, so every k of a sweep reuses them.
 
-Every propagating sweep goes through one core, ``_sweep_errors``: it
-validates the inputs once, builds one effective model per omega, propagates
-each bit-distinct (omega, k) point once for all truncation orders (a k that
-repeats, such as the closing vertex of a k-path, gets its first occurrence's
-results, which are the bits a recomputation would give), and returns the
-matched distances with shape (order, omega, k). ``error_matrix`` and
-``scaling_errors`` are reductions of that array. The (omega, k) points are
-embarrassingly parallel; one thread pool, ``_on_pool``, runs them and the
-per-k propagations of ``cli bands``, which skips repeated k the same way.
-Workers share only the cache above, which is thread-safe (two workers missing
-the same entry both build it, with identical results). Results are gathered
-by task key. The pool size is capped by the FLOQUET_FORGE_THREADS environment
-variable (0 or unset means one worker per CPU).
+Effective and exact spectra are compared in one core, ``_matched_spectra``,
+behind the sweeps and ``cli bands``. It takes every effective spectrum first
+(order 1 adds its blocks to the point's one order-0 Bloch matrix), so a model
+that cannot be evaluated fails before any propagation, then propagates each
+bit-distinct (omega, k) point once for all orders (a repeated k, such as the
+closing vertex of a k-path, gets its first occurrence's bits) and matches
+each spectrum once. ``error_matrix`` and ``scaling_errors`` reduce its result
+through ``_sweep_errors``. The (omega, k) points run on one thread pool,
+``_on_pool``. Workers share only the cache above, which is thread-safe (two
+workers missing the same entry both build it, with identical results).
+Results are gathered by task key. The pool size is capped by the
+FLOQUET_FORGE_THREADS environment variable (0 or unset means one worker per
+CPU).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import DriveSpec, _check_drive_dim, _check_omega, phase
-from .effective import EffectiveModel, Gauge, build_effective_model, effective_bloch
+from .effective import Gauge, build_effective_model
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
@@ -456,7 +456,7 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
 
 
 def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
-    """Validated sweep inputs: (ascending omegas, their drives, k list)."""
+    """Validated sweep inputs: (drives in ascending omega, k list)."""
     ws = sorted(_real(w, "omegas entry") for w in _items(omegas, "omegas"))
     if len(set(ws)) != len(ws):
         raise ValidationError("sweep frequencies must be distinct")
@@ -478,14 +478,7 @@ def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
             raise ValidationError(f"drive_family returned omega {drive.omega}, expected {w}")
         _check_drive_dim(lattice, drive)
         drives.append(drive)
-    return ws, drives, k_list
-
-
-def _truncated_bloch(model: EffectiveModel, k, order: int) -> np.ndarray:
-    """Bloch matrix of the effective model truncated at ``order`` (0 or 1)."""
-    if order == 0:
-        return bloch_matrix(model.order0, k, model.bravais_vectors)
-    return effective_bloch(model, k)
+    return drives, k_list
 
 
 def _first_occurrences(points) -> list:
@@ -499,6 +492,37 @@ def _first_occurrences(points) -> list:
     return [seen.setdefault((a.shape, a.tobytes()), i) for i, a in enumerate(points)]
 
 
+def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
+    """(E, Q), both shaped (orders, drives, k, basis): E holds the spectra of
+    ``models`` truncated at each of ``orders`` (0 or 1), Q the exact
+    quasienergies of ``drives`` that ``match_permutation`` pairs with them.
+    Every E is taken before any propagation; order 1 adds its blocks to the
+    point's one order-0 Bloch matrix, as ``effective_bloch`` does. Each
+    bit-distinct (drive, k) is propagated once; a repeated k copies its first
+    occurrence."""
+    first = _first_occurrences(k_list)
+    distinct = sorted(set(first))
+    E = np.zeros((len(orders), len(drives), len(k_list), lattice.basis_count))
+    for iw, model in enumerate(models):
+        for ik in distinct:
+            H0 = bloch_matrix(model.order0, k_list[ik], model.bravais_vectors)
+            H1 = H0
+            if 1 in orders and model.order1:
+                H1 = H0 + bloch_matrix(model.order1, k_list[ik], model.bravais_vectors)
+            for io, o in enumerate(orders):
+                E[io, iw, ik] = np.linalg.eigvalsh(H1 if o else H0)
+
+    def task(iw: int, ik: int) -> np.ndarray:
+        return propagate_period(lattice, drives[iw], k_list[ik]).quasienergies
+
+    exact = _on_pool(task, [(iw, ik) for iw in range(len(drives)) for ik in distinct])
+    Q = np.zeros_like(E)
+    for (iw, ik), eps in exact.items():
+        for io in range(len(orders)):
+            Q[io, iw, ik] = eps[match_permutation(E[io, iw, ik], eps, drives[iw].omega)]
+    return E[:, :, first], Q[:, :, first]
+
+
 def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff) -> np.ndarray:
     """Matched distances between exact quasienergies and the effective
     spectrum truncated at each of ``orders``, shape (orders, omega, k) with
@@ -507,22 +531,11 @@ def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff) -
     if not orders or any(o not in (0, 1) for o in orders):
         raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
     gauge = Gauge.parse(gauge)
-    ws, drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
+    drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
     models = [build_effective_model(lattice, drive, gauge, cutoff) for drive in drives]
-    first = _first_occurrences(k_list)
-
-    def task(iw: int, ik: int) -> np.ndarray:
-        return propagate_period(lattice, drives[iw], k_list[ik]).quasienergies
-
-    distinct = sorted(set(first))
-    exact = _on_pool(task, [(iw, ik) for iw in range(len(ws)) for ik in distinct])
-
-    out = np.zeros((len(orders), len(ws), len(k_list)))
-    for (iw, ik), eps in exact.items():
-        for io, o in enumerate(orders):
-            e = np.linalg.eigvalsh(_truncated_bloch(models[iw], k_list[ik], o))
-            out[io, iw, ik] = match_distance(e, eps, ws[iw])
-    return out[:, :, first]
+    E, Q = _matched_spectra(lattice, drives, models, k_list, orders)
+    errors = [np.abs(fold(E[:, i] - Q[:, i], d.omega)).max(axis=-1) for i, d in enumerate(drives)]
+    return np.stack(errors, axis=1)
 
 
 def error_matrix(

@@ -27,6 +27,7 @@ import cmath
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -137,6 +138,14 @@ class Bond:
             )
         if self.amplitude == 0:
             raise ValidationError(f"bond {self._label()}: amplitude must be nonzero")
+        # |j|^2 feeds the Parseval tail and the pruning thresholds; it must be
+        # a normal float. hypot and * give inf, where abs() and ** 2 would raise.
+        size = math.hypot(self.amplitude.real, self.amplitude.imag)
+        if not sys.float_info.min <= size * size <= sys.float_info.max:
+            raise ValidationError(
+                f"bond {self._label()}: |amplitude|^2 must be a finite normal float "
+                f"(|amplitude| within about [1.5e-154, 1.3e154]), got {self.amplitude}"
+            )
         if self.target_basis == self.source_basis and not any(self.cell_offset):
             raise ValidationError(
                 f"bond {self._label()}: a site cannot tunnel to itself with zero offset"

@@ -11,8 +11,9 @@ from floquet_forge import (
     Gauge,
     Harmonic,
     LatticeSpec,
+    bloch_matrix,
     build_effective_model,
-    cli,
+    effective,
     effective_bloch,
     floquet,
     lattice_harmonics,
@@ -212,9 +213,9 @@ def reference_lattice_harmonics(lattice, drive, cutoff=None):
 
 
 def count_propagations(monkeypatch):
-    """Wrap propagate_period where the sweep core and ``cli bands`` call it;
-    the returned list gets each call's k (list.append is atomic, so pool
-    threads may share it)."""
+    """Wrap propagate_period where the comparison core behind the sweeps and
+    ``cli bands`` calls it; the returned list gets each call's k
+    (list.append is atomic, so pool threads may share it)."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -222,7 +223,20 @@ def count_propagations(monkeypatch):
         return propagate_period(*args, **kwargs)
 
     monkeypatch.setattr(floquet, "propagate_period", counting)
-    monkeypatch.setattr(cli, "propagate_period", counting)
+    return calls
+
+
+def count_bloch_matrices(monkeypatch):
+    """Wrap bloch_matrix where the comparison core and ``effective_bloch``
+    look it up; the returned list gets each call's k as bytes."""
+    calls = []
+
+    def counting(offsets, k, bravais_vectors):
+        calls.append(np.asarray(k, dtype=float).tobytes())
+        return bloch_matrix(offsets, k, bravais_vectors)
+
+    monkeypatch.setattr(floquet, "bloch_matrix", counting)
+    monkeypatch.setattr(effective, "bloch_matrix", counting)
     return calls
 
 

@@ -22,7 +22,7 @@ from floquet_forge import (
 from floquet_forge.cli import _build_parser, main
 from floquet_forge.config import load_config
 from floquet_forge.floquet import offset_matrices_at_time
-from helpers import count_propagations
+from helpers import count_bloch_matrices, count_propagations
 
 
 def run(capsys, *argv):
@@ -331,6 +331,25 @@ def test_cutoff_overflow_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("amplitude", ["1e160", "1e-200", "1e-160"])
+def test_config_amplitude_whose_square_is_not_a_normal_float_exits_1(tmp_path, capsys, amplitude):
+    # |j|^2 used to overflow (OverflowError), vanish (ZeroDivisionError) or
+    # lose its digits (a false "cutoff too small") in the harmonics and thresholds
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[lattice]\ndimension = 1\nbravais = [[1.0, 0.0]]\nbasis = [[0.0, 0.0], [0.5, 0.5]]\n"
+        f"bond = {{to = 1, from = 0, offset = [0], amplitude_re = {amplitude}}}\n"
+        "[drive]\nomega = 12.5\nharmonic = {m = 1, a = [6.0, 0.0]}\n"
+    )
+    out_dir = tmp_path / "out"
+    for command in ("effective", "selection-rules", "bands", "fourier"):
+        code, out, err = run(capsys, command, "--config", str(cfg), "--output", str(out_dir))
+        assert code == 1, command
+        assert err.startswith("error:") and err.count("\n") == 1 and not out, command
+        assert "|amplitude|^2 must be a finite normal float" in err, command
+    assert not out_dir.exists()
+
+
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys):
     # a boolean used to be read as 1, a string or list amplitude to raise an
     # uncaught ValueError or TypeError, and ragged rows an uncaught ValueError
@@ -386,6 +405,18 @@ def test_repeated_path_points_are_propagated_once(tmp_path, capsys, monkeypatch)
         rows = list(csv.DictReader(fh))
     # the closing Gamma (last 3 rows) repeats the opening one's quasienergies
     assert [r["quasienergy"] for r in rows[:3]] == [r["quasienergy"] for r in rows[-3:]]
+
+
+def test_bands_builds_one_bloch_set_per_distinct_path_point(tmp_path, capsys, monkeypatch):
+    # kagome's GMKG repeats only its closing Gamma: 24 distinct points of 25,
+    # each with its order-0 and order-1 Bloch matrix
+    calls = count_bloch_matrices(monkeypatch)
+    code, _, err = run(
+        capsys, "bands", "--preset", "kagome", "--omega", "25", "--circular", "30",
+        "--kpath", "GMKG", "--kpoints", "8", "--output", str(tmp_path),
+    )
+    assert code == 0, err
+    assert len(calls) == 2 * 24 and len(set(calls)) == 24
 
 
 def test_empty_kpath_exits_1(tmp_path, capsys):

@@ -324,6 +324,47 @@ def test_every_export_is_used_outside_the_tests():
     ]
 
 
+def _unused_imports(tree):
+    """Names a module imports but never reads (``__future__`` and star
+    imports aside)."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in loaded]
+
+
+def test_src_imports_are_used():
+    # an import nothing reads is dead weight that no linter here flags. The
+    # one exception: bench/selftest.py reads cli.propagate_period to check
+    # that the tracer restores it (ROADMAP item 1 removes that pin)
+    allowed = {("cli.py", "propagate_period")}
+    found = [
+        (path.name, name)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert [f for f in found if f not in allowed] == []
+    # the check itself can fail
+    sample = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "import numpy as np\n"
+        "from .drive import *\n"
+        "from .lattice import _check_k, bloch_matrix as bm\n"
+        "def f(k: np.ndarray):\n"
+        "    return bm(os.sep, k)\n"
+    )
+    assert _unused_imports(ast.parse(sample)) == ["_check_k"]
+    assert _unused_imports(ast.parse("import sys\nx = y.sys\n")) == ["sys"]
+
+
 def test_helpers_outside_the_api_stay_importable_but_unexported():
     from floquet_forge import floquet, kpath, lattice
 

@@ -37,6 +37,7 @@ from floquet_forge import PRESET_NAMES, floquet, lattice
 from floquet_forge.floquet import commutator_offsets, offset_matrices_at_time, thread_count
 from floquet_forge.lattice import offset_dict
 from helpers import (
+    count_bloch_matrices,
     count_propagations,
     gauge_difference_errors,
     random_drive,
@@ -452,6 +453,31 @@ def test_a_lattice_without_bonds_has_a_zero_hamiltonian():
     assert np.array_equal(spec.quasienergies, [0.0, 0.0])
     with pytest.raises(ValidationError, match="^offset set is empty"):
         error_matrix(empty, lambda w: linear_drive(w, [w]), [[0.3]], [10.0, 20.0, 40.0, 80.0])
+
+
+def test_a_sweep_over_a_model_without_bonds_fails_before_any_propagation(monkeypatch):
+    # every effective spectrum is taken first: the empty order-0 set is
+    # refused before the 4 x 3 propagations, not after them
+    empty = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())
+    calls = count_propagations(monkeypatch)
+    sweep = ([[0.1], [0.2], [0.3]], [10.0, 20.0, 40.0, 80.0])
+    for call in (error_matrix, scaling_errors):
+        with pytest.raises(ValidationError, match="^offset set is empty"):
+            call(empty, lambda w: linear_drive(w, [w]), *sweep)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, per_point", [("kagome", 2), ("chain", 1)])
+def test_each_sweep_point_builds_its_order_0_bloch_matrix_once(monkeypatch, name, per_point):
+    # order 1 adds its blocks to the order-0 matrix instead of rebuilding it;
+    # the chain's order 1 is empty, so order 0 serves both orders
+    lat = preset(name)
+    base = circular_drive(10.0, 15.0) if lat.space_dim == 2 else linear_drive(10.0, [15.0])
+    ks = [np.full(lat.space_dim, 0.3), np.full(lat.space_dim, -0.7)]
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    calls = count_bloch_matrices(monkeypatch)
+    scaling_errors(lat, lambda w: rescale_drive(base, w), ks + ks[:1], omegas, orders=(0, 1))
+    assert len(calls) == per_point * len(omegas) * len(ks)
 
 
 def test_times_must_be_finite():

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from floquet_forge import (
     bz_grid,
     circular_drive,
     classify_geometry,
+    cross_validate,
     effective_bloch,
     enumerate_processes,
     error_matrix,
@@ -265,14 +267,42 @@ def test_lattice_rejects_degenerate_geometry():
 
 
 def test_non_finite_lattice_input_is_refused():
-    with pytest.raises(ValidationError, match="amplitude must be finite"):
-        Bond(0, 0, (1,), float("nan"))
-    with pytest.raises(ValidationError, match="amplitude must be finite"):
-        Bond(0, 0, (1,), complex(1.0, float("inf")))
     with pytest.raises(ValidationError, match="basis_sites must be finite"):
         LatticeSpec(1, [[1.0, 0.0]], [[0.0, 0.0], [0.5, float("nan")]], ())
     with pytest.raises(ValidationError, match="bravais_vectors must be finite"):
         LatticeSpec(2, [[1.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0]], ())
+
+
+NOT_NORMAL = r"\|amplitude\|\^2 must be a finite normal float"
+
+
+@pytest.mark.parametrize("amplitude, message", [
+    (float("nan"), "amplitude must be finite"),
+    (complex(1.0, float("inf")), "amplitude must be finite"),
+    # |j|^2 enters the Parseval tail and the pruning thresholds: beyond about
+    # 1.3e154 it overflows, below about 1.5e-154 it loses digits or vanishes
+    (1e160, NOT_NORMAL),
+    (-1e-200, NOT_NORMAL),
+    (1e-160, NOT_NORMAL),
+    (1.4e-154, NOT_NORMAL),
+    (1.35e154, NOT_NORMAL),
+    (1e-160j, NOT_NORMAL),
+    (complex(1.7e308, 1.7e308), NOT_NORMAL),
+])
+def test_bond_amplitude_must_be_finite_with_a_normal_square(amplitude, message):
+    with pytest.raises(ValidationError, match=rf"^bond \(0<-0, offset=\(1,\)\): {message}"):
+        Bond(0, 0, (1,), amplitude)
+
+
+@pytest.mark.parametrize("amplitude", [1e-150, 1.6e-154, -1e150, 1.3e154, 1.6e-154j])
+def test_amplitudes_near_the_ends_of_the_range_give_a_checked_model(amplitude):
+    # the zig-zag chain has a first-order term, so the Parseval tail, the
+    # pruning threshold and the cross-check's threshold all see |j|^2
+    lat = preset("zigzag", amplitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = build_effective_model(lat, circular_drive(10.0, 15.0))
+        assert cross_validate(enumerate_processes(lat), model).consistent
 
 
 def test_ragged_or_nested_rows_are_refused_naming_the_field():
