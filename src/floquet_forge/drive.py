@@ -130,7 +130,9 @@ def phase(drive: DriveSpec, a, t):
 
     Analytic in t (scalar or array); periodic with the drive period. A stack
     of displacements, shape (rows, dim), gives one row of phases per
-    displacement, shape (rows,) + t.shape.
+    displacement, shape (rows,) + t.shape. A phase that is not finite
+    (F.a/(m w) or m w t beyond the float range) raises ValidationError
+    naming the harmonic.
     """
     a = _numbers(a, "a", float)
     t = _numbers(t, "t", float)
@@ -140,11 +142,17 @@ def phase(drive: DriveSpec, a, t):
     lead = a.shape[:-1] + (1,) * t.ndim
     w = drive.omega
     chi = np.zeros(a.shape[:-1] + t.shape)
-    for h in drive.harmonics:
-        # vecdot runs the scalar dot kernel per row: rows @ a rounds differently
-        ca = np.vecdot(rows, h.cos_amplitude).reshape(lead) / (h.m * w)
-        sa = np.vecdot(rows, h.sin_amplitude).reshape(lead) / (h.m * w)
-        chi = chi + ca * np.sin(h.m * w * t) - sa * np.cos(h.m * w * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in drive.harmonics:
+            # vecdot runs the scalar dot kernel per row: rows @ a rounds differently
+            ca = np.vecdot(rows, h.cos_amplitude).reshape(lead) / (h.m * w)
+            sa = np.vecdot(rows, h.sin_amplitude).reshape(lead) / (h.m * w)
+            chi = chi + ca * np.sin(h.m * w * t) - sa * np.cos(h.m * w * t)
+            if not np.isfinite(chi).all():
+                raise ValidationError(
+                    f"harmonic m={h.m}: bond phase is not finite "
+                    f"(F.a/(m omega) or m omega t overflows at omega={w:g})"
+                )
     return chi if chi.ndim else float(chi)
 
 
@@ -262,7 +270,8 @@ def rescale_drive(drive: DriveSpec, omega: float) -> DriveSpec:
     """
     omega = _check_omega(omega)
     r = omega / drive.omega
-    hs = tuple(
-        Harmonic(h.m, r * h.cos_amplitude, r * h.sin_amplitude) for h in drive.harmonics
-    )
+    with np.errstate(over="ignore"):  # Harmonic refuses an amplitude that overflows
+        hs = tuple(
+            Harmonic(h.m, r * h.cos_amplitude, r * h.sin_amplitude) for h in drive.harmonics
+        )
     return DriveSpec(omega, hs)

@@ -178,7 +178,7 @@ def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple
     threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
     pruned = {}
     for off, m in summed.items():
-        m = np.where(np.abs(m) < threshold, 0.0, m) if threshold > 0 else m
+        m = np.where(np.abs(m) < threshold, 0.0, m)
         if np.any(m != 0):
             pruned[off] = m
     return from_offset_dict(pruned)

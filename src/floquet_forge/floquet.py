@@ -64,7 +64,6 @@ from .lattice import (
     _pair_table,
     _real,
     _torus_extents,
-    _torus_matrix,
     bloch_matrix,
     from_offset_dict,
     offset_dict,
@@ -214,9 +213,14 @@ def quasienergies_from_propagator(U: np.ndarray, omega: float) -> np.ndarray:
 
     Each eigenvalue lambda of U contributes -arg(lambda)/T folded into
     (-omega/2, omega/2]. Only eigenvalues of U are taken to a log branch,
-    never the matrix itself.
+    never the matrix itself. ``U`` must be a finite square matrix.
     """
-    lam = np.linalg.eigvals(_numbers(U, "U", complex))
+    U = _numbers(U, "U", complex)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise ValidationError(f"U must be a square matrix, got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise ValidationError("U must be finite, got a NaN or infinite entry")
+    lam = np.linalg.eigvals(U)
     eps = -np.angle(lam) * omega / (2.0 * np.pi)
     return np.sort(fold(eps, omega))
 
@@ -610,12 +614,18 @@ def magnus_commutator_probe(
 ) -> float:
     """Largest commutator matrix element of [H(t1), H(t2)] on a finite torus.
 
-    Zero for every single-site-basis lattice (blocks are scalars) and for
-    t1 = t2; a generically nonzero value signals that the leading effective
-    Hamiltonian cannot be exact. Torus extents must cover twice the largest
-    bond offset.
+    Zero for every single-site-basis lattice (blocks are scalars), for t1 =
+    t2 and without bonds; a generically nonzero value signals that the
+    leading effective Hamiltonian cannot be exact. Torus extents must cover
+    twice the largest bond offset. Every block row of the torus matrix holds
+    the sums, in ascending offset order, of the classes whose offsets agree
+    modulo the extents, so the cost does not grow with the torus.
     """
-    table = offset_dict(commutator_offsets(lattice, drive, t1, t2))
+    offsets = commutator_offsets(lattice, drive, t1, t2)
     extents = _torus_extents(torus, lattice.dimension, [b.cell_offset for b in lattice.bonds])
-    M = _torus_matrix(table, extents, lattice.basis_count)
-    return float(np.abs(M).max())
+    d = lattice.basis_count
+    sums = {}
+    for om in offsets:
+        r = tuple(x % L for x, L in zip(om.offset, extents))
+        sums[r] = sums.get(r, np.zeros((d, d), dtype=complex)) + om.matrix
+    return max((float(np.abs(m).max()) for m in sums.values()), default=0.0)

@@ -30,7 +30,6 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
@@ -487,16 +486,3 @@ def _torus_extents(torus, dim: int, offsets) -> tuple:
         )
     return extents
 
-
-def _torus_matrix(table: dict, extents, d: int) -> np.ndarray:
-    """Periodize an offset set onto a finite torus as one dense matrix."""
-    cells = list(product(*[range(L) for L in extents]))
-    index = {c: i for i, c in enumerate(cells)}
-    n = len(cells)
-    M = np.zeros((n * d, n * d), dtype=complex)
-    for ci, i in index.items():
-        for off, block in table.items():
-            cj = tuple((a - o) % L for a, o, L in zip(ci, off, extents))
-            j = index[cj]
-            M[i * d:(i + 1) * d, j * d:(j + 1) * d] += block
-    return M

@@ -9,6 +9,7 @@ serialization time). Complex values become {"re": .., "im": ..} objects.
 from __future__ import annotations
 
 import csv
+import json
 from enum import Enum
 
 import numpy as np
@@ -38,21 +39,6 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _json_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
 def _render(obj, pad: str) -> str:
     nxt = pad + "  "
     if isinstance(obj, Enum):
@@ -60,7 +46,7 @@ def _render(obj, pad: str) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return _json_string(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -76,7 +62,7 @@ def _render(obj, pad: str) -> str:
         if not obj:
             return "{}"
         items = [
-            f"{nxt}{_json_string(str(k))}: {_render(v, nxt)}" for k, v in obj.items()
+            f"{nxt}{_render(str(k), nxt)}: {_render(v, nxt)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

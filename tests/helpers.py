@@ -25,7 +25,6 @@ from floquet_forge.effective import _gauge_coefficients, _two_step
 from floquet_forge.lattice import (
     _bond_blocks,
     _torus_extents,
-    _torus_matrix,
     from_offset_dict,
     offset_dict,
 )
@@ -97,8 +96,8 @@ def bloch_harmonics(lattice, drive, ks):
 
 
 def torus_hamiltonian(table, extents, block):
-    """Dense periodized matrix, rebuilt with plain index loops as an
-    independent route to the package's offset-class periodization."""
+    """Dense periodized matrix, built with plain index loops: the tests' one
+    dense torus, an independent route to the package's offset-class sums."""
     from itertools import product
 
     cells = list(product(*[range(L) for L in extents]))
@@ -294,8 +293,8 @@ def translational_identity_check(C, D, torus):
     tC, tD = offset_dict(C), offset_dict(D)
     d = next(iter(tC.values())).shape[0]
     extents = _torus_extents(torus, len(next(iter(tC))), list(tC) + list(tD))
-    Cf = _torus_matrix(tC, extents, d)
-    Df = _torus_matrix(tD, extents, d)
+    Cf = torus_hamiltonian(tC, extents, d)
+    Df = torus_hamiltonian(tD, extents, d)
     n = Cf.shape[0] // d
     lhs = Cf @ Df - Df @ Cf
     # Commutator side: blockwise sum_l C_il D_lj - D_lj C_il. The first term

@@ -250,6 +250,8 @@ def test_runtime_imports_no_scipy(tmp_path):
 
 
 def test_cli_validation_failures_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('[lattice]\npreset = "kagome"\n[drive]\nomega = 18.0\nharmonic = {m = 1, a = [12.0, 0.0]}\n')
     bad = [
         ["check-geometry"],
         ["check-geometry", "--preset", "cubic"],
@@ -264,6 +266,64 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err.lower(), argv
+    # the refusals of the lattice and drive flags, each by its message
+    named = [
+        (["--preset", "chain", "--config", str(cfg)], "give either --preset or --config, not both"),
+        (["--config", str(cfg), "--omega", "5", "--circular", "1"],
+         "drive given both in config [drive] and on the command line"),
+        (["--preset", "chain", "--circular", "1"], "--circular/--linear require --omega"),
+        (["--preset", "kagome", "--omega", "5", "--circular", "1", "--linear", "1,2"],
+         "give either --circular or --linear, not both"),
+        (["--preset", "chain", "--omega", "5"], "--omega requires --circular or --linear"),
+        (["--preset", "chain", "--omega", "5", "--linear", "1,x"],
+         "--linear must be comma-separated numbers, got '1,x'"),
+    ]
+    for argv, message in named:
+        code, out, err = run(capsys, "fourier", *argv, "--output", str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_overflowing_drive_phase_exits_1_with_one_line(tmp_path, capsys):
+    # F.a/omega = 1e310: numpy warnings and a false "Parseval tail mass nan" before
+    code, out, err = run(
+        capsys, "bands", "--preset", "chain", "--omega", "1e-300", "--linear", "1e10",
+        "--output", str(tmp_path),
+    )
+    assert code == 1 and not out
+    assert err == (
+        "error: harmonic m=1: bond phase is not finite "
+        "(F.a/(m omega) or m omega t overflows at omega=1e-300)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    # verify rescales the drive to omega = 10 first: its amplitude overflows
+    code, out, err = run(
+        capsys, "verify", "--preset", "chain", "--omega", "1e-300", "--linear", "1e10",
+        "--output", str(tmp_path),
+    )
+    assert code == 1 and not out
+    assert err == "error: harmonic m=1: cos_amplitude must be finite, got [inf]\n"
+
+
+def test_verification_failures_exit_2(tmp_path, capsys):
+    # a slope the order cannot promise: both artifacts are written, then exit 2
+    code, _, err = run(
+        capsys, "verify", "--preset", "zigzag", "--omega", "4", "--circular", "24",
+        "--order", "1", "--omegas", "1,2,4,8", "--kpoints", "1", "--output", str(tmp_path / "slope"),
+    )
+    assert code == 2
+    assert err.startswith("inconsistency: fitted error slope ")
+    assert err.endswith(" is shallower than -2 + 0.3 margin\n")
+    assert json.loads((tmp_path / "slope" / "verify.json").read_text())["passed"] is False
+    # order 0 is exact on a one-point basis: every error is at the floor, no fit
+    with pytest.warns(RuntimeWarning, match="numerical error floor"):
+        code, _, err = run(
+            capsys, "verify", "--preset", "chain", "--omega", "10", "--linear", "13",
+            "--order", "0", "--kpoints", "1", "--output", str(tmp_path / "floor"),
+        )
+    assert code == 2
+    assert err.startswith("inconsistency: fewer than two sweep points above the error floor")
+    assert list((tmp_path / "floor").iterdir()) == []
 
 
 def test_cli_surface_is_pinned():

@@ -196,6 +196,56 @@ def test_lattice_requires_bond_and_integer_offsets():
         )
 
 
+_HARMONIC = {"m": 1, "a": [1.0, 0.0]}
+
+# structural refusals of the two sections: (a call, the start of its message)
+STRUCTURE_REFUSALS = {
+    "bond not a table": (
+        lambda: lattice_from_items(ZIGZAG_LATTICE + [("bond", 5)]),
+        r"\[lattice\] bond #3 must be an inline table",
+    ),
+    "offset not a list": (
+        lambda: lattice_from_items(_zigzag(offset=0)),
+        r"\[lattice\] bond #1: 'offset' must be a list",
+    ),
+    "missing lattice key": (
+        lambda: lattice_from_items(ZIGZAG_LATTICE[:2] + ZIGZAG_LATTICE[3:]),
+        r"\[lattice\] missing key 'basis'",
+    ),
+    "unknown lattice key": (
+        lambda: lattice_from_items(ZIGZAG_LATTICE + [("colour", 1)]),
+        r"\[lattice\] unknown key 'colour'",
+    ),
+    "repeated lattice key": (
+        lambda: lattice_from_items(ZIGZAG_LATTICE + [("dimension", 1)]),
+        r"\[lattice\] key 'dimension' given more than once",
+    ),
+    "harmonic not a table": (
+        lambda: drive_from_items([("omega", 5), ("harmonic", 5)]),
+        r"\[drive\] harmonic #1 must be an inline table",
+    ),
+    "unknown harmonic key": (
+        lambda: drive_from_items([("omega", 5), ("harmonic", {**_HARMONIC, "c": 2})]),
+        r"\[drive\] harmonic #1: unknown key 'c'",
+    ),
+    "harmonic without m": (
+        lambda: drive_from_items([("omega", 5), ("harmonic", {"a": [1.0, 0.0]})]),
+        r"\[drive\] harmonic #1: missing key 'm'",
+    ),
+    "unknown drive key": (
+        lambda: drive_from_items([("omega", 5), ("phase", 0.5)]),
+        r"\[drive\] unknown key 'phase'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STRUCTURE_REFUSALS)
+def test_structure_refusals_name_the_section_and_key(case):
+    call, message = STRUCTURE_REFUSALS[case]
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        call()
+
+
 def test_drive_from_items():
     d = drive_from_items([("omega", 5), ("harmonic", {"m": 1, "a": [1.0, 0.0]})])
     assert d.omega == 5.0
@@ -242,6 +292,10 @@ def test_load_config_reports_missing_file_and_dim_mismatch(tmp_path):
     q.write_text('[lattice]\npreset = "lieb"\n')
     cfg = load_config(q)
     assert cfg.drive is None
+    r = tmp_path / "nolattice.cfg"
+    r.write_text("[drive]\nomega = 5.0\n")
+    with pytest.raises(ValidationError, match=r"^config has no \[lattice\] section"):
+        load_config(r)
 
 
 def _zigzag(dimension=1, **bond):

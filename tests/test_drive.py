@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,14 +10,19 @@ from floquet_forge import (
     DriveSpec,
     Harmonic,
     ValidationError,
+    bloch_hamiltonian_t,
+    build_effective_model,
     circular_drive,
     lattice_harmonics,
     linear_drive,
+    magnus_commutator_probe,
     phase,
     preset,
+    propagate_period,
     rescale_drive,
 )
 from floquet_forge import PRESET_NAMES
+from floquet_forge.floquet import offset_matrices_at_time
 from floquet_forge.drive import MAX_CUTOFF, _harmonics_at
 from floquet_forge.lattice import _pair_table
 from helpers import (
@@ -117,6 +124,40 @@ def test_phase_refuses_a_displacement_of_another_dimension():
     for a in ([1.0], [1.0, 0.0, 0.0], [[1.0], [2.0]], 1.0):
         with pytest.raises(ValidationError, match=r"^a must end in the drive's 2 axes"):
             phase(drive, a, 0.3)
+
+
+CHAIN = preset("chain")
+# F.a/(m omega) = 1e310 overflows; the second drive overflows at m = 2 only
+OVERFLOWING = {
+    1: linear_drive(1e-300, [1e10]),
+    2: DriveSpec(1e-300, (Harmonic(1, [1e-10], [0.0]), Harmonic(2, [1e10], [0.0]))),
+}
+PHASE_ENTRY_POINTS = {
+    "phase": lambda d: phase(d, [1.0], 0.1),
+    "harmonics": lambda d: lattice_harmonics(CHAIN, d),
+    "model": lambda d: build_effective_model(CHAIN, d),
+    "H(t)": lambda d: bloch_hamiltonian_t(CHAIN, d, [0.3], 0.1),
+    "propagator": lambda d: propagate_period(CHAIN, d, [0.3]),
+    "offset matrices": lambda d: offset_matrices_at_time(CHAIN, d, 0.1),
+    "probe": lambda d: magnus_commutator_probe(CHAIN, d, 0.1, 0.2, (3,)),
+}
+
+
+@pytest.mark.parametrize("m", OVERFLOWING)
+@pytest.mark.parametrize("entry", PHASE_ENTRY_POINTS)
+def test_an_overflowing_phase_is_refused_naming_the_harmonic(entry, m):
+    # it used to give inf, a NaN H(t), a bare LinAlgError from the propagator
+    # or, after numpy warnings, a false "cutoff 256 too small: Parseval tail mass nan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=rf"^harmonic m={m}: bond phase is not finite"):
+            PHASE_ENTRY_POINTS[entry](OVERFLOWING[m])
+
+
+def test_a_phase_whose_time_argument_overflows_is_refused():
+    # m omega t beyond the float range: sin(inf) is NaN
+    with pytest.raises(ValidationError, match="^harmonic m=1: bond phase is not finite"):
+        phase(linear_drive(1e300, [1.0]), [1.0], 1e10)
 
 
 def test_bond_harmonics_match_quadrature():

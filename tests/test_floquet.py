@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ def test_quasienergies_from_synthetic_propagator():
     U = V @ np.diag(np.exp(-1j * eps * T)) @ V.conj().T
     got = quasienergies_from_propagator(U, w)
     assert np.allclose(np.sort(got), np.sort(eps), atol=1e-12)
+
+
+@pytest.mark.parametrize("U, message", [
+    ([1.0, 2.0], r"U must be a square matrix, got shape \(2,\)"),
+    ([[1.0, 0.0]], r"U must be a square matrix, got shape \(1, 2\)"),
+    (5.0, r"U must be a square matrix, got shape \(\)"),
+    (np.eye(2)[None], r"U must be a square matrix, got shape \(1, 2, 2\)"),
+    ([[float("nan")]], "U must be finite"),
+    ([[1.0, 0.0], [0.0, float("inf")]], "U must be finite"),
+], ids=["vector", "row", "scalar", "stack", "nan", "inf"])
+def test_quasienergies_refuse_a_propagator_that_is_no_finite_square_matrix(U, message):
+    # numpy's eigvals used to raise a bare LinAlgError, or take a stack
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        quasienergies_from_propagator(U, 10.0)
 
 
 def test_undriven_propagation_reproduces_bloch_spectrum():
@@ -594,6 +609,44 @@ def test_commutator_probe_matches_dense_torus_route():
     assert abs(got - want) < 1e-12
 
 
+def test_commutator_probe_sums_offset_classes_modulo_the_torus():
+    # bit for bit the largest entry of the dense periodized commutator
+    # classes, at every extent from the smallest allowed one, where classes
+    # alias, to 6; equal times included
+    rng = np.random.default_rng(18)
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        reach = max(abs(x) for b in lat.bonds for x in b.cell_offset)
+        for i in range(3):
+            drive = random_drive(rng, lat.space_dim, omega=float(rng.uniform(4.0, 15.0)))
+            t1 = float(rng.uniform(0.0, drive.period))
+            t2 = t1 if i == 0 else float(rng.uniform(0.0, drive.period))
+            table = offset_dict(commutator_offsets(lat, drive, t1, t2))
+            for L in range(max(2 * reach, 1), 7):
+                extents = (L,) * lat.dimension
+                dense = torus_hamiltonian(table, extents, lat.basis_count)
+                want = float(np.abs(dense).max())
+                assert magnus_commutator_probe(lat, drive, t1, t2, extents) == want
+    empty = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())
+    assert magnus_commutator_probe(empty, linear_drive(10.0, [5.0]), 0.1, 0.2, (3,)) == 0.0
+
+
+def test_commutator_probe_memory_does_not_grow_with_the_torus():
+    # the dense (N d)^2 matrix at (32, 32) took 227 MB; once L >= 4m + 1 no
+    # class aliases, so the probe equals the (5, 5) one
+    kag = preset("kagome")
+    drive = circular_drive(7.0, 5.0)
+    small = magnus_commutator_probe(kag, drive, 0.25, 1.4, (5, 5))
+    tracemalloc.start()
+    try:
+        large = magnus_commutator_probe(kag, drive, 0.25, 1.4, (32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert large == small
+
+
 def test_commutator_probe_validates_torus():
     kag = preset("kagome")
     drive = circular_drive(7.0, 5.0)
@@ -660,4 +713,7 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
     monkeypatch.setenv("FLOQUET_FORGE_THREADS", "many")
     with pytest.raises(ValidationError):
+        thread_count()
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", "-1")
+    with pytest.raises(ValidationError, match="^FLOQUET_FORGE_THREADS must be >= 0, got -1"):
         thread_count()

@@ -16,6 +16,7 @@ from floquet_forge import (
     LatticeSpec,
     OffsetMatrix,
     ValidationError,
+    beta_static_free,
     bloch_hamiltonian_t,
     bloch_matrix,
     build_effective_model,
@@ -48,6 +49,7 @@ from floquet_forge.lattice import (
     is_hermitian_closed_offsets,
     offset_dict,
 )
+from floquet_forge.serialization import json_text
 from helpers import (
     composable_pairs,
     random_drive,
@@ -243,6 +245,73 @@ def test_non_sequences_are_refused_naming_the_field(field):
     # a bare TypeError ('int' object is not iterable) would name no field
     with pytest.raises(ValidationError, match=f"^{field} must be a sequence, got"):
         SEQUENCE_ARGUMENTS[field]()
+
+
+def _chain_harmonics(omega=10.0, cutoff=None):
+    return lattice_harmonics(CHAIN, linear_drive(omega, [5.0]), cutoff)[CHAIN.bonds[0]]
+
+
+# refusal branches the other tables do not reach: (a call, the start of its message)
+REFUSALS = {
+    "dimension 4": (lambda: LatticeSpec(4, np.eye(4), [[0.0] * 4], ()), "dimension must be 1, 2 or 3"),
+    "fewer axes than the dimension": (
+        lambda: LatticeSpec(2, [[1.0], [2.0]], [[0.0]], ()),
+        "bravais vectors live in fewer Cartesian dimensions",
+    ),
+    "basis coordinates": (
+        lambda: LatticeSpec(1, [[1.0, 0.0]], [[0.0]], ()),
+        "basis sites have 1 coordinates, bravais vectors have 2",
+    ),
+    "non-Bond entry": (lambda: LatticeSpec(1, [[1.0]], [[0.0]], (5,)), "bonds must be Bond instances"),
+    "basis index": (
+        lambda: LatticeSpec(1, [[1.0]], [[0.0]], (Bond(1, 0, (1,), -1.0),)),
+        r"bond \(1<-0, offset=\(1,\)\): basis index out of range",
+    ),
+    "non-square block": (
+        lambda: OffsetMatrix((0,), [[1.0, 2.0]]),
+        r"offset \(0,\): matrix must be square, got \(1, 2\)",
+    ),
+    "mixed block sizes": (
+        lambda: bloch_matrix((OffsetMatrix((0,), np.eye(1)), OffsetMatrix((1,), np.eye(2))), [0.1], [[1.0]]),
+        "inconsistent matrix sizes in offset set",
+    ),
+    "2-D harmonic amplitude": (
+        lambda: Harmonic(1, [[1.0]], [[0.0]]),
+        "harmonic m=1: cos_amplitude must be a vector",
+    ),
+    "non-Harmonic entry": (lambda: DriveSpec(10.0, (5,)), "harmonics must be Harmonic instances"),
+    "beta omega": (
+        lambda: beta_static_free(_chain_harmonics(), _chain_harmonics(omega=12.0)),
+        "harmonic sets have different omega: 10.0 vs 12.0",
+    ),
+    "beta cutoff": (
+        lambda: beta_static_free(_chain_harmonics(), _chain_harmonics(cutoff=40)),
+        "harmonic sets have different cutoff: 32 vs 40",
+    ),
+    "match shapes": (
+        lambda: match_permutation([0.1, 0.2], [0.1], 10.0),
+        r"cannot match spectra of shapes \(2,\) and \(1,\)",
+    ),
+    "fit shapes": (
+        lambda: fit_power_law([10.0, 20.0, 40.0], [1.0, 0.5]),
+        "omegas and errors must be 1d arrays of equal length",
+    ),
+    "empty k_set": (lambda: error_matrix(CHAIN, _chain_family, [], OMEGAS), "k_set must be nonempty"),
+    "orders (2,)": (
+        lambda: scaling_errors(CHAIN, _chain_family, [[0.1]], OMEGAS, orders=(2,)),
+        r"orders must be a subset of \(0, 1\), got \(2,\)",
+    ),
+    "per_segment 0": (lambda: named_kpath(preset("lieb"), "GX", 0), "per_segment must be >= 1, got 0"),
+    "per_axis 0": (lambda: bz_grid(KAGOME, 0), "per_axis must be >= 1, got 0"),
+    "unserializable": (lambda: json_text({"x": object()}), "cannot serialize object to JSON"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        call()
 
 
 def test_bond_conjugate_is_involution():

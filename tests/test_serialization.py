@@ -64,3 +64,13 @@ def test_write_json_and_ids(tmp_path):
     assert offset_id((1, -1)) == "1_-1"
     assert offset_id((0,)) == "0"
     assert bond_id(Bond(2, 0, (1, -1), -1.0)) == "2<-0@1_-1"
+
+
+def test_json_strings_round_trip_every_control_character():
+    # json.dumps escapes the strings: \b \t \n \f \r get their short forms,
+    # the other control characters \u00XX; quotes and backslashes are
+    # escaped; DEL, U+2028 and other non-ASCII text pass through
+    text = "".join(map(chr, range(0x20))) + '"\\\x7f\u2028é'
+    obj = {text: [text, {"k": text}]}
+    assert json.loads(json_text(obj)) == obj
+    assert json_text("é\t") == '"é\\t"\n'
