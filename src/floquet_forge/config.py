@@ -66,6 +66,14 @@ def parse_config_text(text: str) -> dict:
     return sections
 
 
+def _built(where: str, make, *args):
+    """make(*args), with a ValidationError it raises prefixed by ``where``."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where} {exc}") from None
+
+
 def _bond_from_table(table, index: int) -> Bond:
     field = f"[lattice] bond #{index}"
     if not isinstance(table, dict):
@@ -85,7 +93,7 @@ def _bond_from_table(table, index: int) -> Bond:
     real, imag = (
         _real(table.get(k, 0.0), f"{field}: '{k}'") for k in ("amplitude_re", "amplitude_im")
     )
-    return Bond(to, source, offset, complex(real, imag))
+    return _built(f"{field}:", Bond, to, source, offset, complex(real, imag))
 
 
 def lattice_from_items(items) -> tuple:
@@ -101,7 +109,7 @@ def lattice_from_items(items) -> tuple:
         name = table["preset"]
         if not isinstance(name, str):
             raise ValidationError("[lattice] preset must be a quoted string")
-        return make_preset(name), name
+        return _built("[lattice] preset:", make_preset, name), name
     for req in ("dimension", "bravais", "basis"):
         if req not in keys:
             raise ValidationError(f"[lattice] missing key '{req}'")
@@ -117,13 +125,9 @@ def lattice_from_items(items) -> tuple:
     ]
     if not bonds:
         raise ValidationError("[lattice] needs at least one bond")
-    spec = LatticeSpec(
-        dimension,
-        _numbers(table["bravais"], "[lattice] bravais", float),
-        _numbers(table["basis"], "[lattice] basis", float),
-        tuple(bonds),
-    )
-    return spec, None
+    bravais = _numbers(table["bravais"], "[lattice] bravais", float)
+    basis = _numbers(table["basis"], "[lattice] basis", float)
+    return _built("[lattice]", LatticeSpec, dimension, bravais, basis, tuple(bonds)), None
 
 
 def _harmonic_from_table(table, index: int) -> Harmonic:
@@ -145,7 +149,7 @@ def _harmonic_from_table(table, index: int) -> Harmonic:
                 f"{field}: '{key}' must be a list of real numbers, got {table[key]!r}"
             )
     zeros = np.zeros_like(next(iter(given.values())))
-    return Harmonic(m, given.get("a", zeros), given.get("b", zeros))
+    return _built(f"{field}:", Harmonic, m, given.get("a", zeros), given.get("b", zeros))
 
 
 def drive_from_items(items) -> DriveSpec:
@@ -160,7 +164,7 @@ def drive_from_items(items) -> DriveSpec:
         _harmonic_from_table(v, i + 1)
         for i, (k, v) in enumerate(kv for kv in items if kv[0] == "harmonic")
     ]
-    return DriveSpec(omega, tuple(harmonics))
+    return _built("[drive]", DriveSpec, omega, tuple(harmonics))
 
 
 @dataclass(frozen=True, eq=False)

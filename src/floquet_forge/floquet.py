@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -417,14 +416,20 @@ class PowerLawFit:
     excluded_errors: np.ndarray
 
 
+def _point_list(omegas, errors) -> str:
+    """'omega=10 (error 2.22e-16), ...': sweep points for a diagnostic line."""
+    return ", ".join(f"omega={a:g} (error {b:.2e})" for a, b in zip(omegas, errors))
+
+
 def fit_power_law(omegas, errors) -> PowerLawFit:
     """Fit error ~ omega^slope, dropping points at the numerical floor.
 
     Errors at or below ERROR_FLOOR carry no scaling information (they measure
     integrator and rounding noise, not the expansion remainder); they are
-    excluded with a warning. A non-finite or non-positive omega raises
-    ValidationError; a non-finite error, or fewer than two informative
-    points, raises ConvergenceError.
+    left out of the fit and listed in ``excluded_omegas``/``excluded_errors``.
+    A non-finite or non-positive omega raises ValidationError; a non-finite
+    error, or fewer than two distinct frequencies above the floor, raises
+    ConvergenceError naming the points.
     """
     x = _numbers(omegas, "omegas", float)
     y = _numbers(errors, "errors", float)
@@ -434,19 +439,13 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
         raise ValidationError(f"omegas must be finite and positive, got {x.tolist()}")
     bad = ~np.isfinite(y)
     if bad.any():
-        points = ", ".join(f"omega={a:g} (error {b})" for a, b in zip(x[bad], y[bad]))
-        raise ConvergenceError(f"sweep errors are not finite: {points}")
+        raise ConvergenceError(f"sweep errors are not finite: {_point_list(x[bad], y[bad])}")
     keep = y > ERROR_FLOOR
-    if not keep.all():
-        dropped = ", ".join(f"omega={a:g} (error {b:.2e})" for a, b in zip(x[~keep], y[~keep]))
-        warnings.warn(
-            f"excluding sweep points at the numerical error floor: {dropped}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if keep.sum() < 2:
+    if np.unique(x[keep]).size < 2:
+        excluded = "" if keep.all() else f"; at the floor: {_point_list(x[~keep], y[~keep])}"
         raise ConvergenceError(
-            "fewer than two sweep points above the error floor; no slope can be fit"
+            "fewer than two sweep points above the error floor at distinct frequencies; "
+            f"no slope can be fit{excluded}"
         )
     coeffs = np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)
     return PowerLawFit(

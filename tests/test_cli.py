@@ -22,6 +22,7 @@ from floquet_forge import (
 from floquet_forge.cli import _build_parser, main
 from floquet_forge.config import load_config
 from floquet_forge.floquet import offset_matrices_at_time
+from floquet_forge.selection import ConsistencyVerdict
 from helpers import count_bloch_matrices, count_propagations
 
 
@@ -143,10 +144,23 @@ def test_verify_passes_on_zigzag(tmp_path, capsys):
 def test_prune_must_be_finite_and_non_negative(tmp_path, capsys):
     lieb = ["--preset", "lieb", "--omega", "20", "--circular", "24", "--output", str(tmp_path)]
     for command in ("selection-rules", "effective"):
-        for value in ("inf", "-1", "nan"):
+        for value in ("inf", "-1", "nan", "abc"):
             code, out, err = run(capsys, command, *lieb, f"--prune={value}")
             assert code == 1, (command, value)
             assert "--prune" in err and "numerically zero" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kpoints_must_be_a_positive_integer(tmp_path, capsys):
+    # 0 and -2 used to reach named_kpath: "error: per_segment must be >= 1, got 0"
+    chain = ["--preset", "chain", "--omega", "10", "--linear", "13", "--output", str(tmp_path)]
+    for command, value in [("bands", "0"), ("verify", "-2")]:
+        code, out, err = run(capsys, command, *chain, "--kpoints", value)
+        assert (code, out) == (1, ""), command
+        assert err == f"error: argument --kpoints: must be an integer >= 1, got {value}\n"
+    for value in ("abc", "1.5"):
+        code, out, err = run(capsys, "bands", *chain, "--kpoints", value)
+        assert (code, out, err) == (1, "", f"error: argument --kpoints: invalid int value: {value!r}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -281,6 +295,12 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     for argv, message in named:
         code, out, err = run(capsys, "fourier", *argv, "--output", str(tmp_path / "out"))
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+    # --omegas is read by the same list reader as --linear
+    code, out, err = run(
+        capsys, "verify", "--preset", "zigzag", "--omega", "10", "--circular", "2",
+        "--omegas", "10,,40", "--output", str(tmp_path / "out"),
+    )
+    assert (code, out, err) == (1, "", "error: --omegas must be comma-separated numbers, got '10,,40'\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -316,14 +336,51 @@ def test_verification_failures_exit_2(tmp_path, capsys):
     assert err.endswith(" is shallower than -2 + 0.3 margin\n")
     assert json.loads((tmp_path / "slope" / "verify.json").read_text())["passed"] is False
     # order 0 is exact on a one-point basis: every error is at the floor, no fit
-    with pytest.warns(RuntimeWarning, match="numerical error floor"):
-        code, _, err = run(
-            capsys, "verify", "--preset", "chain", "--omega", "10", "--linear", "13",
-            "--order", "0", "--kpoints", "1", "--output", str(tmp_path / "floor"),
-        )
-    assert code == 2
-    assert err.startswith("inconsistency: fewer than two sweep points above the error floor")
+    code, out, err = run(
+        capsys, "verify", "--preset", "chain", "--omega", "10", "--linear", "13",
+        "--order", "0", "--kpoints", "1", "--output", str(tmp_path / "floor"),
+    )
+    assert code == 2 and not out
+    assert err == (
+        "inconsistency: fewer than two sweep points above the error floor at distinct "
+        "frequencies; no slope can be fit; at the floor: omega=10 (error 2.22e-16), "
+        "omega=20 (error 2.22e-16), omega=40 (error 4.44e-16), omega=80 (error 0.00e+00)\n"
+    )
     assert list((tmp_path / "floor").iterdir()) == []
+
+
+def test_verify_notes_the_points_its_fit_leaves_out(tmp_path, capsys):
+    # a weak kagome drive: the omega=80 error sits below the floor, the fit passes
+    code, out, err = run(
+        capsys, "verify", "--preset", "kagome", "--omega", "10", "--circular", "0.0015",
+        "--order", "1", "--kpoints", "1", "--output", str(tmp_path),
+    )
+    assert code == 0
+    assert out.endswith(": slope -2.028 (expected about -2)\n")
+    assert err == (
+        "note: the fit leaves out sweep points at the numerical error floor: "
+        "omega=80 (error 5.28e-12)\n"
+    )
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert doc["passed"] is True and doc["excluded_omegas"] == [80.0]
+
+
+def test_selection_rules_violation_exits_2(tmp_path, capsys, monkeypatch):
+    # the cross-check's own failure path: its artifacts are written, then exit 2
+    message = (
+        "coupling 0->1 at offset (0, 0) is forced zero but has |B| = 1.000e+00 "
+        "(threshold 1.000e-10)"
+    )
+    verdict = ConsistencyVerdict(False, (message,))
+    monkeypatch.setattr("floquet_forge.cli.cross_validate", lambda *a, **k: verdict)
+    code, out, err = run(
+        capsys, "selection-rules", "--preset", "lieb", "--omega", "20", "--circular", "24",
+        "--output", str(tmp_path),
+    )
+    assert code == 2 and "cross-validation" not in out
+    assert err == f"inconsistency: {message}\n"
+    doc = json.loads((tmp_path / "selection.json").read_text())
+    assert doc["cross_validation"] == {"checked": True, "consistent": False, "violations": [message]}
 
 
 def test_cli_surface_is_pinned():

@@ -246,6 +246,61 @@ def test_structure_refusals_name_the_section_and_key(case):
         call()
 
 
+def _drive(omega, *harmonics):
+    return drive_from_items([("omega", omega), *(("harmonic", h) for h in harmonics or (_HARMONIC,))])
+
+
+# refusals of the library constructors, prefixed with where in the file they come from
+CONSTRUCTOR_REFUSALS = {
+    "omega not positive": (
+        lambda: _drive(-5.0),
+        "[drive] omega must be finite and positive, got -5.0",
+    ),
+    "harmonic index zero": (
+        lambda: _drive(5.0, {"m": 0, "a": [1.0, 0.0]}),
+        "[drive] harmonic #1: harmonic index must be >= 1, got 0",
+    ),
+    "amplitude not finite": (
+        lambda: _drive(5.0, {"m": 1, "a": [float("inf"), 0.0]}),
+        "[drive] harmonic #1: harmonic m=1: cos_amplitude must be finite, got [inf  0.]",
+    ),
+    "repeated harmonic index": (
+        lambda: _drive(5.0, _HARMONIC, _HARMONIC),
+        "[drive] duplicate harmonic index m=1",
+    ),
+    "cos and sin lengths differ": (
+        lambda: _drive(5.0, {"m": 1, "a": [1.0, 0.0], "b": [1.0]}),
+        "[drive] harmonic #1: harmonic m=1: cos and sin amplitudes differ in length",
+    ),
+    "bravais not finite": (
+        lambda: lattice_from_items(
+            [("dimension", 1), ("bravais", [[float("nan"), 0.0]]), *ZIGZAG_LATTICE[2:]]
+        ),
+        "[lattice] bravais_vectors must be finite, got [[nan, 0.0]]",
+    ),
+    "zero amplitude": (
+        lambda: lattice_from_items(_zigzag(amplitude_re=0.0)),
+        "[lattice] bond #1: bond (1<-0, offset=(0,)): amplitude must be nonzero",
+    ),
+    "basis index out of range": (
+        lambda: lattice_from_items(_zigzag(**{"from": 2})),
+        "[lattice] bond (1<-2, offset=(0,)): basis index out of range",
+    ),
+    "unknown preset": (
+        lambda: lattice_from_items([("preset", "cubic")]),
+        "[lattice] preset: unknown preset 'cubic'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRUCTOR_REFUSALS)
+def test_constructor_refusals_name_the_section_or_item(case):
+    call, message = CONSTRUCTOR_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 def test_drive_from_items():
     d = drive_from_items([("omega", 5), ("harmonic", {"m": 1, "a": [1.0, 0.0]})])
     assert d.omega == 5.0

@@ -337,13 +337,29 @@ def test_fit_power_law_recovers_exponent():
 def test_fit_power_law_excludes_floor_points():
     w = np.array([10.0, 20.0, 40.0, 80.0])
     e = np.array([1e-3, 1e-4, 1e-13, 1e-14])
-    with pytest.warns(RuntimeWarning):
-        fit = fit_power_law(w, e)
+    fit = fit_power_law(w, e)
     assert list(fit.excluded_omegas) == [40.0, 80.0]
+    assert list(fit.excluded_errors) == [1e-13, 1e-14]
     assert np.isclose(fit.slope, np.log(1e-4 / 1e-3) / np.log(2.0))
-    with pytest.raises(ConvergenceError):
-        with pytest.warns(RuntimeWarning):
-            fit_power_law(w, np.full(4, 1e-15))
+    with pytest.raises(ConvergenceError) as info:
+        fit_power_law(w, np.full(4, 1e-15))
+    assert str(info.value) == (
+        "fewer than two sweep points above the error floor at distinct frequencies; "
+        "no slope can be fit; at the floor: omega=10 (error 1.00e-15), "
+        "omega=20 (error 1.00e-15), omega=40 (error 1.00e-15), omega=80 (error 1.00e-15)"
+    )
+
+
+def test_fit_power_law_needs_two_distinct_frequencies():
+    # repeated frequencies used to give a made-up slope (-1.75, -1.5) beside numpy's RankWarning
+    with pytest.raises(ConvergenceError, match=r"distinct frequencies; no slope can be fit$"):
+        fit_power_law([10.0, 10.0], [1e-3, 1e-4])
+    with pytest.raises(ConvergenceError, match=r"at the floor: omega=20 \(error 1.00e-13\)$"):
+        fit_power_law([10.0, 10.0, 20.0], [1e-3, 1e-3, 1e-13])
+    # replicates that leave two distinct frequencies still fit
+    fit = fit_power_law([10.0, 10.0, 20.0, 40.0], [1e-2, 1e-2, 2.5e-3, 1e-13])
+    assert np.isclose(fit.slope, -2.0, atol=1e-12)
+    assert list(fit.omegas) == [10.0, 10.0, 20.0] and list(fit.excluded_omegas) == [40.0]
 
 
 def test_fit_power_law_refuses_bad_omegas_before_fitting():

@@ -50,6 +50,12 @@ def test_json_text_renders_domain_types():
     assert parsed["note"] is None and parsed["flag"] is False
 
 
+def test_json_text_renders_empty_dicts():
+    assert json_text({}) == "{}\n"
+    assert json_text({"a": {}}) == '{\n  "a": {}\n}\n'
+    assert json.loads(json_text({"a": {}})) == {"a": {}}
+
+
 def test_json_text_is_deterministic():
     obj = {"b": [1, 2, 3], "a": {"nested": 0.1}}
     assert json_text(obj) == json_text(obj)
