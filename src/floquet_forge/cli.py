@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .config import load_config
 from .drive import (
+    MAX_CUTOFF,
     DriveSpec,
     _check_drive_dim,
     circular_drive,
@@ -72,12 +73,25 @@ def _tolerance(text: str) -> float:
 
 
 class _Count(argparse.Action):
-    """Stores an integer option, refusing one below 1 while the flags are parsed."""
+    """Stores an integer option, refusing one below 1 (or above ``cap``)
+    while the flags are parsed."""
+
+    cap = None
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            raise argparse.ArgumentError(self, f"must be an integer >= 1, got {value}")
+        if value < 1 or (self.cap is not None and value > self.cap):
+            bound = ">= 1" if self.cap is None else f"in [1, {self.cap}]"
+            raise argparse.ArgumentError(self, f"must be an integer {bound}, got {value}")
         setattr(namespace, self.dest, value)
+
+
+class _Cutoff(_Count):
+    cap = MAX_CUTOFF
+
+
+def _cutoff_flag(p) -> None:
+    p.add_argument("--cutoff", type=int, action=_Cutoff,
+                   help="harmonic cutoff (default: automatic)")
 
 
 def _float_list(text: str, flag: str) -> list:
@@ -89,7 +103,7 @@ def _float_list(text: str, flag: str) -> list:
 
 def _model_flags(p, prune: bool = True) -> None:
     p.add_argument("--gauge", default="static-free", help="floquet or static-free")
-    p.add_argument("--cutoff", type=int, help="harmonic cutoff (default: automatic)")
+    _cutoff_flag(p)
     if prune:
         p.add_argument("--prune", type=_tolerance, default=DEFAULT_PRUNE_TOL, metavar="TOL",
                        help="relative first-order pruning threshold")
@@ -115,7 +129,7 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("fourier", help="per-bond harmonics of the driven tunneling")
     _common_flags(q)
-    q.add_argument("--cutoff", type=int, help="harmonic cutoff (default: automatic)")
+    _cutoff_flag(q)
     q.set_defaults(func=_cmd_fourier)
 
     q = sub.add_parser("effective", help="effective tunneling matrices to first order")

@@ -74,7 +74,7 @@ def _built(where: str, make, *args):
         raise ValidationError(f"{where} {exc}") from None
 
 
-def _bond_from_table(table, index: int) -> Bond:
+def _bond_from_table(table, index: int, sites: int) -> Bond:
     field = f"[lattice] bond #{index}"
     if not isinstance(table, dict):
         raise ValidationError(f"{field} must be an inline table {{...}}")
@@ -85,8 +85,12 @@ def _bond_from_table(table, index: int) -> Bond:
     for req in ("to", "from", "offset", "amplitude_re"):
         if req not in table:
             raise ValidationError(f"{field}: missing key '{req}'")
-    to = _integer(table["to"], f"{field}: 'to'")
-    source = _integer(table["from"], f"{field}: 'from'")
+    to, source = (_integer(table[key], f"{field}: '{key}'") for key in ("to", "from"))
+    for key, value in (("to", to), ("from", source)):
+        if not 0 <= value < sites:
+            raise ValidationError(
+                f"{field}: '{key}' must be a basis index in [0, {sites - 1}], got {value}"
+            )
     if not isinstance(table["offset"], list):
         raise ValidationError(f"{field}: 'offset' must be a list")
     offset = tuple(_integer(x, f"{field}: 'offset' entry") for x in table["offset"])
@@ -119,14 +123,15 @@ def lattice_from_items(items) -> tuple:
         if k != "bond" and keys.count(k) > 1:
             raise ValidationError(f"[lattice] key '{k}' given more than once")
     dimension = _integer(table["dimension"], "[lattice] dimension")
+    bravais = _numbers(table["bravais"], "[lattice] bravais", float)
+    basis = _numbers(table["basis"], "[lattice] basis", float)
+    sites = len(np.atleast_2d(basis))  # LatticeSpec reads one row as one site, too
     bonds = [
-        _bond_from_table(v, i + 1)
+        _bond_from_table(v, i + 1, sites)
         for i, (k, v) in enumerate(kv for kv in items if kv[0] == "bond")
     ]
     if not bonds:
         raise ValidationError("[lattice] needs at least one bond")
-    bravais = _numbers(table["bravais"], "[lattice] bravais", float)
-    basis = _numbers(table["basis"], "[lattice] basis", float)
     return _built("[lattice]", LatticeSpec, dimension, bravais, basis, tuple(bonds)), None
 
 

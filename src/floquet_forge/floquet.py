@@ -20,10 +20,19 @@ The settling tolerance RICHARDSON_TOL * omega, the cap MAX_STEPS and the
 fit's ERROR_FLOOR are constants, not arguments: every run certifies alike.
 
 Only the scalar Bloch phases exp(i k.R_b) of H(t) depend on k. The bond
-phase factors exp(i chi_b(t)) come from ``_bond_terms`` alone (integrator,
+phase factors exp(i chi_b(t)) come from ``_bond_phases`` alone (integrator,
 H(t) and instantaneous offset matrices); on the integrator nodes they are
 built once per (lattice, drive, step count) and kept in a small bounded
-cache of read-only arrays, so every k of a sweep reuses them.
+cache of read-only arrays, so every k of a sweep reuses them. Bit-equal
+phase arrays are one shared array (``_shared_phases``). At fixed z, H(t)
+depends on t only through omega*t, so drives a power of two apart in omega
+give bit-equal phases at the same step count.
+
+The H(t) stack at one k is diagonalized once per bit-distinct stack within a
+sweep (``_decomposition``): while a worker runs one k it keeps its last
+decomposition per step count, and reuses it only when the lattice, the bytes
+of k, the step count and the phase array are all the same. No tolerance is
+involved, so every propagator keeps its bits.
 
 Effective and exact spectra are compared in one core, ``_matched_spectra``,
 behind the sweeps and ``cli bands``. It takes every effective spectrum first
@@ -32,9 +41,11 @@ that cannot be evaluated fails before any propagation, then propagates each
 bit-distinct (omega, k) point once for all orders (a repeated k, such as the
 closing vertex of a k-path, gets its first occurrence's bits) and matches
 each spectrum once. ``error_matrix`` and ``scaling_errors`` reduce its result
-through ``_sweep_errors``. The (omega, k) points run on one thread pool,
-``_on_pool``. Workers share only the cache above, which is thread-safe (two
-workers missing the same entry both build it, with identical results).
+through ``_sweep_errors``. The distinct k run on one thread pool,
+``_on_pool``, one task per k, which propagates every drive in ascending
+omega through ``propagate_period``. Workers share only the caches above,
+which are thread-safe (two workers missing the same entry both build it,
+with identical results, and shared phase arrays are picked under a lock).
 Results are gathered by task key. The pool size is capped by the
 FLOQUET_FORGE_THREADS environment variable (0 or unset means one worker per
 CPU).
@@ -42,9 +53,12 @@ CPU).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -232,16 +246,23 @@ def _time(t) -> np.ndarray:
     return np.array([t])
 
 
-def _bond_terms(lattice: LatticeSpec, drive: DriveSpec, times) -> tuple:
-    """The k-independent part of H(t) on the given times, one entry per bond
-    in bond order: (target, source, R_b, amplitude, exp(i chi_b(times))).
-
-    All arrays are read-only. The bonds of one class of the lattice's pair
-    table (bit-equal displacement and amplitude) share one phase array.
-    """
+def _bond_phases(lattice: LatticeSpec, drive: DriveSpec, times) -> np.ndarray:
+    """exp(i chi(times)) as a read-only array, one row per class of the
+    lattice's pair table (bit-equal displacement and amplitude)."""
     table = _pair_table(lattice)
     phases = np.exp(1j * phase(drive, table.displacements[table.distinct], times))
     phases.flags.writeable = False
+    return phases
+
+
+def _bond_terms(lattice: LatticeSpec, phases: np.ndarray) -> tuple:
+    """The k-independent part of H(t) on the times of ``phases``, one entry
+    per bond in bond order: (target, source, R_b, amplitude, exp(i chi_b)).
+
+    All arrays are read-only; the bonds of one class share its row of
+    ``phases``.
+    """
+    table = _pair_table(lattice)
     terms = []
     for b, row in zip(lattice.bonds, table.distinct_of):
         R = np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors
@@ -250,16 +271,37 @@ def _bond_terms(lattice: LatticeSpec, drive: DriveSpec, times) -> tuple:
     return tuple(terms)
 
 
+_phase_store = weakref.WeakValueDictionary()
+_phase_lock = threading.Lock()
+
+
+def _shared_phases(phases: np.ndarray) -> np.ndarray:
+    """``phases``, or the live array of the same shape and bytes: bit-equal
+    phase arrays become one object, held in memory once."""
+    data = phases.tobytes()
+    key = (phases.shape, hash(data))
+    with _phase_lock:
+        known = _phase_store.get(key)
+        if known is not None and known.tobytes() == data:
+            return known
+        _phase_store[key] = phases
+    return phases
+
+
 # Keyed on object identity: LatticeSpec and DriveSpec are frozen, eq=False
 # dataclasses holding read-only arrays, and the cache's strong references keep
-# a cached id from being reused. Four entries hold one drive's 512- and
-# 1024-step resolutions for each of two sweep workers.
-@functools.lru_cache(maxsize=4)
+# a cached id from being reused. Every k task of a sweep visits each drive in
+# turn; eight entries hold the 512- and 1024-step resolutions of four drives.
+# Drives a power of two apart at fixed z share their phase arrays, so on such
+# a grid the eight entries hold two arrays.
+@functools.lru_cache(maxsize=8)
 def _integrator_terms(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> tuple:
-    """Bond terms on the integrator nodes of one period at ``steps`` steps."""
+    """(phases, bond terms) on the integrator nodes of one period at
+    ``steps`` steps; each term's phase row is a view of ``phases``."""
     h = drive.period / steps
     times = ((np.arange(steps)[:, None] + _NODES[None, :]) * h).reshape(-1)
-    return _bond_terms(lattice, drive, times)
+    phases = _shared_phases(_bond_phases(lattice, drive, times))
+    return phases, _bond_terms(lattice, phases)
 
 
 def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int) -> np.ndarray:
@@ -279,20 +321,57 @@ def bloch_hamiltonian_t(lattice: LatticeSpec, drive: DriveSpec, k, t: float) -> 
     """Instantaneous Bloch Hamiltonian of the driven lattice at time t."""
     _check_drive_dim(lattice, drive)
     k = _check_k(k, lattice.space_dim)
-    terms = _bond_terms(lattice, drive, _time(t))
+    terms = _bond_terms(lattice, _bond_phases(lattice, drive, _time(t)))
     return _hamiltonian_stack(lattice, k, terms, 1)[0]
 
 
 def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) -> tuple:
     """Instantaneous tunneling matrices per cell offset, phases included."""
     _check_drive_dim(lattice, drive)
-    terms = _bond_terms(lattice, drive, _time(t))
+    terms = _bond_terms(lattice, _bond_phases(lattice, drive, _time(t)))
     return from_offset_dict(_bond_blocks(lattice, [a * E[0] for *_, a, E in terms]))
 
 
-def _expm_stack(H: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """exp(-i factor * H) for a stack of Hermitian matrices."""
-    w, V = np.linalg.eigh(H)
+_kept = threading.local()
+
+
+@contextlib.contextmanager
+def _reusing_decompositions():
+    """Within the block this thread keeps its last decomposition per step
+    count (``_decomposition``); they are released when the block ends."""
+    _kept.by_steps = {}
+    try:
+        yield
+    finally:
+        del _kept.by_steps
+
+
+def _decomposition(lattice, drive, k, steps: int) -> tuple:
+    """(w, V) = eigh of the H(t) stack at k on the integrator nodes.
+
+    Inside ``_reusing_decompositions`` the thread's last decomposition at
+    ``steps`` is returned, and H is not built, when it has the same lattice
+    and phase array (objects; bit-equal phase arrays are one shared array)
+    and a k with the same bytes. Otherwise the last one is dropped before
+    the new one is computed, which then takes its place.
+    """
+    phases, terms = _integrator_terms(lattice, drive, steps)
+    by_steps = getattr(_kept, "by_steps", None)
+    key = k.tobytes()
+    if by_steps is not None:
+        last = by_steps.pop(steps, None)
+        if last is not None and last[0] is lattice and last[1] is phases and last[2] == key:
+            by_steps[steps] = last
+            return last[3]
+        del last
+    decomposition = np.linalg.eigh(_hamiltonian_stack(lattice, k, terms, len(_NODES) * steps))
+    if by_steps is not None:
+        by_steps[steps] = (lattice, phases, key, decomposition)
+    return decomposition
+
+
+def _expm_stack(w: np.ndarray, V: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """exp(-i factor * H) for a stack of Hermitian matrices H = V diag(w) V^H."""
     ph = np.exp(-1j * factors[:, None] * w)
     return (V * ph[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2))
 
@@ -309,10 +388,9 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 
 def _propagator(lattice, drive, k, steps: int) -> np.ndarray:
     h = drive.period / steps
-    terms = _integrator_terms(lattice, drive, steps)
-    Hs = _hamiltonian_stack(lattice, k, terms, len(_NODES) * steps)
+    w, V = _decomposition(lattice, drive, k, steps)
     factors = np.tile(_WEIGHTS * h, steps)
-    return _time_ordered_product(_expm_stack(Hs, factors))
+    return _time_ordered_product(_expm_stack(w, V, factors))
 
 
 def _unitarity_error(U: np.ndarray) -> float:
@@ -502,7 +580,9 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
     Every E is taken before any propagation; order 1 adds its blocks to the
     point's one order-0 Bloch matrix, as ``effective_bloch`` does. Each
     bit-distinct (drive, k) is propagated once; a repeated k copies its first
-    occurrence."""
+    occurrence. One pool task per distinct k propagates every drive in the
+    given order (ascending omega in a sweep), so drives whose H(t) stacks are
+    bit-equal share one decomposition."""
     first = _first_occurrences(k_list)
     distinct = sorted(set(first))
     E = np.zeros((len(orders), len(drives), len(k_list), lattice.basis_count))
@@ -515,14 +595,16 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
             for io, o in enumerate(orders):
                 E[io, iw, ik] = np.linalg.eigvalsh(H1 if o else H0)
 
-    def task(iw: int, ik: int) -> np.ndarray:
-        return propagate_period(lattice, drives[iw], k_list[ik]).quasienergies
+    def task(ik: int) -> list:
+        with _reusing_decompositions():
+            return [propagate_period(lattice, drive, k_list[ik]).quasienergies for drive in drives]
 
-    exact = _on_pool(task, [(iw, ik) for iw in range(len(drives)) for ik in distinct])
+    exact = _on_pool(task, [(ik,) for ik in distinct])
     Q = np.zeros_like(E)
-    for (iw, ik), eps in exact.items():
-        for io in range(len(orders)):
-            Q[io, iw, ik] = eps[match_permutation(E[io, iw, ik], eps, drives[iw].omega)]
+    for (ik,), spectra in exact.items():
+        for iw, eps in enumerate(spectra):
+            for io in range(len(orders)):
+                Q[io, iw, ik] = eps[match_permutation(E[io, iw, ik], eps, drives[iw].omega)]
     return E[:, :, first], Q[:, :, first]
 
 

@@ -436,6 +436,18 @@ def test_fourier_refuses_a_cutoff_above_the_cap(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cutoff_out_of_range_is_refused_while_the_flags_are_parsed(tmp_path, capsys):
+    # named by its flag, before --output is created
+    chain = ["--preset", "chain", "--omega", "10", "--linear", "13"]
+    target = tmp_path / "D"
+    for command in ("fourier", "effective", "selection-rules", "bands", "verify"):
+        for value in ("0", "-3", "257", "999"):
+            code, out, err = run(capsys, command, *chain, "--cutoff", value, "--output", str(target))
+            assert (code, out) == (1, ""), (command, value)
+            assert err == f"error: argument --cutoff: must be an integer in [1, 256], got {value}\n"
+    assert not target.exists()
+
+
 def test_cutoff_overflow_exits_1(tmp_path, capsys):
     # CutoffTooSmallError is a ValidationError: the input asks for more than the cap
     for argv in (

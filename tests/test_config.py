@@ -284,7 +284,11 @@ CONSTRUCTOR_REFUSALS = {
     ),
     "basis index out of range": (
         lambda: lattice_from_items(_zigzag(**{"from": 2})),
-        "[lattice] bond (1<-2, offset=(0,)): basis index out of range",
+        "[lattice] bond #1: 'from' must be a basis index in [0, 1], got 2",
+    ),
+    "negative basis index": (
+        lambda: lattice_from_items(_zigzag(to=-1)),
+        "[lattice] bond #1: 'to' must be a basis index in [0, 1], got -1",
     ),
     "unknown preset": (
         lambda: lattice_from_items([("preset", "cubic")]),

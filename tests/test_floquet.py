@@ -1,12 +1,15 @@
+import inspect
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from floquet_forge import (
+    Bond,
     ConvergenceError,
     DriveSpec,
     Gauge,
@@ -315,7 +318,7 @@ def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
         sys.setswitchinterval(interval)
     assert np.array_equal(serial, pooled)
     info = floquet._integrator_terms.cache_info()
-    assert 0 < info.currsize <= info.maxsize == 4
+    assert 0 < info.currsize <= info.maxsize == 8
     info = lattice._offset_stack.cache_info()
     assert 0 < info.currsize <= info.maxsize == 8
 
@@ -407,6 +410,141 @@ def test_error_matrix_propagates_a_repeated_k_once(monkeypatch):
     assert len(calls) == len(omegas) * 2
     for col, src in ((0, 0), (1, 1), (2, 0), (3, 1), (4, 0)):
         assert m[:, col].tobytes() == distinct[:, src].tobytes()
+
+
+def count_eighs(monkeypatch):
+    """Wrap np.linalg.eigh; the returned list gets one entry per call
+    (list.append is atomic, so pool threads may share it)."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def isolated_errors(lat, family, ks, omegas):
+    """error_matrix at order 1 rebuilt point by point, each propagate_period
+    call in a new thread of its own, where no decomposition can be shared;
+    also {(omega, k index): step count reached}."""
+    errors, steps = np.zeros((len(omegas), len(ks))), {}
+    for iw, w in enumerate(sorted(omegas)):
+        drive = family(w)
+        model = build_effective_model(lat, drive)
+        for ik, k in enumerate(ks):
+            box = []
+            worker = threading.Thread(target=lambda: box.append(propagate_period(lat, drive, k)))
+            worker.start()
+            worker.join(60.0)
+            (spec,) = box
+            steps[w, ik] = spec.steps
+            exact = np.linalg.eigvalsh(effective_bloch(model, k))
+            errors[iw, ik] = match_distance(exact, spec.quasienergies, w)
+    return errors, steps
+
+
+@pytest.mark.parametrize(
+    "family_name, omegas, sharing",
+    [
+        # rescale_drive holds z fixed: frequencies a power of two apart share
+        ("rescaled", [10.0, 20.0, 40.0, 80.0], [[10.0, 20.0, 40.0, 80.0]]),
+        ("rescaled", [10.0, 15.0, 45.0, 90.0], [[10.0], [15.0], [45.0, 90.0]]),
+        # a fixed amplitude changes z with omega: no two stacks are bit-equal
+        ("fixed", [10.0, 20.0, 40.0, 80.0], [[10.0], [20.0], [40.0], [80.0]]),
+    ],
+)
+def test_a_sweep_decomposes_each_bit_distinct_stack_once(monkeypatch, family_name, omegas, sharing):
+    lat = preset("kagome")
+    base = circular_drive(10.0, 15.0)
+    families = {"rescaled": lambda w: rescale_drive(base, w), "fixed": lambda w: circular_drive(w, 15.0)}
+    family = families[family_name]
+    a, b = np.array([0.4, -0.3]), np.array([1.1, 0.6])
+    want, steps = isolated_errors(lat, family, [a, b], omegas)
+    assert set(steps.values()) == {1024}  # every point takes 512 and 1024 steps
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", "2")
+    calls = count_eighs(monkeypatch)
+    got = error_matrix(lat, family, [a, b, a.copy()], omegas)
+    # one eigh per distinct k, run of sharing frequencies and step count
+    assert len(calls) == 2 * len(sharing) * 2
+    assert got.tobytes() == want[:, [0, 1, 0]].tobytes()
+
+
+def test_a_kept_decomposition_serves_only_the_same_lattice_and_k(monkeypatch):
+    # a sweep's k task sees one lattice and one k; the rule must hold anyway
+    lat = preset("kagome")
+    heavier = LatticeSpec(
+        lat.dimension, lat.bravais_vectors, lat.basis_sites,
+        tuple(Bond(b.target_basis, b.source_basis, b.cell_offset, 2.0 * b.amplitude) for b in lat.bonds),
+    )
+    drive = circular_drive(10.0, 15.0)
+    # the same phase array serves both lattices: only the lattice check tells them apart
+    assert floquet._integrator_terms(heavier, drive, 512)[0] is floquet._integrator_terms(lat, drive, 512)[0]
+    a, b = np.array([0.4, -0.3]), np.array([1.1, 0.6])
+    points = [(lat, a), (lat, a.copy()), (lat, b), (heavier, b)]
+    want = [propagate_period(spec, drive, k).propagator for spec, k in points]
+    calls = count_eighs(monkeypatch)
+    with floquet._reusing_decompositions():
+        got = [propagate_period(spec, drive, k).propagator for spec, k in points]
+    assert not hasattr(floquet._kept, "by_steps")
+    assert len(calls) == 2 * 3  # 512 and 1024 steps; the repeated k reuses both
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_bit_equal_phase_arrays_become_one_array_under_threads():
+    # more workers than cores, rapid thread switches, all interning at once:
+    # a lost update would leave two arrays, and a k task holding the other
+    # one would miss its reuse
+    workers = 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(100):
+            arrays = [np.exp(1j * (np.arange(3072.0) + round_))[None] for _ in range(workers)]
+            for a in arrays:
+                a.flags.writeable = False
+            barrier = threading.Barrier(workers)
+            shared = [None] * workers
+
+            def intern(i):
+                barrier.wait()
+                shared[i] = floquet._shared_phases(arrays[i])
+
+            threads = [threading.Thread(target=intern, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+            assert not any(t.is_alive() for t in threads)
+            assert all(x is shared[0] for x in shared) and shared[0] is not None
+            assert shared[0].tobytes() == arrays[0].tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sweeps_reach_every_propagation_through_propagate_period(monkeypatch):
+    # the benchmark counts propagations, resolutions and substeps by wrapping
+    # propagate_period and reading its steps and refine: an engine path that
+    # bypassed it would zero those counts without failing anything
+    lat = preset("zigzag")
+    base = circular_drive(10.0, 15.0)
+    signature = inspect.signature(propagate_period)
+    calls = []
+
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["steps"], bound.arguments["refine"]))
+        return propagate_period(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "propagate_period", counting)
+    ks = [np.array([0.5, 0.0]), np.array([1.5, 0.0]), np.array([0.5, 0.0])]
+    omegas = [10.0, 20.0, 30.0, 80.0]
+    error_matrix(lat, lambda w: rescale_drive(base, w), ks, omegas)
+    assert calls == [(floquet.MIN_STEPS, True)] * (len(omegas) * 2)
 
 
 def test_first_occurrences_compare_bits():
