@@ -21,12 +21,13 @@ fit's ERROR_FLOOR are constants, not arguments: every run certifies alike.
 
 Only the scalar Bloch phases exp(i k.R_b) of H(t) depend on k. The bond
 phase factors exp(i chi_b(t)) come from ``_bond_phases`` alone (integrator,
-H(t) and instantaneous offset matrices); on the integrator nodes they are
-built once per (lattice, drive, step count) and kept in a small bounded
-cache of read-only arrays, so every k of a sweep reuses them. Bit-equal
-phase arrays are one shared array (``_shared_phases``). At fixed z, H(t)
-depends on t only through omega*t, so drives a power of two apart in omega
-give bit-equal phases at the same step count.
+H(t) and instantaneous offset matrices). Outside a sweep each propagation
+builds them fresh. A sweep hands its tasks one dict (``_sweep_scope``): on
+the integrator nodes the phases are built once per (lattice, drive, step
+count) in it, so every k reuses them, and bit-equal phase arrays are one
+array; the dict is dropped when the sweep returns. At fixed z, H(t) depends
+on t only through omega*t, so drives a power of two apart in omega give
+bit-equal phases at the same step count.
 
 The H(t) stack at one k is diagonalized once per bit-distinct stack within a
 sweep (``_decomposition``): while a worker runs one k it keeps its last
@@ -43,9 +44,10 @@ closing vertex of a k-path, gets its first occurrence's bits) and matches
 each spectrum once. ``error_matrix`` and ``scaling_errors`` reduce its result
 through ``_sweep_errors``. The distinct k run on one thread pool,
 ``_on_pool``, one task per k, which propagates every drive in ascending
-omega through ``propagate_period``. Workers share only the caches above,
-which are thread-safe (two workers missing the same entry both build it,
-with identical results, and shared phase arrays are picked under a lock).
+omega through ``propagate_period``. Workers share only the sweep's dict
+and the cached offset stacks and pair tables of ``lattice.py``; two workers
+missing the same entry both build it, with identical results, and the dict
+keeps the first (``dict.setdefault`` is atomic), so no lock is needed.
 Results are gathered by task key. The pool size is capped by the
 FLOQUET_FORGE_THREADS environment variable (0 or unset means one worker per
 CPU).
@@ -54,11 +56,9 @@ CPU).
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -271,37 +271,44 @@ def _bond_terms(lattice: LatticeSpec, phases: np.ndarray) -> tuple:
     return tuple(terms)
 
 
-_phase_store = weakref.WeakValueDictionary()
-_phase_lock = threading.Lock()
+_thread = threading.local()
 
 
-def _shared_phases(phases: np.ndarray) -> np.ndarray:
-    """``phases``, or the live array of the same shape and bytes: bit-equal
-    phase arrays become one object, held in memory once."""
-    data = phases.tobytes()
-    key = (phases.shape, hash(data))
-    with _phase_lock:
-        known = _phase_store.get(key)
-        if known is not None and known.tobytes() == data:
-            return known
-        _phase_store[key] = phases
-    return phases
+@contextlib.contextmanager
+def _sweep_scope(terms: dict):
+    """Within the block this thread takes its integrator terms from
+    ``terms``, the dict every task of one sweep shares
+    (``_integrator_terms``), and keeps its last decomposition per step count
+    (``_decomposition``); the decompositions are released when the block
+    ends, the terms when the sweep drops its dict."""
+    _thread.terms, _thread.kept = terms, {}
+    try:
+        yield
+    finally:
+        del _thread.terms, _thread.kept
 
 
-# Keyed on object identity: LatticeSpec and DriveSpec are frozen, eq=False
-# dataclasses holding read-only arrays, and the cache's strong references keep
-# a cached id from being reused. Every k task of a sweep visits each drive in
-# turn; eight entries hold the 512- and 1024-step resolutions of four drives.
-# Drives a power of two apart at fixed z share their phase arrays, so on such
-# a grid the eight entries hold two arrays.
-@functools.lru_cache(maxsize=8)
 def _integrator_terms(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> tuple:
     """(phases, bond terms) on the integrator nodes of one period at
-    ``steps`` steps; each term's phase row is a view of ``phases``."""
+    ``steps`` steps; each term's phase row is a view of ``phases``.
+
+    Inside ``_sweep_scope`` they are built once per (lattice, drive, steps)
+    in the sweep's dict, and bit-equal phase arrays are one array there;
+    outside a sweep they are built fresh.
+    """
+    key = (lattice, drive, steps)
+    sweep = getattr(_thread, "terms", None)
+    if sweep is not None and key in sweep:
+        return sweep[key]
     h = drive.period / steps
     times = ((np.arange(steps)[:, None] + _NODES[None, :]) * h).reshape(-1)
-    phases = _shared_phases(_bond_phases(lattice, drive, times))
-    return phases, _bond_terms(lattice, phases)
+    phases = _bond_phases(lattice, drive, times)
+    if sweep is None:
+        return phases, _bond_terms(lattice, phases)
+    # phases carry no amplitudes, so lattices of one bond geometry share
+    # them; the terms carry the amplitudes, so their key holds the lattice
+    phases = sweep.setdefault((steps, phases.tobytes()), phases)
+    return sweep.setdefault(key, (phases, _bond_terms(lattice, phases)))
 
 
 def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int) -> np.ndarray:
@@ -332,41 +339,27 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
     return from_offset_dict(_bond_blocks(lattice, [a * E[0] for *_, a, E in terms]))
 
 
-_kept = threading.local()
-
-
-@contextlib.contextmanager
-def _reusing_decompositions():
-    """Within the block this thread keeps its last decomposition per step
-    count (``_decomposition``); they are released when the block ends."""
-    _kept.by_steps = {}
-    try:
-        yield
-    finally:
-        del _kept.by_steps
-
-
 def _decomposition(lattice, drive, k, steps: int) -> tuple:
     """(w, V) = eigh of the H(t) stack at k on the integrator nodes.
 
-    Inside ``_reusing_decompositions`` the thread's last decomposition at
-    ``steps`` is returned, and H is not built, when it has the same lattice
-    and phase array (objects; bit-equal phase arrays are one shared array)
+    Inside ``_sweep_scope`` the thread's last decomposition at ``steps`` is
+    returned, and H is not built, when it has the same lattice and phase
+    array (objects; bit-equal phase arrays are one array within a sweep)
     and a k with the same bytes. Otherwise the last one is dropped before
     the new one is computed, which then takes its place.
     """
     phases, terms = _integrator_terms(lattice, drive, steps)
-    by_steps = getattr(_kept, "by_steps", None)
+    kept = getattr(_thread, "kept", None)
     key = k.tobytes()
-    if by_steps is not None:
-        last = by_steps.pop(steps, None)
+    if kept is not None:
+        last = kept.pop(steps, None)
         if last is not None and last[0] is lattice and last[1] is phases and last[2] == key:
-            by_steps[steps] = last
+            kept[steps] = last
             return last[3]
         del last
     decomposition = np.linalg.eigh(_hamiltonian_stack(lattice, k, terms, len(_NODES) * steps))
-    if by_steps is not None:
-        by_steps[steps] = (lattice, phases, key, decomposition)
+    if kept is not None:
+        kept[steps] = (lattice, phases, key, decomposition)
     return decomposition
 
 
@@ -595,8 +588,10 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
             for io, o in enumerate(orders):
                 E[io, iw, ik] = np.linalg.eigvalsh(H1 if o else H0)
 
+    terms = {}
+
     def task(ik: int) -> list:
-        with _reusing_decompositions():
+        with _sweep_scope(terms):
             return [propagate_period(lattice, drive, k_list[ik]).quasienergies for drive in drives]
 
     exact = _on_pool(task, [(ik,) for ik in distinct])

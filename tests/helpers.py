@@ -42,6 +42,27 @@ def random_drive(rng, dim, omega=None, max_harmonics=3, scale=3.0):
     return DriveSpec(w, hs)
 
 
+def random_lattice(rng, dim):
+    """Lattice of dimension ``dim`` with skewed Bravais vectors, 1-3 basis
+    sites and bonds to offsets in {-1, 0, 1}, some with complex amplitudes."""
+    A = np.diag(rng.uniform(0.8, 1.4, size=dim)) + np.triu(rng.uniform(-0.4, 0.4, (dim, dim)), 1)
+    count = int(rng.integers(1, 4))
+    sites = rng.uniform(0.0, 1.0, (count, dim)) @ A
+    keys = set()
+    bonds = []
+    while len(bonds) < count + 1:
+        t, s = (int(x) for x in rng.integers(0, count, size=2))
+        offset = tuple(int(x) for x in rng.integers(-1, 2, size=dim))
+        if (t == s and not any(offset)) or (t, s, offset) in keys:
+            continue
+        keys |= {(t, s, offset), (s, t, tuple(-x for x in offset))}
+        amplitude = rng.uniform(0.5, 1.5)
+        if rng.random() < 0.5:
+            amplitude *= np.exp(1j * rng.uniform(0.0, np.pi))
+        bonds.append(Bond(t, s, offset, amplitude))
+    return LatticeSpec(dim, A, sites, tuple(bonds))
+
+
 def composable_pairs(lattice):
     """All ordered bond pairs (b1, b2) where b2 starts where b1 ends."""
     return [

@@ -2,7 +2,6 @@ import inspect
 import itertools
 import math
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -45,6 +44,7 @@ from helpers import (
     count_propagations,
     gauge_difference_errors,
     random_drive,
+    random_lattice,
     torus_hamiltonian,
     translational_identity_check,
     undriven_offsets,
@@ -272,31 +272,37 @@ def test_refined_propagation_fails_on_nan_unitarity(monkeypatch):
 def test_cached_bond_factors_reproduce_a_cold_build_bit_for_bit():
     lat = preset("kagome")
     drive = circular_drive(12.0, 18.0)
-    twin = circular_drive(12.0, 18.0)  # equal, but a distinct cache key
+    twin = circular_drive(12.0, 18.0)  # equal, but a distinct dict key
     k = np.array([0.4, -0.9])
-    propagate_period(lat, drive, np.array([1.1, 0.2]))
-    info = floquet._integrator_terms.cache_info()
-    hit = propagate_period(lat, drive, k)
-    assert floquet._integrator_terms.cache_info().misses == info.misses
-    miss = propagate_period(lat, twin, k)
-    assert floquet._integrator_terms.cache_info().misses > info.misses
-    assert np.array_equal(hit.quasienergies, miss.quasienergies)
-    assert np.array_equal(hit.propagator, miss.propagator)
+    cold = propagate_period(lat, drive, k)
+    terms = {}
+    with floquet._sweep_scope(terms):
+        propagate_period(lat, drive, np.array([1.1, 0.2]))
+        built = set(terms)
+        warm = propagate_period(lat, drive, k)
+        assert set(terms) == built
+        propagate_period(lat, twin, k)
+    assert set(terms) - built == {(lat, twin, 512), (lat, twin, 1024)}
+    for steps in (512, 1024):
+        assert terms[lat, twin, steps][0] is terms[lat, drive, steps][0]
+    assert warm.quasienergies.tobytes() == cold.quasienergies.tobytes()
+    assert warm.propagator.tobytes() == cold.propagator.tobytes()
 
 
 def test_warm_cache_still_validates_inputs():
     lat = preset("kagome")
     drive = circular_drive(12.0, 18.0)
-    propagate_period(lat, drive, np.array([0.4, -0.9]))
-    with pytest.raises(ValidationError, match="Cartesian components"):
-        propagate_period(lat, drive, np.array([0.4, -0.9, 0.1]))
-    with pytest.raises(ValidationError, match="drive force has 3 components"):
-        propagate_period(lat, linear_drive(12.0, [1.0, 2.0, 3.0]), np.array([0.4, -0.9]))
+    with floquet._sweep_scope({}):
+        propagate_period(lat, drive, np.array([0.4, -0.9]))
+        with pytest.raises(ValidationError, match="Cartesian components"):
+            propagate_period(lat, drive, np.array([0.4, -0.9, 0.1]))
+        with pytest.raises(ValidationError, match="drive force has 3 components"):
+            propagate_period(lat, linear_drive(12.0, [1.0, 2.0, 3.0]), np.array([0.4, -0.9]))
 
 
 def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
-    # more workers than cores, rapid thread switches, and more (drive, steps)
-    # keys than cache entries: the pooled sweep must equal a serial one
+    # more workers than cores and rapid thread switches over one shared
+    # dict of integrator terms: the pooled sweep must equal a serial one
     lat = preset("zigzag")
     base = circular_drive(10.0, 15.0)
     ks = [np.array([kx, 0.0]) for kx in (0.5, 1.0, 1.5, 2.0)]
@@ -305,10 +311,10 @@ def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
     def family(w):
         return rescale_drive(base, w)
 
+    calls = count_eighs(monkeypatch)
     monkeypatch.setenv("FLOQUET_FORGE_THREADS", "1")
-    before = floquet._integrator_terms.cache_info()
     serial = error_matrix(lat, family, ks, omegas)
-    assert floquet._integrator_terms.cache_info().hits > before.hits
+    assert len(calls) == len(ks) * 2  # one per k and step count
     monkeypatch.setenv("FLOQUET_FORGE_THREADS", "8")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -317,10 +323,39 @@ def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(serial, pooled)
-    info = floquet._integrator_terms.cache_info()
-    assert 0 < info.currsize <= info.maxsize == 8
+    # two workers building one entry must end up sharing the first
+    assert len(calls) == 2 * len(ks) * 2
+    assert not vars(floquet._thread)  # no sweep state is left on the thread
     info = lattice._offset_stack.cache_info()
     assert 0 < info.currsize <= info.maxsize == 8
+
+
+def test_a_sweep_builds_each_drives_phases_once_per_step_count(monkeypatch):
+    # the k tasks of a sweep share one dict of integrator terms, however many
+    # frequencies it has, and a second sweep starts from nothing
+    lat = preset("kagome")
+    base = circular_drive(10.0, 15.0)
+    ks = [np.array([0.4, -0.3]), np.array([1.1, 0.6]), np.array([-0.7, 0.2]), np.array([0.0, 0.9])]
+    omegas = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", "1")
+    calls = []
+    build = floquet._bond_phases
+
+    def counting(spec, drive, times):
+        calls.append((drive.omega, len(times)))
+        return build(spec, drive, times)
+
+    def family(w):
+        return rescale_drive(base, w)
+
+    monkeypatch.setattr(floquet, "_bond_phases", counting)
+    once = [(w, 3 * steps) for w in omegas for steps in (512, 1024)]  # 12 builds
+    first = error_matrix(lat, family, ks, omegas)
+    assert sorted(calls) == once
+    calls.clear()
+    again = error_matrix(lat, family, ks, omegas)
+    assert sorted(calls) == once
+    assert again.tobytes() == first.tobytes()
 
 
 def log_residuals(fit):
@@ -427,19 +462,15 @@ def count_eighs(monkeypatch):
 
 
 def isolated_errors(lat, family, ks, omegas):
-    """error_matrix at order 1 rebuilt point by point, each propagate_period
-    call in a new thread of its own, where no decomposition can be shared;
-    also {(omega, k index): step count reached}."""
+    """error_matrix at order 1 rebuilt point by point from propagate_period
+    calls outside a sweep, where nothing is shared; also {(omega, k index):
+    step count reached}."""
     errors, steps = np.zeros((len(omegas), len(ks))), {}
     for iw, w in enumerate(sorted(omegas)):
         drive = family(w)
         model = build_effective_model(lat, drive)
         for ik, k in enumerate(ks):
-            box = []
-            worker = threading.Thread(target=lambda: box.append(propagate_period(lat, drive, k)))
-            worker.start()
-            worker.join(60.0)
-            (spec,) = box
+            spec = propagate_period(lat, drive, k)
             steps[w, ik] = spec.steps
             exact = np.linalg.eigvalsh(effective_bloch(model, k))
             errors[iw, ik] = match_distance(exact, spec.quasienergies, w)
@@ -480,49 +511,36 @@ def test_a_kept_decomposition_serves_only_the_same_lattice_and_k(monkeypatch):
         tuple(Bond(b.target_basis, b.source_basis, b.cell_offset, 2.0 * b.amplitude) for b in lat.bonds),
     )
     drive = circular_drive(10.0, 15.0)
-    # the same phase array serves both lattices: only the lattice check tells them apart
-    assert floquet._integrator_terms(heavier, drive, 512)[0] is floquet._integrator_terms(lat, drive, 512)[0]
     a, b = np.array([0.4, -0.3]), np.array([1.1, 0.6])
     points = [(lat, a), (lat, a.copy()), (lat, b), (heavier, b)]
     want = [propagate_period(spec, drive, k).propagator for spec, k in points]
     calls = count_eighs(monkeypatch)
-    with floquet._reusing_decompositions():
+    terms = {}
+    with floquet._sweep_scope(terms):
         got = [propagate_period(spec, drive, k).propagator for spec, k in points]
-    assert not hasattr(floquet._kept, "by_steps")
+    assert not vars(floquet._thread)  # no sweep state is left on the thread
+    # the same phase array serves both lattices: only the lattice check tells them apart
+    assert terms[heavier, drive, 512][0] is terms[lat, drive, 512][0]
     assert len(calls) == 2 * 3  # 512 and 1024 steps; the repeated k reuses both
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def test_bit_equal_phase_arrays_become_one_array_under_threads():
-    # more workers than cores, rapid thread switches, all interning at once:
-    # a lost update would leave two arrays, and a k task holding the other
-    # one would miss its reuse
-    workers = 16
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for round_ in range(100):
-            arrays = [np.exp(1j * (np.arange(3072.0) + round_))[None] for _ in range(workers)]
-            for a in arrays:
-                a.flags.writeable = False
-            barrier = threading.Barrier(workers)
-            shared = [None] * workers
+def test_sweeps_on_random_lattices_equal_a_point_by_point_rebuild(monkeypatch):
+    # the sharing a doubling grid allows must not depend on the geometry
+    rng = np.random.default_rng(21)
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", "2")
+    for dim in (1, 2, 1, 2):
+        lat = random_lattice(rng, dim)
+        base = random_drive(rng, dim, omega=10.0, scale=1.0)
+        ks = [rng.uniform(-np.pi, np.pi, size=dim) for _ in range(2)]
 
-            def intern(i):
-                barrier.wait()
-                shared[i] = floquet._shared_phases(arrays[i])
+        def family(w, base=base):
+            return rescale_drive(base, w)
 
-            threads = [threading.Thread(target=intern, args=(i,)) for i in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(10.0)
-            assert not any(t.is_alive() for t in threads)
-            assert all(x is shared[0] for x in shared) and shared[0] is not None
-            assert shared[0].tobytes() == arrays[0].tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+        want, _ = isolated_errors(lat, family, ks, omegas)
+        assert error_matrix(lat, family, ks, omegas).tobytes() == want.tobytes()
 
 
 def test_sweeps_reach_every_propagation_through_propagate_period(monkeypatch):
