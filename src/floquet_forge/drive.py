@@ -209,10 +209,11 @@ def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutof
             g = np.array(amplitudes, dtype=complex)[:, None] * np.exp(1j * chi)
             spectra[n_s] = np.fft.fft(g, axis=1) / n_s
         coefficients = spectra[n_s][:, np.arange(-n, n + 1) % n_s]
-        tails = [
-            abs(float(np.sum(np.abs(row) ** 2)) - abs(a) ** 2) / abs(a) ** 2
-            for row, a in zip(coefficients, amplitudes)
-        ]
+        # C order, so that each row's power is one pairwise sum along the
+        # row, as np.sum of the row alone; the column-major gather would make
+        # the sum run down the columns, one row after another
+        power = np.sum(np.abs(coefficients, order="C") ** 2, axis=1).tolist()
+        tails = [abs(p - abs(a) ** 2) / abs(a) ** 2 for p, a in zip(power, amplitudes)]
         tail = next((x for x in tails if not (x <= PARSEVAL_TOL)), None)
         if tail is None:
             coefficients.flags.writeable = False

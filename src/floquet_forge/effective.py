@@ -16,16 +16,20 @@ reduces to line (1) alone -- the fast path ``beta_static_free``. In either
 gauge beta is antisymmetric under exchange of the two hops, which is the
 origin of all destructive-interference selection rules.
 
-A model build is one pass: the composable pairs, their total offsets and
-basis indices come from the lattice's cached pair table, the harmonics are
-stacked into one (bonds, 2N+1) array, and lines one and two of every pair's
-beta are evaluated in one expression and summed along n by one compensated
-(Kahan) sum over all rows at once. It is bit-identical to a per-pair loop:
-every vector operation is the one the loop applied to a pair's arrays, and
-Kahan's four add/subtract steps round the same in vector and scalar form.
-Only line three, a handful of scalar products per pair, stays scalar,
-because numpy's vector complex multiply rounds differently from its scalar
-one. The betas are scattered into the offset blocks in pair order.
+A model build is one array pass with one compensated sum: the composable
+pairs, their total offsets and basis indices come from the lattice's cached
+pair table, the harmonics are stacked into one (bonds, 2N+1) array, lines
+one and two of every pair's beta are evaluated in one expression, and those
+pair rows, together with every bond row's static-free gauge term f, are
+summed along n by one compensated (Kahan) sum over all rows at once. It is
+bit-identical to a per-pair loop: every vector operation is the one the loop
+applied to a pair's arrays, and Kahan's four add/subtract steps round the
+same in vector and scalar form. Only line three, a handful of scalar
+products per pair, stays scalar, because numpy's vector complex multiply
+rounds differently from its scalar one. The betas are scattered into the
+offset blocks in pair order; the Hermitian closure and the pruning then act
+once on the stack of offset blocks, each block paired with its negated
+offset's by an index.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from .drive import BondHarmonics, DriveSpec, lattice_harmonics
 from .errors import ValidationError
 from .lattice import (
     LatticeSpec,
+    OffsetMatrix,
     _bond_blocks,
     _pair_table,
     _real,
     bloch_matrix,
-    from_offset_dict,
 )
 
 __all__ = [
@@ -74,18 +78,22 @@ class Gauge(Enum):
         raise ValidationError(f"gauge must be a Gauge or one of {names}, got {gauge!r}")
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Compensated (Kahan) sum of each row of ``terms``, columns in ascending
-    order. The four add/subtract steps per column are those of a scalar loop,
-    applied to all rows at once; complex addition and subtraction round the
-    same in scalar and vector form, so each row's sum is the scalar loop's."""
-    s = np.zeros(len(terms), dtype=complex)
-    c = np.zeros_like(s)
-    for column in terms.T:
-        y = column - c
-        t = s + y
-        c = (t - s) - y
-        s = t
+def _row_sums(*blocks: np.ndarray) -> np.ndarray:
+    """Compensated (Kahan) sum of each row of the blocks, stacked in the
+    given order, columns in ascending order. The rows are copied once into
+    contiguous columns, and the four add/subtract steps of a scalar loop run
+    in place on each column, for all rows at once; complex addition and
+    subtraction round the same in scalar and vector form, so each row's sum
+    is the scalar loop's."""
+    columns = np.concatenate(blocks).T.copy()
+    s = np.zeros(columns.shape[1], dtype=complex)
+    c, y, t = np.zeros_like(s), np.empty_like(s), np.empty_like(s)
+    for column in columns:
+        np.subtract(column, c, out=y)
+        np.add(s, y, out=t)
+        np.subtract(t, s, out=c)
+        np.subtract(c, y, out=c)
+        s, t = t, s
     return s
 
 
@@ -96,25 +104,23 @@ def _split(G: np.ndarray) -> tuple:
     return G[:, N + 1:], G[:, N - 1::-1], G[:, N]
 
 
-def _gauge_coefficients(G: np.ndarray) -> np.ndarray:
-    """Static-free gauge matrix element f = sum_{n>=1} (i/n)(g^{-n} - g^{n})
-    of each row of a coefficient stack."""
-    pos, neg, _ = _split(G)
-    n = np.arange(1, pos.shape[1] + 1)
-    return _row_sums(1j * (neg - pos) / n)
-
-
-def _two_step(G: np.ndarray, first, second, f, omega: float) -> np.ndarray:
+def _two_step(G: np.ndarray, first, second, omega: float, gauge: Gauge) -> np.ndarray:
     """All three lines of the two-step amplitude for every pair (rows
-    first[p], then second[p]) of a coefficient stack; ``f`` holds each row's
-    gauge term."""
+    first[p], then second[p]) of a coefficient stack in ``gauge``. Lines one
+    and two of every pair and, in the static-free gauge, each row's gauge
+    term f = sum_{n>=1} (i/n)(g^{-n} - g^{n}) take one compensated sum."""
     pos, neg, zero = _split(G)
     n = np.arange(1, pos.shape[1] + 1)
     g1p, g1n, g1z = pos[first], neg[first], zero[first, None]
     g2p, g2n, g2z = pos[second], neg[second], zero[second, None]
     line1 = g2p * g1n - g2n * g1p
     line2 = (g2n - g2p) * g1z - g2z * (g1n - g1p)
-    sums = _row_sums((line1 + line2) / (n * omega))
+    lines = (line1 + line2) / (n * omega)
+    if gauge is Gauge.STATIC_FREE:
+        sums = _row_sums(lines, 1j * (neg - pos) / n)
+        sums, f = sums[: len(lines)], sums[len(lines):]
+    else:
+        sums, f = _row_sums(lines), [0.0 + 0.0j] * len(G)
     # Line three stays scalar, pair by pair: numpy's vector complex multiply
     # fuses multiply-adds where its scalar one does not, so the two differ in
     # the last bit for about half of all products.
@@ -154,7 +160,10 @@ def beta_static_free(h1: BondHarmonics, h2: BondHarmonics) -> complex:
 
 def _order0_from_harmonics(lattice, harmonics) -> tuple:
     g0 = [harmonics[b].coeff(0) for b in lattice.bonds]
-    return from_offset_dict(_symmetrize(_bond_blocks(lattice, g0), lattice.basis_count))
+    table = _bond_blocks(lattice, g0)
+    d = lattice.basis_count
+    offsets, blocks = _symmetrize(list(table), np.array(list(table.values())).reshape(-1, d, d))
+    return tuple(OffsetMatrix(off, m) for off, m in zip(offsets, blocks))
 
 
 def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
@@ -162,36 +171,31 @@ def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple
     if not len(table.first):
         return ()
     G = np.array([harmonics[b].coefficients for b in lattice.bonds])
-    if gauge is Gauge.STATIC_FREE:
-        f = _gauge_coefficients(G)
-    else:
-        f = [0.0 + 0.0j] * len(G)
     d = lattice.basis_count
     blocks = np.zeros((len(table.totals), d, d), dtype=complex)
     # unbuffered and in pair order: each entry adds its betas in pair-table order
     np.add.at(
         blocks,
         (table.total_index, table.target, table.source),
-        _two_step(G, table.first, table.second, f, omega),
+        _two_step(G, table.first, table.second, omega, gauge),
     )
-    summed = _symmetrize(dict(zip(table.totals, blocks)), d)
+    offsets, blocks = _symmetrize(table.totals, blocks)
     threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
-    pruned = {}
-    for off, m in summed.items():
-        m = np.where(np.abs(m) < threshold, 0.0, m)
-        if np.any(m != 0):
-            pruned[off] = m
-    return from_offset_dict(pruned)
+    blocks = np.where(np.abs(blocks) < threshold, 0.0, blocks)
+    kept = (blocks != 0).any(axis=(1, 2)).tolist()
+    return tuple(OffsetMatrix(off, m) for off, m, keep in zip(offsets, blocks, kept) if keep)
 
 
-def _symmetrize(table: dict, d: int) -> dict:
-    """Enforce exact Hermitian closure across opposite offsets."""
-    offsets = set(table) | {tuple(-x for x in off) for off in table}
-    zero = np.zeros((d, d), dtype=complex)
-    return {
-        off: 0.5 * (table.get(off, zero) + table.get(tuple(-x for x in off), zero).conj().T)
-        for off in sorted(offsets)
-    }
+def _symmetrize(offsets, blocks: np.ndarray) -> tuple:
+    """Exact Hermitian closure across opposite offsets: (the sorted union of
+    ``offsets`` and their negations, the stack of 0.5 * (M_o + M_{-o}^H)
+    there), a missing block counting as zero."""
+    keys = sorted(set(offsets) | {tuple(-x for x in off) for off in offsets})
+    where = {off: n for n, off in enumerate(keys)}
+    full = np.zeros((len(keys),) + blocks.shape[1:], dtype=complex)
+    full[[where[off] for off in offsets]] = blocks
+    neg = [where[tuple(-x for x in off)] for off in keys]
+    return keys, 0.5 * (full + full[neg].conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +248,8 @@ def build_effective_model(
 
 
 def effective_bloch(model: EffectiveModel, k) -> np.ndarray:
-    """Bloch matrix of the truncated effective Hamiltonian at wave vector k."""
+    """Bloch matrix of the truncated effective Hamiltonian at wave vector k,
+    or a stack of them for a stack of k, as in :func:`bloch_matrix`."""
     H = bloch_matrix(model.order0, k, model.bravais_vectors)
     if model.order1:
         H = H + bloch_matrix(model.order1, k, model.bravais_vectors)

@@ -37,8 +37,9 @@ involved, so every propagator keeps its bits.
 
 Effective and exact spectra are compared in one core, ``_matched_spectra``,
 behind the sweeps and ``cli bands``. It takes every effective spectrum first
-(order 1 adds its blocks to the point's one order-0 Bloch matrix), so a model
-that cannot be evaluated fails before any propagation, then propagates each
+(one Bloch stack per model and order over all distinct k, order 1 added to
+order 0), so a model that cannot be evaluated fails before any propagation,
+then propagates each
 bit-distinct (omega, k) point once for all orders (a repeated k, such as the
 closing vertex of a k-path, gets its first occurrence's bits) and matches
 each spectrum once. ``error_matrix`` and ``scaling_errors`` reduce its result
@@ -570,23 +571,24 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
     """(E, Q), both shaped (orders, drives, k, basis): E holds the spectra of
     ``models`` truncated at each of ``orders`` (0 or 1), Q the exact
     quasienergies of ``drives`` that ``match_permutation`` pairs with them.
-    Every E is taken before any propagation; order 1 adds its blocks to the
-    point's one order-0 Bloch matrix, as ``effective_bloch`` does. Each
+    Every E is taken before any propagation: one ``bloch_matrix`` call per
+    model and order over the stack of distinct k, order 1 added to order 0
+    as ``effective_bloch`` does, and one stacked ``eigvalsh`` per order. Each
     bit-distinct (drive, k) is propagated once; a repeated k copies its first
     occurrence. One pool task per distinct k propagates every drive in the
     given order (ascending omega in a sweep), so drives whose H(t) stacks are
     bit-equal share one decomposition."""
     first = _first_occurrences(k_list)
     distinct = sorted(set(first))
+    ks = np.array([k_list[ik] for ik in distinct])
     E = np.zeros((len(orders), len(drives), len(k_list), lattice.basis_count))
     for iw, model in enumerate(models):
-        for ik in distinct:
-            H0 = bloch_matrix(model.order0, k_list[ik], model.bravais_vectors)
-            H1 = H0
-            if 1 in orders and model.order1:
-                H1 = H0 + bloch_matrix(model.order1, k_list[ik], model.bravais_vectors)
-            for io, o in enumerate(orders):
-                E[io, iw, ik] = np.linalg.eigvalsh(H1 if o else H0)
+        H0 = bloch_matrix(model.order0, ks, model.bravais_vectors)
+        H1 = H0
+        if 1 in orders and model.order1:
+            H1 = H0 + bloch_matrix(model.order1, ks, model.bravais_vectors)
+        for io, o in enumerate(orders):
+            E[io, iw, distinct] = np.linalg.eigvalsh(H1 if o else H0)
 
     terms = {}
 

@@ -16,9 +16,11 @@ keeps the result in a small bounded cache keyed on the tuple of
 ``OffsetMatrix`` objects: tuples of frozen, identity-compared carriers with
 read-only blocks cannot change under the cache, the cached arrays are
 read-only, and ``functools.lru_cache`` is thread-safe (two threads missing
-the same set both build it, with identical results). The drive-independent
-two-step data of a lattice, its pair table, is cached the same way, keyed on
-the frozen ``LatticeSpec``.
+the same set both build it, with identical results). It takes one k or a
+stack of them: one array pass over (k, offset) gives every k's matrix with
+the bits of a call for that k alone. The drive-independent two-step data of
+a lattice, its pair table, is cached the same way, keyed on the frozen
+``LatticeSpec``.
 """
 
 from __future__ import annotations
@@ -68,8 +70,13 @@ def _numbers(value, field: str, dtype, scalar: bool = False) -> np.ndarray:
     Fraction, another object (a complex where reals are read) or a ragged
     nesting is refused, naming the field."""
     kinds = "iuf" if dtype is float else "iufc"
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.number)):
         ok = value.dtype.kind in kinds
+    elif isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**64
+    ):
+        # what numpy holds as float64, int64 or uint64, read without an object array
+        ok = True
     else:
         ok = all(np.asarray(x).dtype.kind in kinds for x in np.array(value, dtype=object).flat)
     try:
@@ -88,13 +95,14 @@ def _real(value, field: str) -> float:
     return float(_numbers(value, field, float, scalar=True))
 
 
-def _check_k(k, space_dim: int) -> np.ndarray:
-    """``k`` as a Cartesian wave vector: ``space_dim`` finite real components."""
+def _check_k(k, space_dim: int, stack: bool = False) -> np.ndarray:
+    """``k`` as a Cartesian wave vector: ``space_dim`` finite real components;
+    with ``stack``, also a stack of such vectors, shape (n_k, space_dim)."""
     k = _numbers(k, "k", float)
-    if k.shape != (space_dim,):
+    if k.shape[-1:] != (space_dim,) or k.ndim > 1 + stack:
         raise ValidationError(f"k must have {space_dim} Cartesian components, got shape {k.shape}")
     # per component: np.isfinite(k).all() costs microseconds on bloch_matrix's path
-    if not all(map(math.isfinite, k.tolist())):
+    if not all(map(math.isfinite, k.ravel().tolist())):
         raise ValidationError(f"k must be finite, got {k.tolist()}")
     return k
 
@@ -326,69 +334,79 @@ def from_offset_dict(table: dict) -> tuple:
 
 
 def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
+    """Whether every block has a partner at the negated offset equal to its
+    conjugate transpose, within ``tol`` times the largest entry (at least 1).
+    A set with a NaN block is not closed; an empty one is."""
     table = offset_dict(offsets)
-    scale = max((np.abs(m).max() for m in table.values()), default=0.0)
-    for off, m in table.items():
-        neg = tuple(-x for x in off)
-        if neg not in table:
-            return False
-        if not np.abs(table[neg] - m.conj().T).max() <= tol * max(scale, 1.0):  # NaN: not closed
-            return False
-    return True
+    if not table:
+        return True
+    where = {off: n for n, off in enumerate(table)}
+    neg = [where.get(tuple(-x for x in off)) for off in table]
+    if None in neg:
+        return False
+    mats = np.array(list(table.values()))
+    scale = float(np.abs(mats).max())
+    # NaN compares false: not closed
+    return bool(np.abs(mats[neg] - mats.conj().transpose(0, 2, 1)).max() <= tol * max(scale, 1.0))
 
 
 # Keyed by identity (see the module docstring); the cache's strong references
 # keep a cached id from being reused, and a set that fails a check is not
-# cached. A model has two sets (orders 0 and 1); eight entries hold four models'.
+# cached. A model has two sets (orders 0 and 1); eight entries hold four
+# models'. A sweep or a k-path reads each set once, with all its k stacked.
 @functools.lru_cache(maxsize=8)
 def _offset_stack(offsets: tuple) -> tuple:
     """Validate an offset set once; return its offsets as floats in ascending
-    order and its blocks stacked in the same order, both read-only."""
+    order and its blocks stacked in the same order, both read-only and led
+    by one more entry, a zero offset with a zero block (see ``bloch_matrix``)."""
     table = offset_dict(offsets)
     if not table:
         raise ValidationError(
             "offset set is empty: a Bloch matrix needs at least one block to fix its size"
         )
     keys = sorted(table)
-    offs = np.array(keys, dtype=float)
     mats = np.array([table[off] for off in keys])
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         raise ValidationError(f"offset {keys[finite.argmin()]}: matrix must be finite")
     if not is_hermitian_closed_offsets(offsets):
         raise ValidationError("offset set is not Hermitian-closed")
-    offs.flags.writeable = False
-    mats.flags.writeable = False
+    offs = _readonly([(0,) * len(keys[0])] + keys)
+    mats = _readonly(np.concatenate([np.zeros_like(mats[:1]), mats]), complex)
     return offs, mats
 
 
 def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
     """Sum of exp(i k . R_offset) * M_offset over the offset set.
 
-    ``k`` is a Cartesian reciprocal vector; R_offset = offset @ bravais_vectors.
-    The offset set must be finite and Hermitian-closed, so the result is
-    Hermitian for every k. An empty offset set is refused: it fixes no size.
+    ``k`` is a Cartesian reciprocal vector, shape (space_dim,), or a stack of
+    them, shape (n_k, space_dim); the result is one (d, d) matrix or a
+    stack of them, shape (n_k, d, d), each with the bits of its k alone.
+    R_offset = offset @ bravais_vectors. The offset set must be finite and
+    Hermitian-closed, so every result is Hermitian. An empty offset set is
+    refused: it fixes no size.
 
     The checks and the stacking of the blocks run once per offset set, not
-    once per k: a small bounded cache, keyed on the tuple of ``OffsetMatrix``
-    objects (identity), holds them as read-only arrays, so repeated calls on
-    one model over many k share them, also across threads.
+    once per call: a small bounded cache, keyed on the tuple of
+    ``OffsetMatrix`` objects (identity), holds them as read-only arrays, so
+    repeated calls on one model share them, also across threads.
     """
     offs, mats = _offset_stack(tuple(offsets))
     A = _numbers(bravais_vectors, "bravais_vectors", float)
     if A.ndim != 2 or len(A) != offs.shape[1]:
         raise ValidationError(f"bravais_vectors must be {offs.shape[1]} rows, got shape {A.shape}")
-    k = _check_k(k, A.shape[1])
-    # Same bits as summing offset by offset. np.vecdot runs, row by row, the
-    # dot kernel of a scalar k @ r, where R @ k, einsum and an elementwise
-    # sum round differently. add.accumulate over a stack led by a zero block
-    # adds in order, (0 + t0) + t1 + ..., signed zeros included; add.reduce
-    # would switch to pairwise summation.
-    R = offs @ A
-    terms = np.empty((len(R) + 1,) + mats.shape[1:], dtype=complex)
-    terms[0] = 0
-    np.multiply(np.exp(1j * np.vecdot(R, k))[:, None, None], mats, out=terms[1:])
-    return np.add.accumulate(terms, axis=0)[-1]
+    k = _check_k(k, A.shape[1], stack=True)
+    # Same bits as summing offset by offset, for each k. np.vecdot runs, per
+    # (k, offset), the dot kernel of a scalar k @ r, where R @ k, einsum and
+    # an elementwise sum round differently. The stack's leading zero offset
+    # has the phase exp(i 0) = 1 exactly, so one multiply gives terms led by
+    # a +0 block, and add.accumulate along the offset axis adds in order,
+    # (0 + t0) + t1 + ..., signed zeros included; add.reduce would switch to
+    # pairwise summation.
+    terms = np.exp(1j * np.vecdot(offs @ A, k[..., None, :]))[..., None, None] * mats
+    # a stack is copied out of the partial sums, which are (offsets + 1)
+    # times its size; one k's matrix is contiguous there and stays a view
+    return np.ascontiguousarray(np.add.accumulate(terms, axis=-3, out=terms)[..., -1, :, :])
 
 
 @dataclass(frozen=True, eq=False)

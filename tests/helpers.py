@@ -21,7 +21,7 @@ from floquet_forge import (
     propagate_period,
 )
 from floquet_forge.drive import _harmonics_at
-from floquet_forge.effective import _gauge_coefficients, _two_step
+from floquet_forge.effective import _split, _two_step
 from floquet_forge.lattice import (
     _bond_blocks,
     _torus_extents,
@@ -248,11 +248,12 @@ def count_propagations(monkeypatch):
 
 def count_bloch_matrices(monkeypatch):
     """Wrap bloch_matrix where the comparison core and ``effective_bloch``
-    look it up; the returned list gets each call's k as bytes."""
+    look it up; the returned list gets each call's k as a (n_k, dim) float
+    array, one row for a single k."""
     calls = []
 
     def counting(offsets, k, bravais_vectors):
-        calls.append(np.asarray(k, dtype=float).tobytes())
+        calls.append(np.array(k, dtype=float, ndmin=2))
         return bloch_matrix(offsets, k, bravais_vectors)
 
     monkeypatch.setattr(floquet, "bloch_matrix", counting)
@@ -277,9 +278,48 @@ def beta_general(lattice, drive, gauge, bond1, bond2):
     ``beta_static_free``."""
     a = np.array([lattice.displacement(bond1), lattice.displacement(bond2)])
     _, G = _harmonics_at(drive, a, [bond1.amplitude, bond2.amplitude], None)
-    f = _gauge_coefficients(G) if gauge is Gauge.STATIC_FREE else [0j, 0j]
-    value = _two_step(G, np.array([0]), np.array([1]), f, drive.omega)[0]
+    value = _two_step(G, np.array([0]), np.array([1]), drive.omega, gauge)[0]
     return TwoStepAmplitude(a[0], a[1], bond1.target_basis, value)
+
+
+def two_pass_row_sums(terms):
+    """The compensated (Kahan) row sum in the form that took one pass per
+    block of rows, allocating each step: the reference for the one-pass
+    ``effective._row_sums``."""
+    s = np.zeros(len(terms), dtype=complex)
+    c = np.zeros_like(s)
+    for column in terms.T:
+        y = column - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
+def two_pass_two_step(G, first, second, omega, gauge):
+    """``effective._two_step`` as it ran with two compensated sums, one over
+    the bond rows' gauge terms and one over the pair rows' lines one and
+    two; the one-pass kernel must reproduce it bit for bit."""
+    pos, neg, zero = _split(G)
+    n = np.arange(1, pos.shape[1] + 1)
+    if gauge is Gauge.STATIC_FREE:
+        f = two_pass_row_sums(1j * (neg - pos) / n)
+    else:
+        f = [0.0 + 0.0j] * len(G)
+    g1p, g1n, g1z = pos[first], neg[first], zero[first, None]
+    g2p, g2n, g2z = pos[second], neg[second], zero[second, None]
+    line1 = g2p * g1n - g2n * g1p
+    line2 = (g2n - g2p) * g1z - g2z * (g1n - g1p)
+    sums = two_pass_row_sums((line1 + line2) / (n * omega))
+    gz = [complex(z) for z in zero]
+    iw = 1j / omega
+    return np.array(
+        [
+            s + iw * (f[j] * gz[i] - gz[j] * f[i])
+            for s, i, j in zip(sums, first.tolist(), second.tolist())
+        ],
+        dtype=complex,
+    )
 
 
 def gauge_difference_errors(lattice, drive_family, k_set, omegas):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -309,6 +310,7 @@ def test_parseval_failure_names_the_same_first_bond_as_the_per_bond_path():
     with pytest.raises(CutoffTooSmallError) as want:
         reference_lattice_harmonics(lat, drive, cutoff=16)
     assert str(got.value) == str(want.value)
+    assert got.value.tail_mass == want.value.tail_mass
     # a drive beyond the largest cutoff fails the same way in auto mode
     drive = strong_drive(lat, 400.0)
     with pytest.raises(CutoffTooSmallError) as got:
@@ -316,7 +318,21 @@ def test_parseval_failure_names_the_same_first_bond_as_the_per_bond_path():
     with pytest.raises(CutoffTooSmallError) as want:
         reference_lattice_harmonics(lat, drive)
     assert str(got.value) == str(want.value)
+    assert got.value.tail_mass == want.value.tail_mass
     assert "cutoff 256 too small" in str(got.value)
+    # the tail itself, to the last bit, at every explicit cutoff that fails
+    for name in PRESET_NAMES:
+        lat = preset(name)
+        for z, cutoff in itertools.product((2.0, 8.0, 30.0), (4, 8, 16, 32)):
+            drive = strong_drive(lat, z)
+            try:
+                reference_lattice_harmonics(lat, drive, cutoff)
+            except CutoffTooSmallError as error:
+                with pytest.raises(CutoffTooSmallError) as got:
+                    lattice_harmonics(lat, drive, cutoff)
+                assert got.value.tail_mass == error.tail_mass, (name, z, cutoff)
+            else:
+                lattice_harmonics(lat, drive, cutoff)
 
 
 def test_bit_equal_bonds_share_one_spectrum_kept_across_escalation(monkeypatch):

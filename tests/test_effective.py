@@ -19,7 +19,12 @@ from floquet_forge import (
     reciprocal_vectors,
 )
 from floquet_forge import effective
-from floquet_forge.lattice import from_offset_dict, is_hermitian_closed_offsets, offset_dict
+from floquet_forge.lattice import (
+    _pair_table,
+    from_offset_dict,
+    is_hermitian_closed_offsets,
+    offset_dict,
+)
 from helpers import (
     beta_general,
     bloch_harmonics,
@@ -29,6 +34,8 @@ from helpers import (
     random_drive,
     reference_lattice_harmonics,
     strong_drive,
+    two_pass_row_sums,
+    two_pass_two_step,
     two_site_chain,
     undriven_offsets,
 )
@@ -64,6 +71,17 @@ def reference_beta_lines(h1, h2, f1, f2) -> complex:
     return value + (1j / w) * (f2 * g1z - g2z * f1)
 
 
+def reference_symmetrize(table: dict, d: int) -> dict:
+    """Hermitian closure offset by offset, as it ran before the blocks were
+    stacked: 0.5 * (M_o + M_{-o}^H), a missing block counting as zero."""
+    offsets = set(table) | {tuple(-x for x in off) for off in table}
+    zero = np.zeros((d, d), dtype=complex)
+    return {
+        off: 0.5 * (table.get(off, zero) + table.get(tuple(-x for x in off), zero).conj().T)
+        for off in sorted(offsets)
+    }
+
+
 def reference_order1(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
     """The per-pair double loop over composable bonds that order 1 ran before
     the pair table; the row kernel must reproduce it bit for bit."""
@@ -82,7 +100,7 @@ def reference_order1(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
             m[b2.target_basis, b1.source_basis] += reference_beta_lines(
                 harmonics[b1], harmonics[b2], f[b1], f[b2]
             )
-    table = effective._symmetrize(table, d)
+    table = reference_symmetrize(table, d)
     threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
     pruned = {}
     for off, m in table.items():
@@ -376,6 +394,23 @@ def test_two_step_amplitudes_match_the_reference_and_stay_antisymmetric():
             for gauge, f1, f2 in ((Gauge.STATIC_FREE, f[b1], f[b2]), (Gauge.FLOQUET, 0j, 0j)):
                 got = beta_general(lat, drive, gauge, b1, b2).value
                 assert got.tobytes() == reference_beta_lines(h1, h2, f1, f2).tobytes()
+        # the whole pair table through the one-pass sum, against the two
+        # passes (bond rows' gauge terms, then pair rows) it replaced
+        G = np.array([table[b].coefficients for b in lat.bonds])
+        pairs = _pair_table(lat)
+        for gauge in Gauge:
+            got = effective._two_step(G, pairs.first, pairs.second, drive.omega, gauge)
+            want = two_pass_two_step(G, pairs.first, pairs.second, drive.omega, gauge)
+            assert got.tobytes() == want.tobytes(), (name, gauge)
+    # blocks of any row count, each summed as if alone
+    for rows in ((1,), (3, 5), (2, 0, 7)):
+        blocks = [
+            rng.normal(size=(r, 33)) * 10.0 ** rng.uniform(-8, 2, size=(r, 33))
+            + 1j * rng.normal(size=(r, 33))
+            for r in rows
+        ]
+        want = np.concatenate([two_pass_row_sums(b) for b in blocks])
+        assert effective._row_sums(*blocks).tobytes() == want.tobytes()
 
 
 def test_gauge_names_are_parsed_and_other_values_refused():

@@ -36,7 +36,7 @@ from floquet_forge import (
     reciprocal_vectors,
     scaling_errors,
 )
-from floquet_forge import PRESET_NAMES, floquet, lattice
+from floquet_forge import PRESET_NAMES, effective, floquet, lattice
 from floquet_forge.floquet import commutator_offsets, offset_matrices_at_time, thread_count
 from floquet_forge.lattice import offset_dict
 from helpers import (
@@ -565,6 +565,32 @@ def test_sweeps_reach_every_propagation_through_propagate_period(monkeypatch):
     assert calls == [(floquet.MIN_STEPS, True)] * (len(omegas) * 2)
 
 
+def test_bloch_matrices_are_reached_through_the_module_attributes(monkeypatch):
+    # the benchmark counts bloch_matrix calls by replacing the function where
+    # effective_bloch (effective.bloch_matrix) and the comparison core
+    # (floquet.bloch_matrix) look it up: a path that held its own reference
+    # would zero that count without failing anything
+    lat = preset("zigzag")
+    base = circular_drive(10.0, 15.0)
+    model = build_effective_model(lat, base)
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    assert model.order1
+    for module, call, count in (
+        (effective, lambda: effective_bloch(model, [0.5, 0.0]), 2),
+        (floquet, lambda: error_matrix(lat, lambda w: rescale_drive(base, w), [[0.5, 0.0]], omegas), 8),
+    ):
+        calls = []
+
+        def counting(*args, calls=calls):
+            calls.append(args[1])
+            return bloch_matrix(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "bloch_matrix", counting)
+            call()
+        assert len(calls) == count, module.__name__
+
+
 def test_first_occurrences_compare_bits():
     # the points are read float arrays (k_list of a sweep, a k-path's points)
     def first(points):
@@ -654,17 +680,21 @@ def test_a_sweep_over_a_model_without_bonds_fails_before_any_propagation(monkeyp
     assert calls == []
 
 
-@pytest.mark.parametrize("name, per_point", [("kagome", 2), ("chain", 1)])
-def test_each_sweep_point_builds_its_order_0_bloch_matrix_once(monkeypatch, name, per_point):
+@pytest.mark.parametrize("name, per_model", [("kagome", 2), ("chain", 1)])
+def test_each_sweep_point_builds_its_order_0_bloch_matrix_once(monkeypatch, name, per_model):
     # order 1 adds its blocks to the order-0 matrix instead of rebuilding it;
-    # the chain's order 1 is empty, so order 0 serves both orders
+    # the chain's order 1 is empty, so order 0 serves both orders. Each model
+    # makes one order-0 call and at most one order-1 call, each over the
+    # stack of distinct k, every one of them exactly once
     lat = preset(name)
     base = circular_drive(10.0, 15.0) if lat.space_dim == 2 else linear_drive(10.0, [15.0])
     ks = [np.full(lat.space_dim, 0.3), np.full(lat.space_dim, -0.7)]
     omegas = [10.0, 20.0, 40.0, 80.0]
     calls = count_bloch_matrices(monkeypatch)
     scaling_errors(lat, lambda w: rescale_drive(base, w), ks + ks[:1], omegas, orders=(0, 1))
-    assert len(calls) == per_point * len(omegas) * len(ks)
+    assert len(calls) == per_model * len(omegas)
+    for call in calls:
+        assert sorted(row.tobytes() for row in call) == sorted(k.tobytes() for k in ks)
 
 
 def test_times_must_be_finite():

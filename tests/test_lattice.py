@@ -53,6 +53,7 @@ from floquet_forge.serialization import json_text
 from helpers import (
     composable_pairs,
     random_drive,
+    random_lattice,
     random_offset_matrices,
     translational_identity_check,
     undriven_offsets,
@@ -202,6 +203,9 @@ def test_numpy_scalars_and_numeric_arrays_are_read_as_numbers():
     assert OffsetMatrix((0,), np.eye(2, dtype=int)).matrix.tolist() == np.eye(2).tolist()
     assert circular_drive(10.0, np.int64(3)).harmonics[0].cos_amplitude.tolist() == [3.0, 0.0]
     assert linear_drive(10.0, np.array([2])).harmonics[0].cos_amplitude.tolist() == [2.0]
+    # the widest integers numpy holds, read as floats
+    assert DriveSpec(2**64 - 1, ()).omega == float(2**64 - 1)
+    assert circular_drive(10.0, -(2**63)).harmonics[0].cos_amplitude.tolist() == [-(2.0**63), 0.0]
     # the same bits as from plain floats
     H = bloch_hamiltonian_t(KAGOME, DRIVE, np.array([1, 0]), np.float32(0.25))
     assert np.array_equal(H, bloch_hamiltonian_t(KAGOME, DRIVE, [1.0, 0.0], 0.25))
@@ -217,7 +221,11 @@ UNREPRESENTABLE = {
 }
 
 
-@pytest.mark.parametrize("value", [10**30, Fraction(1, 2), 10**400], ids=["1e30", "Fraction", "1e400"])
+@pytest.mark.parametrize(
+    "value",
+    [10**30, Fraction(1, 2), 10**400, 2**64, -(2**63) - 1],
+    ids=["1e30", "Fraction", "1e400", "2**64", "-2**63-1"],
+)
 @pytest.mark.parametrize("field", UNREPRESENTABLE)
 def test_numbers_numpy_cannot_hold_are_refused_alike(field, value):
     # beyond 64 bits or not a numpy number at all: one refusal everywhere,
@@ -477,6 +485,20 @@ def test_hermitian_closure_of_offsets():
     assert not is_hermitian_closed_offsets(open_set)
     closed = open_set + (OffsetMatrix((-1,), m.conj().T),)
     assert is_hermitian_closed_offsets(closed)
+    assert is_hermitian_closed_offsets(())
+    nan = m.copy()
+    nan[0, 0] = np.nan
+    assert not is_hermitian_closed_offsets((OffsetMatrix((1,), nan), OffsetMatrix((-1,), nan.conj().T)))
+    # a deviation of tol * (1 -+ 1e-12) times the largest entry (at least 1)
+    # sits just inside or just outside the tolerance
+    for tol in (1e-9, 1e-6):
+        for size in (0.5, 4.0):
+            edge = tol * max(size, 1.0)
+            for factor, closed in ((1 - 1e-12, True), (1 + 1e-12, False)):
+                partner = size * m.conj().T
+                partner[0, 0] = edge * factor
+                offsets = (OffsetMatrix((1,), size * m), OffsetMatrix((-1,), partner))
+                assert is_hermitian_closed_offsets(offsets, tol) is closed, (tol, size, factor)
 
 
 def test_undriven_chain_band_minimum():
@@ -526,10 +548,14 @@ def test_bloch_matrix_matches_the_per_offset_loop_bit_for_bit():
 
 def test_bloch_matrix_keeps_the_scalar_bits_and_signed_zeros_on_every_preset():
     rng = np.random.default_rng(43)
-    for name in PRESET_NAMES:
-        lat = preset(name)
+    shapes = np.random.default_rng(45)
+    lattices = [preset(name) for name in PRESET_NAMES]
+    lattices += [random_lattice(shapes, dim) for dim in (1, 2, 2, 3)]
+    for lat in lattices:
         ks = [np.zeros(lat.space_dim), -np.zeros(lat.space_dim)]
         ks += list(rng.normal(scale=3.0, size=(6, lat.space_dim)))
+        ks.append(ks[2].copy())
+        ks[-1][0] = -0.0
         d, origin = lat.basis_count, (0,) * lat.dimension
         # an all -0.0 on-site block: the sum from +0 gives +0 everywhere, a
         # sum that starts at the first term would keep -0.0
@@ -539,9 +565,13 @@ def test_bloch_matrix_keeps_the_scalar_bits_and_signed_zeros_on_every_preset():
             model = build_effective_model(lat, random_drive(rng, lat.space_dim), gauge)
             sets += [o for o in (model.order0, model.order1) if o]
         for offsets in sets:
-            for k in ks:
-                want = reference_bloch(offsets, k, lat.bravais_vectors)
-                assert bloch_matrix(offsets, k, lat.bravais_vectors).tobytes() == want.tobytes()
+            want = [reference_bloch(offsets, k, lat.bravais_vectors).tobytes() for k in ks]
+            for k, w in zip(ks, want):
+                assert bloch_matrix(offsets, k, lat.bravais_vectors).tobytes() == w
+            # the k stack: every matrix with the bits of its k alone
+            stack = bloch_matrix(offsets, np.array(ks), lat.bravais_vectors)
+            assert stack.shape == (len(ks), d, d) and stack.base is None  # not a view of the partial sums
+            assert [H.tobytes() for H in stack] == want
 
 
 def test_vecdot_rounds_like_the_per_row_dot():
@@ -567,6 +597,16 @@ def test_bloch_matrix_refuses_a_bad_k_or_geometry():
         bloch_matrix(CHAIN_OFFSETS, [float("nan")], [[1.0]])
     with pytest.raises(ValidationError, match="^bravais_vectors must be 1 rows"):
         bloch_matrix(CHAIN_OFFSETS, [0.1], [[1.0], [2.0]])
+    # a stack is rows of k; only bloch_matrix and effective_bloch take one
+    with pytest.raises(ValidationError, match=r"^k must have 1 Cartesian components, got shape \(3, 2\)"):
+        bloch_matrix(CHAIN_OFFSETS, np.zeros((3, 2)), [[1.0]])
+    with pytest.raises(ValidationError, match=r"^k must have 1 Cartesian components, got shape \(2, 2, 1\)"):
+        bloch_matrix(CHAIN_OFFSETS, np.zeros((2, 2, 1)), [[1.0]])
+    with pytest.raises(ValidationError, match=r"^k must be finite, got \[\[0.1\], \[inf\]\]"):
+        effective_bloch(build_effective_model(CHAIN, _chain_family(10.0)), [[0.1], [np.inf]])
+    with pytest.raises(ValidationError, match=r"^k must have 2 Cartesian components, got shape \(1, 2\)"):
+        propagate_period(KAGOME, DRIVE, [[0.1, 0.2]])
+    assert bloch_matrix(CHAIN_OFFSETS, np.zeros((0, 1)), [[1.0]]).shape == (0, 1, 1)
 
 
 def test_bloch_matrix_refuses_a_non_finite_offset_set():
