@@ -29,11 +29,12 @@ array; the dict is dropped when the sweep returns. At fixed z, H(t) depends
 on t only through omega*t, so drives a power of two apart in omega give
 bit-equal phases at the same step count.
 
-The H(t) stack at one k is diagonalized once per bit-distinct stack within a
-sweep (``_decomposition``): while a worker runs one k it keeps its last
-decomposition per step count, and reuses it only when the lattice, the bytes
-of k, the step count and the phase array are all the same. No tolerance is
-involved, so every propagator keeps its bits.
+Within a sweep each bit-distinct H(t) stack at one k is diagonalized once
+(``_decomposition``): a worker keeps its last decomposition per step count
+and reuses it only for the same lattice, bytes of k, step count and phase
+array. The first drive to use one forms the propagators of the task's next
+drives sharing it too, one batched product per node, and stashes them for
+their own calls (``_propagator``); each keeps the bits of a lone product.
 
 Effective and exact spectra are compared in one core, ``_matched_spectra``,
 behind the sweeps and ``cli bands``. It takes every effective spectrum first
@@ -57,6 +58,7 @@ CPU).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import threading
@@ -276,17 +278,17 @@ _thread = threading.local()
 
 
 @contextlib.contextmanager
-def _sweep_scope(terms: dict):
+def _sweep_scope(terms: dict, drives=()):
     """Within the block this thread takes its integrator terms from
-    ``terms``, the dict every task of one sweep shares
-    (``_integrator_terms``), and keeps its last decomposition per step count
-    (``_decomposition``); the decompositions are released when the block
-    ends, the terms when the sweep drops its dict."""
-    _thread.terms, _thread.kept = terms, {}
+    ``terms``, the dict every task of one sweep shares (``_integrator_terms``),
+    keeps its last decomposition per step count (``_decomposition``) and
+    propagates the task's ``drives`` in runs that share one (``_propagator``);
+    what it keeps is released when the block ends, the terms with the dict."""
+    _thread.terms, _thread.drives, _thread.kept = terms, drives, {}
     try:
         yield
     finally:
-        del _thread.terms, _thread.kept
+        del _thread.terms, _thread.drives, _thread.kept
 
 
 def _integrator_terms(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> tuple:
@@ -341,50 +343,71 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
 
 
 def _decomposition(lattice, drive, k, steps: int) -> tuple:
-    """(w, V) = eigh of the H(t) stack at k on the integrator nodes.
+    """(phases, (w, V), stash): the phase array, eigh of the H(t) stack at k
+    on the integrator nodes, and the propagators formed from it that wait
+    for their drives (``_propagator``).
 
-    Inside ``_sweep_scope`` the thread's last decomposition at ``steps`` is
+    Inside ``_sweep_scope`` the thread's last entry at ``steps`` is
     returned, and H is not built, when it has the same lattice and phase
     array (objects; bit-equal phase arrays are one array within a sweep)
-    and a k with the same bytes. Otherwise the last one is dropped before
-    the new one is computed, which then takes its place.
-    """
+    and a k with the same bytes; otherwise the last one is dropped before
+    the new one is computed, which then takes its place."""
     phases, terms = _integrator_terms(lattice, drive, steps)
-    kept = getattr(_thread, "kept", None)
+    kept = getattr(_thread, "kept", {})
     key = k.tobytes()
-    if kept is not None:
-        last = kept.pop(steps, None)
-        if last is not None and last[0] is lattice and last[1] is phases and last[2] == key:
-            kept[steps] = last
-            return last[3]
-        del last
+    last = kept.pop(steps, None)
+    if last is not None and last[0] is lattice and last[2] is phases and last[1] == key:
+        kept[steps] = last
+        return last[2:]
+    del last
     decomposition = np.linalg.eigh(_hamiltonian_stack(lattice, k, terms, len(_NODES) * steps))
-    if kept is not None:
-        kept[steps] = (lattice, phases, key, decomposition)
-    return decomposition
+    kept[steps] = (lattice, key, phases, decomposition, [])
+    return kept[steps][2:]
 
 
-def _expm_stack(w: np.ndarray, V: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """exp(-i factor * H) for a stack of Hermitian matrices H = V diag(w) V^H."""
-    ph = np.exp(-1j * factors[:, None] * w)
-    return (V * ph[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2))
+def _time_ordered_product(chunks) -> np.ndarray:
+    """Pairwise-tree product mats[-1] @ ... @ mats[0] of a stack given as
+    chunks of MIN_STEPS matrices (the last may be shorter), each reduced and
+    dropped in turn; MIN_STEPS is a power of two, so they pair as one tree."""
+    def tree(arr: np.ndarray) -> np.ndarray:
+        while arr.shape[0] > 1:
+            m = arr.shape[0] // 2
+            head = np.matmul(arr[1 : 2 * m : 2], arr[0 : 2 * m : 2])
+            arr = head if arr.shape[0] % 2 == 0 else np.concatenate([head, arr[-1:]])
+        return arr[0]
+
+    return tree(np.stack(list(map(tree, chunks))))
 
 
-def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0] by pairwise tree reduction (order preserved)."""
-    arr = mats
-    while arr.shape[0] > 1:
-        m = arr.shape[0] // 2
-        head = np.matmul(arr[1 : 2 * m : 2], arr[0 : 2 * m : 2])
-        arr = head if arr.shape[0] % 2 == 0 else np.concatenate([head, arr[-1:]])
-    return arr[0]
+def _run_propagators(w: np.ndarray, V: np.ndarray, drives, steps: int) -> np.ndarray:
+    """Propagators of ``drives`` at ``steps`` steps, shape (drives, d, d),
+    from their shared decomposition H = V diag(w) V^H: at each node the
+    drives' left factors V e^{-i f w} are stacked into one (drives * d, d)
+    block and multiplied once by V^H, with the bits of one product each."""
+    factors = np.stack([np.tile(_WEIGHTS * (drive.period / steps), steps) for drive in drives], 1)
+
+    def exponentials(start: int) -> np.ndarray:
+        c = slice(start, start + MIN_STEPS)
+        left = V[c, None] * np.exp(-1j * factors[c, :, None] * w[c, None, :])[:, :, None, :]
+        product = left.reshape(len(left), -1, w.shape[1]) @ np.conj(np.swapaxes(V[c], 1, 2))
+        return product.reshape(left.shape)
+
+    return _time_ordered_product(map(exponentials, range(0, len(w), MIN_STEPS)))
 
 
 def _propagator(lattice, drive, k, steps: int) -> np.ndarray:
-    h = drive.period / steps
-    w, V = _decomposition(lattice, drive, k, steps)
-    factors = np.tile(_WEIGHTS * h, steps)
-    return _time_ordered_product(_expm_stack(w, V, factors))
+    """``drive``'s propagator: from its decomposition's stash, or formed with
+    those of the task's next drives sharing it, which are stashed for them."""
+    phases, (w, V), stash = _decomposition(lattice, drive, k, steps)
+    mine = [i for i, (other, _) in enumerate(stash) if other is drive]
+    if mine:
+        return stash.pop(mine[0])[1]
+    drives = getattr(_thread, "drives", ())
+    later = drives[next((i + 1 for i, d in enumerate(drives) if d is drive), len(drives)) :]
+    run = [drive, *itertools.takewhile(lambda d: _integrator_terms(lattice, d, steps)[0] is phases, later)]
+    U = _run_propagators(w, V, run, steps)
+    stash.extend(zip(run[1:], U[1:]))
+    return U[0]
 
 
 def _unitarity_error(U: np.ndarray) -> float:
@@ -422,7 +445,9 @@ def propagate_period(
     without settling raises ConvergenceError. With ``refine`` off a single
     resolution is computed and only unitarity is checked. The package always
     uses the defaults; ``steps`` and ``refine`` stay parameters because the
-    benchmark's tracer reads both by name to count resolutions and substeps.
+    benchmark's tracer reads both by name to count resolutions and substeps,
+    so each propagation of a sweep comes through here, also one whose
+    propagator a drive sharing its decomposition formed ahead of it.
     """
     _check_drive_dim(lattice, drive)
     steps = _integer(steps, "steps")
@@ -593,7 +618,7 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
     terms = {}
 
     def task(ik: int) -> list:
-        with _sweep_scope(terms):
+        with _sweep_scope(terms, drives):
             return [propagate_period(lattice, drive, k_list[ik]).quasienergies for drive in drives]
 
     exact = _on_pool(task, [(ik,) for ik in distinct])

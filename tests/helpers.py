@@ -365,3 +365,22 @@ def translational_identity_check(C, D, torus):
     swapped = np.einsum("lajc,iclb->iajb", D4, C4).reshape(n * d, n * d)
     rhs = Cf @ Df - swapped
     return float(np.abs(lhs - rhs).max())
+
+
+def one_drive_exponentials(w, V, factors):
+    """exp(-i factor * H) for a stack of Hermitian matrices H = V diag(w)
+    V^H, one drive at a time: the reference for the batched exponentials of
+    ``floquet._run_propagators``."""
+    ph = np.exp(-1j * factors[:, None] * w)
+    return (V * ph[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2))
+
+
+def one_pass_time_ordered_product(mats):
+    """mats[-1] @ ... @ mats[0] by one pairwise tree over the whole stack:
+    the reference for the chunked ``floquet._time_ordered_product``."""
+    arr = mats
+    while arr.shape[0] > 1:
+        m = arr.shape[0] // 2
+        head = np.matmul(arr[1 : 2 * m : 2], arr[0 : 2 * m : 2])
+        arr = head if arr.shape[0] % 2 == 0 else np.concatenate([head, arr[-1:]])
+    return arr[0]

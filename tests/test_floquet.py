@@ -43,6 +43,8 @@ from helpers import (
     count_bloch_matrices,
     count_propagations,
     gauge_difference_errors,
+    one_drive_exponentials,
+    one_pass_time_ordered_product,
     random_drive,
     random_lattice,
     torus_hamiltonian,
@@ -501,6 +503,115 @@ def test_a_sweep_decomposes_each_bit_distinct_stack_once(monkeypatch, family_nam
     # one eigh per distinct k, run of sharing frequencies and step count
     assert len(calls) == 2 * len(sharing) * 2
     assert got.tobytes() == want[:, [0, 1, 0]].tobytes()
+
+
+@pytest.mark.parametrize(
+    "family_name, omegas, runs",
+    [
+        ("rescaled", [10.0, 20.0, 40.0, 80.0], 1),
+        ("rescaled", [10.0, 15.0, 45.0, 90.0], 3),
+        ("fixed", [10.0, 20.0, 40.0, 80.0], 4),
+    ],
+)
+def test_a_sweep_forms_the_propagators_of_a_run_of_sharing_drives_at_once(
+    monkeypatch, family_name, omegas, runs
+):
+    lat = preset("kagome")
+    base = circular_drive(10.0, 15.0)
+    families = {"rescaled": lambda w: rescale_drive(base, w), "fixed": lambda w: circular_drive(w, 15.0)}
+    formed, taken = [], []
+    form, take = floquet._run_propagators, floquet._propagator
+
+    def forming(w, V, drives, steps):
+        U = form(w, V, drives, steps)
+        formed.append((drives, steps, U))
+        return U
+
+    def taking(lattice, drive, k, steps):
+        U = take(lattice, drive, k, steps)
+        taken.append((drive, steps, U))
+        return U
+
+    monkeypatch.setattr(floquet, "_run_propagators", forming)
+    monkeypatch.setattr(floquet, "_propagator", taking)
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", "1")
+    error_matrix(lat, families[family_name], [np.array([0.4, -0.3]), np.array([1.1, 0.6])], omegas)
+    # one call per k, step count (512 and 1024) and run of sharing drives
+    assert len(formed) == 2 * 2 * runs
+    assert len(taken) == 2 * 2 * len(omegas)
+    # every propagator formed, stashed ones included, is taken once, by its
+    # own drive's propagate_period call at its step count (all stay alive
+    # here, so their addresses tell them apart)
+    origin = {U.ctypes.data: (drive, steps) for drives, steps, Us in formed for drive, U in zip(drives, Us)}
+    assert len(origin) == len({U.ctypes.data for *_, U in taken}) == len(taken)
+    for drive, steps, U in taken:
+        assert origin[U.ctypes.data][0] is drive and origin[U.ctypes.data][1] == steps
+
+
+@pytest.mark.parametrize("omegas", [[10.0, 20.0, 40.0, 80.0], [10.0, 15.0, 45.0, 90.0]])
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).dimension == 2])
+def test_sweeps_on_the_planar_presets_equal_a_point_by_point_rebuild(monkeypatch, name, omegas):
+    # batched runs of sharing drives keep the bits of one drive at a time,
+    # on one worker and on two
+    lat = preset(name)
+    base = circular_drive(10.0, 15.0)
+
+    def family(w):
+        return rescale_drive(base, w)
+
+    ks = [np.array([0.4, -0.3]), np.array([1.1, 0.6])]
+    want, _ = isolated_errors(lat, family, ks, omegas)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FLOQUET_FORGE_THREADS", threads)
+        assert error_matrix(lat, family, ks, omegas).tobytes() == want.tobytes(), threads
+
+
+def capture_exponentials(monkeypatch):
+    """Wrap floquet._time_ordered_product; the returned list gets the chunks
+    of exponentials it is given, in order."""
+    chunks = []
+    product = floquet._time_ordered_product
+
+    def capturing(given):
+        given = list(given)
+        chunks.extend(given)
+        return product(given)
+
+    monkeypatch.setattr(floquet, "_time_ordered_product", capturing)
+    return chunks
+
+
+def test_batched_exponentials_keep_the_bits_of_one_product_per_drive(monkeypatch):
+    # the left factors of G drives go through one (G d x d) @ (d x d) product
+    # per node: the BLAS must give the bytes of G separate products, and the
+    # batched tree those of one tree per drive
+    rng = np.random.default_rng(24)
+    chunks = capture_exponentials(monkeypatch)
+    steps = 250  # 750 nodes: a chunk of MIN_STEPS and a shorter one
+    for d in range(1, 5):
+        for G in range(1, 6):
+            w = rng.normal(scale=3.0, size=(3 * steps, d))
+            V = np.linalg.qr(rng.normal(size=(3 * steps, d, d)) + 1j * rng.normal(size=(3 * steps, d, d)))[0]
+            drives = [DriveSpec(float(o), ()) for o in rng.uniform(5.0, 80.0, size=G)]
+            chunks.clear()
+            U = floquet._run_propagators(w, V, drives, steps)
+            got = np.concatenate(chunks)
+            assert U.shape == (G, d, d) and got.shape == (3 * steps, G, d, d)
+            for g, drive in enumerate(drives):
+                want = one_drive_exponentials(w, V, np.tile(floquet._WEIGHTS * (drive.period / steps), steps))
+                assert got[:, g].tobytes() == want.tobytes(), (d, G, g)
+                assert U[g].tobytes() == one_pass_time_ordered_product(want).tobytes(), (d, G, g)
+
+
+def test_the_chunked_time_ordered_product_pairs_as_one_tree():
+    # MIN_STEPS is a power of two, so chunks of it keep every pairing of one
+    # tree over the stack, also when the stack is no multiple of it
+    rng = np.random.default_rng(25)
+    mats = np.linalg.qr(rng.normal(size=(1600, 3, 3)) + 1j * rng.normal(size=(1600, 3, 3)))[0]
+    size = floquet.MIN_STEPS
+    for n in range(1, 1601):
+        got = floquet._time_ordered_product(mats[s : min(s + size, n)] for s in range(0, n, size))
+        assert got.tobytes() == one_pass_time_ordered_product(mats[:n]).tobytes(), n
 
 
 def test_a_kept_decomposition_serves_only_the_same_lattice_and_k(monkeypatch):
