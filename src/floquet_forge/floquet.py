@@ -22,19 +22,19 @@ fit's ERROR_FLOOR are constants, not arguments: every run certifies alike.
 Only the scalar Bloch phases exp(i k.R_b) of H(t) depend on k. The bond
 phase factors exp(i chi_b(t)) come from ``_bond_phases`` alone (integrator,
 H(t) and instantaneous offset matrices). Outside a sweep each propagation
-builds them fresh. A sweep hands its tasks one dict (``_sweep_scope``): on
-the integrator nodes the phases are built once per (lattice, drive, step
-count) in it, so every k reuses them, and bit-equal phase arrays are one
-array; the dict is dropped when the sweep returns. At fixed z, H(t) depends
-on t only through omega*t, so drives a power of two apart in omega give
-bit-equal phases at the same step count.
+builds them fresh and forms its own propagator. A sweep hands its tasks one
+dict (``_sweep_scope``), its only reuse state, dropped when the sweep
+returns: on the integrator nodes the phases are built once per (lattice,
+drive, step count) in it, so every k reuses them, and bit-equal phase arrays
+are one array. At fixed z, H(t) depends on t only through omega*t, so drives
+a power of two apart in omega give bit-equal phases at the same step count.
 
-Within a sweep each bit-distinct H(t) stack at one k is diagonalized once
-(``_decomposition``): a worker keeps its last decomposition per step count
-and reuses it only for the same lattice, bytes of k, step count and phase
-array. The first drive to use one forms the propagators of the task's next
-drives sharing it too, one batched product per node, and stashes them for
-their own calls (``_propagator``); each keeps the bits of a lone product.
+Sharing goes by that array, not by position in the drive list. The first
+drive of a k task to need a step count diagonalizes the H(t) stack once and
+forms the propagators of every later drive of the task with the same phase
+array too, one batched product per node; it stashes them in the dict under
+(lattice, bytes of k, drive, step count), and each drive's own call pops its
+own (``_propagator``). Each keeps the bits of a lone product.
 
 Effective and exact spectra are compared in one core, ``_matched_spectra``,
 behind the sweeps and ``cli bands``. It takes every effective spectrum first
@@ -58,7 +58,6 @@ CPU).
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import threading
@@ -258,72 +257,54 @@ def _bond_phases(lattice: LatticeSpec, drive: DriveSpec, times) -> np.ndarray:
     return phases
 
 
-def _bond_terms(lattice: LatticeSpec, phases: np.ndarray) -> tuple:
-    """The k-independent part of H(t) on the times of ``phases``, one entry
-    per bond in bond order: (target, source, R_b, amplitude, exp(i chi_b)).
-
-    All arrays are read-only; the bonds of one class share its row of
-    ``phases``.
-    """
-    table = _pair_table(lattice)
-    terms = []
-    for b, row in zip(lattice.bonds, table.distinct_of):
-        R = np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors
-        R.flags.writeable = False
-        terms.append((b.target_basis, b.source_basis, R, b.amplitude, phases[row]))
-    return tuple(terms)
-
-
 _thread = threading.local()
 
 
 @contextlib.contextmanager
-def _sweep_scope(terms: dict, drives=()):
-    """Within the block this thread takes its integrator terms from
-    ``terms``, the dict every task of one sweep shares (``_integrator_terms``),
-    keeps its last decomposition per step count (``_decomposition``) and
-    propagates the task's ``drives`` in runs that share one (``_propagator``);
-    what it keeps is released when the block ends, the terms with the dict."""
-    _thread.terms, _thread.drives, _thread.kept = terms, drives, {}
+def _sweep_scope(sweep: dict, drives=()):
+    """Within the block this thread shares ``sweep``, the one dict of every
+    task of a sweep, for its integrator phases (``_integrator_phases``) and
+    stashed propagators (``_propagator``), and propagates the task's
+    ``drives`` in that order; the thread lets go of both when the block ends."""
+    _thread.sweep, _thread.drives = sweep, drives
     try:
         yield
     finally:
-        del _thread.terms, _thread.drives, _thread.kept
+        del _thread.sweep, _thread.drives
 
 
-def _integrator_terms(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> tuple:
-    """(phases, bond terms) on the integrator nodes of one period at
-    ``steps`` steps; each term's phase row is a view of ``phases``.
+def _integrator_phases(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> np.ndarray:
+    """``_bond_phases`` on the integrator nodes of one period at ``steps`` steps.
 
     Inside ``_sweep_scope`` they are built once per (lattice, drive, steps)
     in the sweep's dict, and bit-equal phase arrays are one array there;
     outside a sweep they are built fresh.
     """
     key = (lattice, drive, steps)
-    sweep = getattr(_thread, "terms", None)
+    sweep = getattr(_thread, "sweep", None)
     if sweep is not None and key in sweep:
         return sweep[key]
     h = drive.period / steps
     times = ((np.arange(steps)[:, None] + _NODES[None, :]) * h).reshape(-1)
     phases = _bond_phases(lattice, drive, times)
     if sweep is None:
-        return phases, _bond_terms(lattice, phases)
-    # phases carry no amplitudes, so lattices of one bond geometry share
-    # them; the terms carry the amplitudes, so their key holds the lattice
-    phases = sweep.setdefault((steps, phases.tobytes()), phases)
-    return sweep.setdefault(key, (phases, _bond_terms(lattice, phases)))
+        return phases
+    # phases carry no amplitudes, so lattices of one bond geometry share them
+    return sweep.setdefault(key, sweep.setdefault((steps, phases.tobytes()), phases))
 
 
-def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, terms, n_times: int) -> np.ndarray:
-    """H(t) at wave vector k on every time the bond terms were built for."""
+def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """H(t) at wave vector k on every time of ``phases`` (``_bond_phases``):
+    each bond adds its amplitude, its Bloch phase and its class's row."""
     d = lattice.basis_count
-    H = np.zeros((n_times, d, d), dtype=complex)
+    bonds = lattice.bonds
+    H = np.zeros((phases.shape[1], d, d), dtype=complex)
     # shaped (bonds, space_dim) also when a lattice has no bonds
-    R = np.array([r for _, _, r, _, _ in terms]).reshape(len(terms), len(k))
+    R = np.array([np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors for b in bonds])
     # one scalar dot kernel per bond, as in bloch_matrix: R @ k rounds differently
-    kR = np.vecdot(R, k)
-    for (target, source, _, amplitude, E), x in zip(terms, kR):
-        H[:, target, source] += amplitude * np.exp(1j * x) * E
+    kR = np.vecdot(R.reshape(len(bonds), len(k)), k)
+    for b, row, x in zip(bonds, _pair_table(lattice).distinct_of, kR):
+        H[:, b.target_basis, b.source_basis] += b.amplitude * np.exp(1j * x) * phases[row]
     return H
 
 
@@ -331,38 +312,15 @@ def bloch_hamiltonian_t(lattice: LatticeSpec, drive: DriveSpec, k, t: float) -> 
     """Instantaneous Bloch Hamiltonian of the driven lattice at time t."""
     _check_drive_dim(lattice, drive)
     k = _check_k(k, lattice.space_dim)
-    terms = _bond_terms(lattice, _bond_phases(lattice, drive, _time(t)))
-    return _hamiltonian_stack(lattice, k, terms, 1)[0]
+    return _hamiltonian_stack(lattice, k, _bond_phases(lattice, drive, _time(t)))[0]
 
 
 def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) -> tuple:
     """Instantaneous tunneling matrices per cell offset, phases included."""
     _check_drive_dim(lattice, drive)
-    terms = _bond_terms(lattice, _bond_phases(lattice, drive, _time(t)))
-    return from_offset_dict(_bond_blocks(lattice, [a * E[0] for *_, a, E in terms]))
-
-
-def _decomposition(lattice, drive, k, steps: int) -> tuple:
-    """(phases, (w, V), stash): the phase array, eigh of the H(t) stack at k
-    on the integrator nodes, and the propagators formed from it that wait
-    for their drives (``_propagator``).
-
-    Inside ``_sweep_scope`` the thread's last entry at ``steps`` is
-    returned, and H is not built, when it has the same lattice and phase
-    array (objects; bit-equal phase arrays are one array within a sweep)
-    and a k with the same bytes; otherwise the last one is dropped before
-    the new one is computed, which then takes its place."""
-    phases, terms = _integrator_terms(lattice, drive, steps)
-    kept = getattr(_thread, "kept", {})
-    key = k.tobytes()
-    last = kept.pop(steps, None)
-    if last is not None and last[0] is lattice and last[2] is phases and last[1] == key:
-        kept[steps] = last
-        return last[2:]
-    del last
-    decomposition = np.linalg.eigh(_hamiltonian_stack(lattice, k, terms, len(_NODES) * steps))
-    kept[steps] = (lattice, key, phases, decomposition, [])
-    return kept[steps][2:]
+    phases = _bond_phases(lattice, drive, _time(t))[:, 0]
+    values = [b.amplitude * phases[row] for b, row in zip(lattice.bonds, _pair_table(lattice).distinct_of)]
+    return from_offset_dict(_bond_blocks(lattice, values))
 
 
 def _time_ordered_product(chunks) -> np.ndarray:
@@ -396,17 +354,23 @@ def _run_propagators(w: np.ndarray, V: np.ndarray, drives, steps: int) -> np.nda
 
 
 def _propagator(lattice, drive, k, steps: int) -> np.ndarray:
-    """``drive``'s propagator: from its decomposition's stash, or formed with
-    those of the task's next drives sharing it, which are stashed for them."""
-    phases, (w, V), stash = _decomposition(lattice, drive, k, steps)
-    mine = [i for i, (other, _) in enumerate(stash) if other is drive]
-    if mine:
-        return stash.pop(mine[0])[1]
+    """``drive``'s propagator at ``steps`` steps: stashed in the sweep's dict
+    by an earlier drive of the task, or formed from one eigh of the H(t)
+    stack at k together with those of the task's later drives whose phase
+    array is the same, which are stashed there under their own keys."""
+    sweep = getattr(_thread, "sweep", {})
+    key = k.tobytes()
+    U = sweep.pop((lattice, key, drive, steps), None)
+    if U is not None:
+        return U
+    phases = _integrator_phases(lattice, drive, steps)
     drives = getattr(_thread, "drives", ())
-    later = drives[next((i + 1 for i, d in enumerate(drives) if d is drive), len(drives)) :]
-    run = [drive, *itertools.takewhile(lambda d: _integrator_terms(lattice, d, steps)[0] is phases, later)]
+    later = drives[drives.index(drive) + 1 :] if drive in drives else ()
+    run = [drive, *(d for d in later if _integrator_phases(lattice, d, steps) is phases)]
+    w, V = np.linalg.eigh(_hamiltonian_stack(lattice, k, phases))
     U = _run_propagators(w, V, run, steps)
-    stash.extend(zip(run[1:], U[1:]))
+    for other, Uo in zip(run[1:], U[1:]):
+        sweep[lattice, key, other, steps] = Uo
     return U[0]
 
 
@@ -447,7 +411,7 @@ def propagate_period(
     uses the defaults; ``steps`` and ``refine`` stay parameters because the
     benchmark's tracer reads both by name to count resolutions and substeps,
     so each propagation of a sweep comes through here, also one whose
-    propagator a drive sharing its decomposition formed ahead of it.
+    propagator an earlier drive with the same phases formed and stashed.
     """
     _check_drive_dim(lattice, drive)
     steps = _integer(steps, "steps")

@@ -50,7 +50,9 @@ def random_lattice(rng, dim):
     sites = rng.uniform(0.0, 1.0, (count, dim)) @ A
     keys = set()
     bonds = []
-    while len(bonds) < count + 1:
+    # (t, s, offset) and its reverse are one class; a one-site chain has only one
+    classes = (count * count * 3**dim - count) // 2
+    while len(bonds) < min(count + 1, classes):
         t, s = (int(x) for x in rng.integers(0, count, size=2))
         offset = tuple(int(x) for x in rng.integers(-1, 2, size=dim))
         if (t == s and not any(offset)) or (t, s, offset) in keys:

@@ -286,7 +286,7 @@ def test_cached_bond_factors_reproduce_a_cold_build_bit_for_bit():
         propagate_period(lat, twin, k)
     assert set(terms) - built == {(lat, twin, 512), (lat, twin, 1024)}
     for steps in (512, 1024):
-        assert terms[lat, twin, steps][0] is terms[lat, drive, steps][0]
+        assert terms[lat, twin, steps] is terms[lat, drive, steps]
     assert warm.quasienergies.tobytes() == cold.quasienergies.tobytes()
     assert warm.propagator.tobytes() == cold.propagator.tobytes()
 
@@ -487,6 +487,8 @@ def isolated_errors(lat, family, ks, omegas):
         ("rescaled", [10.0, 15.0, 45.0, 90.0], [[10.0], [15.0], [45.0, 90.0]]),
         # a fixed amplitude changes z with omega: no two stacks are bit-equal
         ("fixed", [10.0, 20.0, 40.0, 80.0], [[10.0], [20.0], [40.0], [80.0]]),
+        # sharing goes by equal phases, not by neighbours in the grid
+        ("rescaled", [10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0], [[10.0, 20.0, 40.0, 80.0], [15.0, 30.0, 60.0]]),
     ],
 )
 def test_a_sweep_decomposes_each_bit_distinct_stack_once(monkeypatch, family_name, omegas, sharing):
@@ -511,6 +513,7 @@ def test_a_sweep_decomposes_each_bit_distinct_stack_once(monkeypatch, family_nam
         ("rescaled", [10.0, 20.0, 40.0, 80.0], 1),
         ("rescaled", [10.0, 15.0, 45.0, 90.0], 3),
         ("fixed", [10.0, 20.0, 40.0, 80.0], 4),
+        ("rescaled", [10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0], 2),
     ],
 )
 def test_a_sweep_forms_the_propagators_of_a_run_of_sharing_drives_at_once(
@@ -548,7 +551,9 @@ def test_a_sweep_forms_the_propagators_of_a_run_of_sharing_drives_at_once(
         assert origin[U.ctypes.data][0] is drive and origin[U.ctypes.data][1] == steps
 
 
-@pytest.mark.parametrize("omegas", [[10.0, 20.0, 40.0, 80.0], [10.0, 15.0, 45.0, 90.0]])
+@pytest.mark.parametrize(
+    "omegas", [[10.0, 20.0, 40.0, 80.0], [10.0, 15.0, 45.0, 90.0], [10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0]]
+)
 @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).dimension == 2])
 def test_sweeps_on_the_planar_presets_equal_a_point_by_point_rebuild(monkeypatch, name, omegas):
     # batched runs of sharing drives keep the bits of one drive at a time,
@@ -614,25 +619,28 @@ def test_the_chunked_time_ordered_product_pairs_as_one_tree():
         assert got.tobytes() == one_pass_time_ordered_product(mats[:n]).tobytes(), n
 
 
-def test_a_kept_decomposition_serves_only_the_same_lattice_and_k(monkeypatch):
-    # a sweep's k task sees one lattice and one k; the rule must hold anyway
+def test_a_stashed_propagator_serves_only_the_same_lattice_and_k(monkeypatch):
+    # a sweep's k task sees one lattice and one k; the stash keys must hold anyway
     lat = preset("kagome")
     heavier = LatticeSpec(
         lat.dimension, lat.bravais_vectors, lat.basis_sites,
         tuple(Bond(b.target_basis, b.source_basis, b.cell_offset, 2.0 * b.amplitude) for b in lat.bonds),
     )
-    drive = circular_drive(10.0, 15.0)
+    base = circular_drive(10.0, 15.0)
+    drives = [base, rescale_drive(base, 20.0)]  # z fixed: the two share their phases
     a, b = np.array([0.4, -0.3]), np.array([1.1, 0.6])
-    points = [(lat, a), (lat, a.copy()), (lat, b), (heavier, b)]
-    want = [propagate_period(spec, drive, k).propagator for spec, k in points]
+    # the first call forms and stashes the second drive's propagator at (lat, a)
+    points = [(lat, drives[0], a), (lat, drives[1], b), (heavier, drives[1], a), (lat, drives[1], a.copy())]
+    want = [propagate_period(spec, drive, k).propagator for spec, drive, k in points]
     calls = count_eighs(monkeypatch)
     terms = {}
-    with floquet._sweep_scope(terms):
-        got = [propagate_period(spec, drive, k).propagator for spec, k in points]
+    with floquet._sweep_scope(terms, drives):
+        got = [propagate_period(spec, drive, k).propagator for spec, drive, k in points]
     assert not vars(floquet._thread)  # no sweep state is left on the thread
-    # the same phase array serves both lattices: only the lattice check tells them apart
-    assert terms[heavier, drive, 512][0] is terms[lat, drive, 512][0]
-    assert len(calls) == 2 * 3  # 512 and 1024 steps; the repeated k reuses both
+    # the same phase array serves both lattices: only the stash key tells them apart
+    assert terms[heavier, drives[1], 512] is terms[lat, drives[1], 512] is terms[lat, drives[0], 512]
+    assert len(calls) == 2 * 3  # 512 and 1024 steps; the last point takes the stash
+    assert not [key for key in terms if len(key) == 4]  # every stashed propagator was taken
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 

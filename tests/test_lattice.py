@@ -706,3 +706,15 @@ def test_translational_identity_validates_extents():
         translational_identity_check(C, D, (3, 3))
     with pytest.raises(ValidationError):
         translational_identity_check(C, D, (4, 4, 4))
+
+
+def test_random_lattices_are_drawn_for_every_seed_and_dimension():
+    # a one-site chain has one bond class (+1 and -1 are one bond and its
+    # reverse), fewer than the count + 1 the helper asks for elsewhere
+    for seed in range(40):
+        for dim in (1, 2, 3):
+            lat = random_lattice(np.random.default_rng(seed), dim)
+            d = lat.basis_count
+            assert lat.dimension == lat.space_dim == dim and 1 <= d <= 3
+            # the Hermitian closure holds each drawn bond and its reverse
+            assert len(lat.bonds) == 2 * min(d + 1, (d * d * 3**dim - d) // 2)

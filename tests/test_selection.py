@@ -23,7 +23,7 @@ from floquet_forge import (
 )
 from floquet_forge import lattice, selection
 from floquet_forge.lattice import _pair_table, offset_dict
-from helpers import random_drive
+from helpers import random_drive, random_lattice
 
 
 def verdicts(report):
@@ -260,3 +260,34 @@ def test_report_and_order1_read_the_same_pair_table():
                     assert (int(s), int(t), off) in finite
                     checked += 1
     assert checked > 0
+
+
+def test_random_lattices_keep_every_forced_zero_or_are_refused_by_name():
+    # forward: no coupling that geometry forces to zero carries order 1 on
+    # any geometry; Bravais: one site per cell leaves order 1 empty; a spec
+    # whose amplitude is no function of the displacement is refused, naming
+    # the two bonds that share one
+    rng = np.random.default_rng(26)
+    refused = bravais = 0
+    for n in range(30):
+        dim = 1 + n % 3
+        lat = random_lattice(rng, dim)
+        try:
+            report = enumerate_processes(lat)
+        except ValidationError as error:
+            clashes = [
+                (b1, b2)
+                for i, b1 in enumerate(lat.bonds)
+                for b2 in lat.bonds[i + 1 :]
+                if np.allclose(lat.displacement(b1), lat.displacement(b2)) and b1.amplitude != b2.amplitude
+            ]
+            assert any(b1._label() in str(error) and b2._label() in str(error) for b1, b2 in clashes)
+            refused += 1
+            continue
+        for gauge in Gauge:
+            model = build_effective_model(lat, random_drive(rng, dim), gauge)
+            assert cross_validate(report, model, strict=True).consistent
+            if lat.basis_count == 1:
+                assert model.order1 == ()
+                bravais += 1
+    assert refused and bravais
