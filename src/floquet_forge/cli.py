@@ -72,6 +72,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _gauge(text: str) -> Gauge:
+    try:
+        return Gauge.parse(text)
+    except ValidationError:
+        names = [g.value for g in Gauge]
+        raise argparse.ArgumentTypeError(f"must be one of {names}, got {text!r}") from None
+
+
 class _Count(argparse.Action):
     """Stores an integer option, refusing one below 1 (or above ``cap``)
     while the flags are parsed."""
@@ -102,7 +110,7 @@ def _float_list(text: str, flag: str) -> list:
 
 
 def _model_flags(p, prune: bool = True) -> None:
-    p.add_argument("--gauge", default="static-free", help="floquet or static-free")
+    p.add_argument("--gauge", type=_gauge, default="static-free", help="floquet or static-free")
     _cutoff_flag(p)
     if prune:
         p.add_argument("--prune", type=_tolerance, default=DEFAULT_PRUNE_TOL, metavar="TOL",
@@ -312,7 +320,6 @@ def _cmd_selection(args) -> int:
     outdir = _outdir(args)
     report = enumerate_processes(lattice)
     verdict = None
-    model = None
     if drive is not None:
         model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
         verdict = cross_validate(report, model, prune_tol=args.prune, strict=False)
@@ -397,7 +404,6 @@ def _cmd_verify(args) -> int:
     drive = _require_drive(drive)
     omegas = sorted(_float_list(args.omegas, "--omegas"))
     kp = named_kpath(lattice, args.kpath, args.kpoints)
-    gauge = Gauge.parse(args.gauge)
     outdir = _outdir(args)
 
     def family(w: float) -> DriveSpec:
@@ -405,7 +411,7 @@ def _cmd_verify(args) -> int:
 
     matrix = error_matrix(
         lattice, family, kp.points, omegas,
-        order=args.order, gauge=gauge, cutoff=args.cutoff,
+        order=args.order, gauge=args.gauge, cutoff=args.cutoff,
     )
     errors = matrix.max(axis=1)
     fit = fit_power_law(omegas, errors)
@@ -430,7 +436,7 @@ def _cmd_verify(args) -> int:
         "version": __version__,
         "lattice": _lattice_payload(lattice, name),
         "drive": _drive_payload(drive),
-        "gauge": gauge,
+        "gauge": args.gauge,
         "order": args.order,
         "kpath": kp.labels,
         "omegas": [float(w) for w in omegas],

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, ValidationError
-from .lattice import Bond, LatticeSpec, _integer, _items, _numbers, _pair_table, _real
+from .lattice import Bond, LatticeSpec, _integer, _items, _numbers, _real
 
 __all__ = [
     "Harmonic",
@@ -238,7 +238,7 @@ def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None
     _check_drive_dim(lattice, drive)
     if not lattice.bonds:
         return {}
-    table = _pair_table(lattice)
+    table = lattice._pairs
     amplitudes = [lattice.bonds[i].amplitude for i in table.distinct]
     n, coefficients = _harmonics_at(
         drive, table.displacements[table.distinct], amplitudes, cutoff

@@ -45,7 +45,6 @@ from .lattice import (
     LatticeSpec,
     OffsetMatrix,
     _bond_blocks,
-    _pair_table,
     _real,
     bloch_matrix,
 )
@@ -167,7 +166,7 @@ def _order0_from_harmonics(lattice, harmonics) -> tuple:
 
 
 def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
-    table = _pair_table(lattice)
+    table = lattice._pairs
     if not len(table.first):
         return ()
     G = np.array([harmonics[b].coefficients for b in lattice.bonds])

@@ -23,18 +23,18 @@ Only the scalar Bloch phases exp(i k.R_b) of H(t) depend on k. The bond
 phase factors exp(i chi_b(t)) come from ``_bond_phases`` alone (integrator,
 H(t) and instantaneous offset matrices). Outside a sweep each propagation
 builds them fresh and forms its own propagator. A sweep hands its tasks one
-dict (``_sweep_scope``), its only reuse state, dropped when the sweep
-returns: on the integrator nodes the phases are built once per (lattice,
-drive, step count) in it, so every k reuses them, and bit-equal phase arrays
-are one array. At fixed z, H(t) depends on t only through omega*t, so drives
-a power of two apart in omega give bit-equal phases at the same step count.
+dict (``_sweep_scope``), dropped when the sweep returns, that holds phases
+only: on the integrator nodes they are built once per (lattice, drive, step
+count) in it, so every k reuses them, and bit-equal phase arrays are one
+array. At fixed z, H(t) depends on t only through omega*t, so drives a power
+of two apart in omega give bit-equal phases at the same step count.
 
 Sharing goes by that array, not by position in the drive list. The first
 drive of a k task to need a step count diagonalizes the H(t) stack once and
 forms the propagators of every later drive of the task with the same phase
-array too, one batched product per node; it stashes them in the dict under
-(lattice, bytes of k, drive, step count), and each drive's own call pops its
-own (``_propagator``). Each keeps the bits of a lone product.
+array too, one batched product per node, into a stash that ends with the task
+(``_sweep_scope``), under (lattice, bytes of k, drive, step count); each
+drive's own call pops its own (``_propagator``), with a lone product's bits.
 
 Effective and exact spectra are compared in one core, ``_matched_spectra``,
 behind the sweeps and ``cli bands``. It takes every effective spectrum first
@@ -46,10 +46,10 @@ closing vertex of a k-path, gets its first occurrence's bits) and matches
 each spectrum once. ``error_matrix`` and ``scaling_errors`` reduce its result
 through ``_sweep_errors``. The distinct k run on one thread pool,
 ``_on_pool``, one task per k, which propagates every drive in ascending
-omega through ``propagate_period``. Workers share only the sweep's dict
-and the cached offset stacks and pair tables of ``lattice.py``; two workers
-missing the same entry both build it, with identical results, and the dict
-keeps the first (``dict.setdefault`` is atomic), so no lock is needed.
+omega through ``propagate_period``. Workers share only the sweep's dict, the
+lattice's pair table and the cached offset stacks; two workers missing the
+same entry both build it, with identical results, and the dict keeps the
+first (``dict.setdefault`` is atomic), so no lock is needed.
 Results are gathered by task key. The pool size is capped by the
 FLOQUET_FORGE_THREADS environment variable (0 or unset means one worker per
 CPU).
@@ -76,7 +76,6 @@ from .lattice import (
     _integer,
     _items,
     _numbers,
-    _pair_table,
     _real,
     _torus_extents,
     bloch_matrix,
@@ -251,7 +250,7 @@ def _time(t) -> np.ndarray:
 def _bond_phases(lattice: LatticeSpec, drive: DriveSpec, times) -> np.ndarray:
     """exp(i chi(times)) as a read-only array, one row per class of the
     lattice's pair table (bit-equal displacement and amplitude)."""
-    table = _pair_table(lattice)
+    table = lattice._pairs
     phases = np.exp(1j * phase(drive, table.displacements[table.distinct], times))
     phases.flags.writeable = False
     return phases
@@ -263,32 +262,30 @@ _thread = threading.local()
 @contextlib.contextmanager
 def _sweep_scope(sweep: dict, drives=()):
     """Within the block this thread shares ``sweep``, the one dict of every
-    task of a sweep, for its integrator phases (``_integrator_phases``) and
-    stashed propagators (``_propagator``), and propagates the task's
-    ``drives`` in that order; the thread lets go of both when the block ends."""
-    _thread.sweep, _thread.drives = sweep, drives
+    task of a sweep, for its integrator phases (``_integrator_phases``),
+    propagates the task's ``drives`` in that order and stashes propagators
+    in a new dict (``_propagator``); all three go when the block ends."""
+    _thread.sweep, _thread.drives, _thread.stash = sweep, drives, {}
     try:
         yield
     finally:
-        del _thread.sweep, _thread.drives
+        del _thread.sweep, _thread.drives, _thread.stash
 
 
 def _integrator_phases(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> np.ndarray:
     """``_bond_phases`` on the integrator nodes of one period at ``steps`` steps.
 
-    Inside ``_sweep_scope`` they are built once per (lattice, drive, steps)
-    in the sweep's dict, and bit-equal phase arrays are one array there;
-    outside a sweep they are built fresh.
+    They are built once per (lattice, drive, steps) in the sweep's dict,
+    and bit-equal phase arrays are one array there; outside ``_sweep_scope``
+    that dict is a new one, so they are built fresh.
     """
     key = (lattice, drive, steps)
-    sweep = getattr(_thread, "sweep", None)
-    if sweep is not None and key in sweep:
+    sweep = getattr(_thread, "sweep", {})
+    if key in sweep:
         return sweep[key]
     h = drive.period / steps
     times = ((np.arange(steps)[:, None] + _NODES[None, :]) * h).reshape(-1)
     phases = _bond_phases(lattice, drive, times)
-    if sweep is None:
-        return phases
     # phases carry no amplitudes, so lattices of one bond geometry share them
     return sweep.setdefault(key, sweep.setdefault((steps, phases.tobytes()), phases))
 
@@ -303,7 +300,7 @@ def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, phases: np.ndarray) 
     R = np.array([np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors for b in bonds])
     # one scalar dot kernel per bond, as in bloch_matrix: R @ k rounds differently
     kR = np.vecdot(R.reshape(len(bonds), len(k)), k)
-    for b, row, x in zip(bonds, _pair_table(lattice).distinct_of, kR):
+    for b, row, x in zip(bonds, lattice._pairs.distinct_of, kR):
         H[:, b.target_basis, b.source_basis] += b.amplitude * np.exp(1j * x) * phases[row]
     return H
 
@@ -319,7 +316,7 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
     """Instantaneous tunneling matrices per cell offset, phases included."""
     _check_drive_dim(lattice, drive)
     phases = _bond_phases(lattice, drive, _time(t))[:, 0]
-    values = [b.amplitude * phases[row] for b, row in zip(lattice.bonds, _pair_table(lattice).distinct_of)]
+    values = [b.amplitude * phases[row] for b, row in zip(lattice.bonds, lattice._pairs.distinct_of)]
     return from_offset_dict(_bond_blocks(lattice, values))
 
 
@@ -354,13 +351,13 @@ def _run_propagators(w: np.ndarray, V: np.ndarray, drives, steps: int) -> np.nda
 
 
 def _propagator(lattice, drive, k, steps: int) -> np.ndarray:
-    """``drive``'s propagator at ``steps`` steps: stashed in the sweep's dict
-    by an earlier drive of the task, or formed from one eigh of the H(t)
+    """``drive``'s propagator at ``steps`` steps: stashed in the task's
+    ``_sweep_scope`` by an earlier drive, or formed from one eigh of the H(t)
     stack at k together with those of the task's later drives whose phase
     array is the same, which are stashed there under their own keys."""
-    sweep = getattr(_thread, "sweep", {})
+    stash = getattr(_thread, "stash", {})
     key = k.tobytes()
-    U = sweep.pop((lattice, key, drive, steps), None)
+    U = stash.pop((lattice, key, drive, steps), None)
     if U is not None:
         return U
     phases = _integrator_phases(lattice, drive, steps)
@@ -370,7 +367,7 @@ def _propagator(lattice, drive, k, steps: int) -> np.ndarray:
     w, V = np.linalg.eigh(_hamiltonian_stack(lattice, k, phases))
     U = _run_propagators(w, V, run, steps)
     for other, Uo in zip(run[1:], U[1:]):
-        sweep[lattice, key, other, steps] = Uo
+        stash[lattice, key, other, steps] = Uo
     return U[0]
 
 

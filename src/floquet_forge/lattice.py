@@ -19,8 +19,8 @@ read-only, and ``functools.lru_cache`` is thread-safe (two threads missing
 the same set both build it, with identical results). It takes one k or a
 stack of them: one array pass over (k, offset) gives every k's matrix with
 the bits of a call for that k alone. The drive-independent two-step data of
-a lattice, its pair table, is cached the same way, keyed on the frozen
-``LatticeSpec``.
+a lattice, its pair table, is no cache: a ``LatticeSpec`` builds it at
+construction and keeps it, as ``_pairs``, for as long as the spec lives.
 """
 
 from __future__ import annotations
@@ -244,6 +244,7 @@ class LatticeSpec:
                     f"bond {b._label()}: offset length {len(b.cell_offset)} != dimension {self.dimension}"
                 )
         object.__setattr__(self, "bonds", _closed_bonds(bonds))
+        object.__setattr__(self, "_pairs", _pair_table(self))
 
     @property
     def basis_count(self) -> int:
@@ -354,6 +355,8 @@ def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
 # keep a cached id from being reused, and a set that fails a check is not
 # cached. A model has two sets (orders 0 and 1); eight entries hold four
 # models'. A sweep or a k-path reads each set once, with all its k stacked.
+# A cache, not a field like the pair table: callers of the public bloch_matrix
+# pass its key in, and a scan calls effective_bloch once per k on one model.
 @functools.lru_cache(maxsize=8)
 def _offset_stack(offsets: tuple) -> tuple:
     """Validate an offset set once; return its offsets as floats in ascending
@@ -434,9 +437,6 @@ class _PairTable:
     total_index: np.ndarray
 
 
-# Keyed by identity, like _offset_stack; eight entries cover a scan over a
-# few lattices.
-@functools.lru_cache(maxsize=8)
 def _pair_table(spec: LatticeSpec) -> _PairTable:
     bonds = spec.bonds
     displacements = _readonly([spec.displacement(b) for b in bonds]).reshape(

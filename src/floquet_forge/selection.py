@@ -11,10 +11,10 @@ displacement; specs violating that are refused, because then swapped
 processes no longer carry opposite amplitudes.
 
 The report depends on the lattice alone, so it is built once per
-``LatticeSpec`` from the same cached pair table order 1 sums over, and kept
-in a small bounded cache keyed on the (frozen, identity-compared) spec. The
-report is immutable and its hop vectors are read-only, so every caller can
-share it; a spec that is refused is not cached and raises on every call.
+``LatticeSpec`` from the spec's pair table, the one order 1 sums over, and
+kept in a small bounded cache keyed on the (frozen, identity-compared) spec.
+The report is immutable and its hop vectors are read-only, so every caller
+can share it; a spec that is refused is not cached and raises on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .effective import DEFAULT_PRUNE_TOL
 from .errors import ConsistencyError, ValidationError
-from .lattice import LatticeSpec, _pair_table, _real, offset_dict
+from .lattice import LatticeSpec, _real, offset_dict
 
 __all__ = [
     "ProcessClass",
@@ -124,11 +124,11 @@ def enumerate_processes(lattice: LatticeSpec) -> ProcessReport:
     return _process_report(lattice)
 
 
-# Keyed by identity, like lattice._pair_table: a LatticeSpec is frozen, so its
-# report cannot go stale. A spec that is refused raises again on every call.
+# An identity-keyed cache, not a field of the frozen spec like the pair table:
+# building it can refuse the lattice, and lattice.py must not import selection.
 @functools.lru_cache(maxsize=8)
 def _process_report(lattice: LatticeSpec) -> ProcessReport:
-    table = _pair_table(lattice)
+    table = lattice._pairs
     displacements = table.displacements
     _check_displacement_condition(lattice, displacements)
 
@@ -144,7 +144,7 @@ def _process_report(lattice: LatticeSpec) -> ProcessReport:
     for (source, target, total) in sorted(groups):
         members = groups[(source, target, total)]
         keys = [(keys_of[i], keys_of[j]) for i, j in members]
-        klass = [None] * len(members)
+        klass = [ProcessClass.POTENTIALLY_FINITE] * len(members)
         pending = {}
         for n, (ki, kj) in enumerate(keys):
             if ki == kj:
@@ -154,17 +154,11 @@ def _process_report(lattice: LatticeSpec) -> ProcessReport:
             if partner:
                 m = partner.pop()
                 retraced = kj == tuple(-x + 0.0 for x in ki)
-                pair_class = (
-                    ProcessClass.FORCED_ZERO_SELF
-                    if retraced
-                    else ProcessClass.FORCED_ZERO_PAIRED
+                klass[n] = klass[m] = (
+                    ProcessClass.FORCED_ZERO_SELF if retraced else ProcessClass.FORCED_ZERO_PAIRED
                 )
-                klass[n] = klass[m] = pair_class
             else:
                 pending.setdefault((ki, kj), []).append(n)
-        for n in range(len(members)):
-            if klass[n] is None:
-                klass[n] = ProcessClass.POTENTIALLY_FINITE
 
         group_procs = tuple(
             TwoStepProcess(
@@ -179,11 +173,8 @@ def _process_report(lattice: LatticeSpec) -> ProcessReport:
             )
             for n, (i, j) in enumerate(members)
         )
-        verdict = (
-            CouplingClass.POTENTIALLY_FINITE
-            if any(p.klass is ProcessClass.POTENTIALLY_FINITE for p in group_procs)
-            else CouplingClass.FORCED_ZERO
-        )
+        finite = ProcessClass.POTENTIALLY_FINITE in klass
+        verdict = CouplingClass.POTENTIALLY_FINITE if finite else CouplingClass.FORCED_ZERO
         couplings.append(Coupling(source, target, total, verdict, group_procs))
         processes.extend(group_procs)
 

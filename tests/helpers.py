@@ -16,6 +16,7 @@ from floquet_forge import (
     effective,
     effective_bloch,
     floquet,
+    fold,
     lattice_harmonics,
     match_distance,
     propagate_period,
@@ -386,3 +387,41 @@ def one_pass_time_ordered_product(mats):
         head = np.matmul(arr[1 : 2 * m : 2], arr[0 : 2 * m : 2])
         arr = head if arr.shape[0] % 2 == 0 else np.concatenate([head, arr[-1:]])
     return arr[0]
+
+
+def sambe_quasienergies(lattice, drive, k, M=8, max_M=32):
+    """Quasienergies at k from the Floquet matrix in Sambe space (Shirley,
+    Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)): a
+    route to the exact reference that shares H(t) with the propagator but
+    not its integrator, nor the harmonics or the model.
+
+    N = 8M samples of ``floquet._hamiltonian_stack`` over one period give,
+    by one ifft, the blocks H^(l) of H(t) = sum_l H^(l) exp(-i l omega t),
+    and K_mn = H^(n-m) + m omega delta_mn for |m|, |n| <= M has one eigh.
+    The d eigenvectors with the most weight in the m = 0 block give the
+    folded quasienergies. M grows from ``M`` in steps of 4 while their norm
+    in the |m| > M - r blocks is above 1e-6, with r the drive's
+    highest harmonic: H(t) couples blocks r apart, so a tail can skip the
+    |m| = M blocks. Past ``max_M`` an AssertionError names the point."""
+    k = np.asarray(k, dtype=float)
+    d = lattice.basis_count
+    reach = max((h.m for h in drive.harmonics), default=1)
+    edge = np.inf
+    for M in range(M, max_M + 1, 4):
+        N = 8 * M
+        times = np.arange(N) * (drive.period / N)
+        samples = floquet._hamiltonian_stack(lattice, k, floquet._bond_phases(lattice, drive, times))
+        H = np.fft.ifft(samples, axis=0)  # H[l % N] = H^(l)
+        m = np.arange(-M, M + 1)
+        K = H[(m[None, :] - m[:, None]) % N].transpose(0, 2, 1, 3).reshape(len(m) * d, -1)
+        K += np.diag(np.repeat(m * drive.omega, d))
+        energies, vectors = np.linalg.eigh(K)
+        weight = np.abs(vectors.reshape(len(m), d, -1)) ** 2
+        keep = np.argsort(weight[M].sum(axis=0))[-d:]
+        edge = float(np.sqrt(weight[np.abs(m) > M - reach][:, :, keep].sum(axis=(0, 1))).max())
+        if edge <= 1e-6:
+            return np.sort(fold(energies[keep], drive.omega))
+    raise AssertionError(
+        f"Sambe matrix not converged by M = {max_M} (edge weight {edge:.1e} > 1e-06) "
+        f"at omega={drive.omega:g}, k={k.tolist()}"
+    )

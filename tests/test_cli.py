@@ -12,6 +12,7 @@ from scipy.special import jv
 
 import floquet_forge
 from floquet_forge import (
+    Gauge,
     ValidationError,
     build_effective_model,
     circular_drive,
@@ -149,6 +150,21 @@ def test_prune_must_be_finite_and_non_negative(tmp_path, capsys):
             assert code == 1, (command, value)
             assert "--prune" in err and "numerically zero" not in out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unknown_gauge_is_refused_before_any_output_is_created(tmp_path, capsys):
+    # the gauge used to be read after --output was created, and the message
+    # named "gauge", not the flag
+    out = tmp_path / "out"
+    kagome = ["--preset", "kagome", "--omega", "20", "--circular", "30", "--output", str(out)]
+    for command in ("effective", "selection-rules", "bands", "verify"):
+        code, got, err = run(capsys, command, *kagome, "--gauge", "magnus")
+        assert (code, got) == (1, ""), command
+        assert err.startswith("error: argument --gauge: ") and "'magnus'" in err, command
+        assert not out.exists(), command
+    parser = _build_parser()
+    assert parser.parse_args(["verify", "--gauge", " Floquet "]).gauge is Gauge.FLOQUET
+    assert parser.parse_args(["bands"]).gauge is Gauge.STATIC_FREE
 
 
 def test_kpoints_must_be_a_positive_integer(tmp_path, capsys):

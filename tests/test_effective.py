@@ -32,6 +32,7 @@ from helpers import (
     composable_pairs,
     peierls_lattice,
     random_drive,
+    random_lattice,
     reference_lattice_harmonics,
     strong_drive,
     two_pass_row_sums,
@@ -300,10 +301,13 @@ def commutator_order1(Hm, omega, gauge):
 
 def test_order1_equals_the_k_space_commutator_sums_in_both_gauges():
     """An independent route to the first-order model: no pair table, no
-    two-step amplitudes, only Bloch harmonics and commutators."""
+    two-step amplitudes, only Bloch harmonics and commutators. Random
+    lattices reach pairs that no preset has."""
     rng = np.random.default_rng(81)
-    for name in PRESET_NAMES:
-        lat = preset(name)
+    shapes = np.random.default_rng(82)
+    lattices = {name: preset(name) for name in PRESET_NAMES}
+    lattices.update((f"random {n}", random_lattice(shapes, 1 + n % 3)) for n in range(6))
+    for name, lat in lattices.items():
         for _ in range(2):
             drive = random_drive(rng, lat.space_dim)
             ks = rng.uniform(-np.pi, np.pi, size=(3, lat.space_dim))

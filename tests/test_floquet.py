@@ -47,6 +47,8 @@ from helpers import (
     one_pass_time_ordered_product,
     random_drive,
     random_lattice,
+    sambe_quasienergies,
+    strong_drive,
     torus_hamiltonian,
     translational_identity_check,
     undriven_offsets,
@@ -636,13 +638,62 @@ def test_a_stashed_propagator_serves_only_the_same_lattice_and_k(monkeypatch):
     terms = {}
     with floquet._sweep_scope(terms, drives):
         got = [propagate_period(spec, drive, k).propagator for spec, drive, k in points]
+        assert floquet._thread.stash == {}  # every stashed propagator was taken
     assert not vars(floquet._thread)  # no sweep state is left on the thread
     # the same phase array serves both lattices: only the stash key tells them apart
     assert terms[heavier, drives[1], 512] is terms[lat, drives[1], 512] is terms[lat, drives[0], 512]
     assert len(calls) == 2 * 3  # 512 and 1024 steps; the last point takes the stash
-    assert not [key for key in terms if len(key) == 4]  # every stashed propagator was taken
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def test_propagators_no_drive_takes_go_when_their_k_task_ends(monkeypatch):
+    # the strong omega = 10 drive settles at 2048 steps and forms the 2048-step
+    # propagators of the three later drives too; they settle at 1024 and never
+    # take them. The stash ends with its block, and the sweep dict keeps phases
+    lat = preset("kagome", 15.0)
+    drives = [rescale_drive(circular_drive(10.0, 15.0), w) for w in (10.0, 20.0, 40.0, 80.0)]
+    k = np.array([0.4, -0.3])
+    formed, taken = [], []
+    form, take = floquet._run_propagators, floquet._propagator
+
+    def forming(w, V, run, steps):
+        formed.append((len(run), steps))
+        return form(w, V, run, steps)
+
+    def taking(lattice, drive, k, steps):
+        taken.append((drive, steps))
+        return take(lattice, drive, k, steps)
+
+    monkeypatch.setattr(floquet, "_run_propagators", forming)
+    monkeypatch.setattr(floquet, "_propagator", taking)
+    terms = {}
+    with floquet._sweep_scope(terms, drives):
+        steps = [propagate_period(lat, drive, k).steps for drive in drives]
+    assert steps == [2048, 1024, 1024, 1024]
+    # 12 formed, 9 taken: the later drives' 2048-step propagators are left over
+    assert formed == [(4, 512), (4, 1024), (4, 2048)]
+    assert len(taken) == 9 and taken.count((drives[0], 2048)) == 1
+    assert not [key for key in terms if len(key) == 4]
+    assert not vars(floquet._thread)
+
+
+def test_the_sambe_matrix_gives_the_propagators_quasienergies():
+    # a second route to the exact reference: one eigh in the extended space
+    # of time-periodic states, with no integrator, harmonics or model
+    rng = np.random.default_rng(40)
+    cases = [(preset(name), strong_drive(preset(name), z, omega=10.0))
+             for name, z in (("kagome", 2.33), ("lieb", 1.84), ("zigzag", 2.4))]
+    for dim in (1, 2, 3, 2):
+        cases.append((random_lattice(rng, dim), random_drive(rng, dim, omega=10.0)))
+    for lat, drive in cases:
+        for _ in range(3):
+            k = rng.uniform(-np.pi, np.pi, size=lat.space_dim)
+            exact = propagate_period(lat, drive, k).quasienergies
+            sambe = sambe_quasienergies(lat, drive, k)
+            assert match_distance(sambe, exact, drive.omega) <= 1e-9 * drive.omega, (lat, k)
+    with pytest.raises(AssertionError, match=r"M = 8 .* at omega=10, k="):
+        sambe_quasienergies(*cases[0], np.array([0.4, -0.3]), max_M=8)
 
 
 def test_sweeps_on_random_lattices_equal_a_point_by_point_rebuild(monkeypatch):

@@ -45,6 +45,7 @@ from floquet_forge import (
 from floquet_forge import lattice
 from floquet_forge.floquet import offset_matrices_at_time
 from floquet_forge.lattice import (
+    _PairTable,
     from_offset_dict,
     is_hermitian_closed_offsets,
     offset_dict,
@@ -654,11 +655,51 @@ def test_offset_stack_cache_is_bounded_and_thread_safe():
     assert 0 < info.currsize <= info.maxsize == 8
 
 
-def test_pair_table_lists_composable_pairs_in_double_loop_order():
+class _Reads:
+    """A pair table that records which of its fields are read."""
+
+    def __init__(self, table):
+        self.table, self.fields = table, set()
+
+    def __getattr__(self, name):
+        self.fields.add(name)
+        return getattr(self.table, name)
+
+
+def test_pair_table_lists_composable_pairs_in_double_loop_order(monkeypatch):
+    # a lattice builds its one pair table at construction, and every reader
+    # (harmonics, order 1, selection rules, H(t), offset matrices) reads that
+    # one, building none of its own
+    builds = []
+    build = lattice._pair_table
+    monkeypatch.setattr(lattice, "_pair_table", lambda spec: builds.append(spec) or build(spec))
     for name in PRESET_NAMES:
+        builds.clear()
         lat = preset(name)
-        table = lattice._pair_table(lat)
-        assert lattice._pair_table(lat) is table
+        assert builds == [lat]
+        table = lat._pairs
+        fresh = build(lat)
+        for field in _PairTable.__dataclass_fields__:
+            a, b = getattr(table, field), getattr(fresh, field)
+            if field == "totals":
+                assert a == b
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        reads = _Reads(table)
+        object.__setattr__(lat, "_pairs", reads)
+        drive = linear_drive(10.0, np.linspace(1.0, 2.0, lat.space_dim))
+        k = np.linspace(0.3, -0.4, lat.space_dim)
+        for field, call in (
+            ("distinct", lambda: lattice_harmonics(lat, drive)),
+            ("total_index", lambda: build_effective_model(lat, drive)),
+            ("first", lambda: enumerate_processes(lat)),
+            ("distinct_of", lambda: bloch_hamiltonian_t(lat, drive, k, 0.3)),
+            ("distinct_of", lambda: offset_matrices_at_time(lat, drive, 0.3)),
+        ):
+            reads.fields.clear()
+            call()
+            assert field in reads.fields, (name, field)
+        assert builds == [lat]
         index = {b: i for i, b in enumerate(lat.bonds)}
         pairs = composable_pairs(lat)
         assert [(index[b1], index[b2]) for b1, b2 in pairs] == list(

@@ -9,8 +9,10 @@ from floquet_forge import (
     Bond,
     ConsistencyError,
     CouplingClass,
+    DriveSpec,
     EffectiveModel,
     Gauge,
+    Harmonic,
     LatticeSpec,
     OffsetMatrix,
     ProcessClass,
@@ -21,7 +23,7 @@ from floquet_forge import (
     enumerate_processes,
     preset,
 )
-from floquet_forge import lattice, selection
+from floquet_forge import selection
 from floquet_forge.lattice import _pair_table, offset_dict
 from helpers import random_drive, random_lattice
 
@@ -217,8 +219,9 @@ def test_refused_specs_raise_again_on_a_repeat_call():
 
 
 def test_report_and_pair_caches_stay_bounded_under_threads():
-    # more lattices than entries, through more workers than cores with rapid
-    # thread switches: every report and model equals the serial reference
+    # more lattices than report cache entries, through more workers than
+    # cores with rapid thread switches: every report and model equals the
+    # serial reference
     names = ("zigzag", "kagome", "lieb")
     count = 3 * selection._process_report.cache_info().maxsize
     lattices = [preset(names[i % 3]) for i in range(count)]
@@ -240,9 +243,51 @@ def test_report_and_pair_caches_stay_bounded_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
-    for cache in (selection._process_report, lattice._pair_table):
-        info = cache.cache_info()
-        assert 0 < info.currsize <= info.maxsize == 8
+    # each lattice keeps its own pair table; the reports are the cache left
+    info = selection._process_report.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 8
+
+
+def generic_drive(rng, lat, omega=10.0):
+    """Harmonics m = 1, 2, 3, each with random cos and sin directions, a
+    random phase and a strength of 1-2 omega over the longest bond: no
+    symmetry of the drive sends a coupling to zero."""
+    reach = max(np.linalg.norm(lat.displacement(b)) for b in lat.bonds)
+    harmonics = []
+    for m in (1, 2, 3):
+        u, v = rng.normal(size=(2, lat.space_dim))
+        f, phi = rng.uniform(1.0, 2.0) * omega / reach, rng.uniform(0.0, 2.0 * np.pi)
+        harmonics.append(Harmonic(m, f * np.cos(phi) * u / np.linalg.norm(u),
+                                  f * np.sin(phi) * v / np.linalg.norm(v)))
+    return DriveSpec(omega, tuple(harmonics))
+
+
+def test_every_potentially_finite_coupling_is_finite_under_a_generic_drive():
+    # converse of the forward test: a classifier that calls a coupling
+    # potentially finite must see it reach 1e-6 |j|^2 / omega under at least
+    # one of three generic drives, on the presets and on random lattices
+    rng = np.random.default_rng(27)
+    lattices = [preset(name) for name in PRESET_NAMES]
+    lattices += [random_lattice(rng, 1 + n % 3) for n in range(30)]
+    checked = refused = 0
+    for lat in lattices:
+        try:
+            finite = finite_keys(enumerate_processes(lat))
+        except ValidationError as error:
+            assert "amplitude is not a function of displacement" in str(error)
+            refused += 1
+            continue
+        largest = dict.fromkeys(finite, 0.0)
+        for _ in range(3):
+            drive = generic_drive(rng, lat)
+            scale = lat.amplitude_scale() ** 2 / drive.omega
+            for off, m in offset_dict(build_effective_model(lat, drive, prune_tol=0).order1).items():
+                for key in largest:
+                    if key[2] == off:
+                        largest[key] = max(largest[key], abs(m[key[1], key[0]]) / scale)
+        assert all(v >= 1e-6 for v in largest.values()), [k for k, v in largest.items() if v < 1e-6]
+        checked += len(largest)
+    assert refused and checked > 300
 
 
 def test_report_and_order1_read_the_same_pair_table():
