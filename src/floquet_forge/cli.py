@@ -32,7 +32,7 @@ from .drive import (
 )
 from .effective import DEFAULT_PRUNE_TOL, Gauge, build_effective_model
 from .errors import ConsistencyError, ConvergenceError, ValidationError
-from .floquet import _matched_spectra, _point_list, error_matrix, fit_power_law
+from .floquet import _matched_spectra, _point_list, _sweep_omegas, error_matrix, fit_power_law
 # not called here: bench/selftest.py reads cli.propagate_period until ROADMAP item 1 lands
 from .floquet import propagate_period  # noqa: F401
 from .kpath import named_kpath
@@ -402,7 +402,7 @@ def _cmd_bands(args) -> int:
 def _cmd_verify(args) -> int:
     lattice, drive, name = _load_inputs(args)
     drive = _require_drive(drive)
-    omegas = sorted(_float_list(args.omegas, "--omegas"))
+    omegas = _sweep_omegas(_float_list(args.omegas, "--omegas"))
     kp = named_kpath(lattice, args.kpath, args.kpoints)
     outdir = _outdir(args)
 

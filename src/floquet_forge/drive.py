@@ -74,12 +74,12 @@ class Harmonic:
             )
 
 
-def _check_omega(omega) -> float:
+def _check_omega(omega, field: str = "omega") -> float:
     """``omega`` as a float; a bool, a non-number, a non-finite or a
-    non-positive value is refused."""
-    omega = _real(omega, "omega")
+    non-positive value is refused, naming ``field``."""
+    omega = _real(omega, field)
     if not (math.isfinite(omega) and omega > 0):
-        raise ValidationError(f"omega must be finite and positive, got {omega}")
+        raise ValidationError(f"{field} must be finite and positive, got {omega}")
     return omega
 
 

@@ -45,6 +45,7 @@ from .lattice import (
     LatticeSpec,
     OffsetMatrix,
     _bond_blocks,
+    _negated,
     _real,
     bloch_matrix,
 )
@@ -193,8 +194,7 @@ def _symmetrize(offsets, blocks: np.ndarray) -> tuple:
     where = {off: n for n, off in enumerate(keys)}
     full = np.zeros((len(keys),) + blocks.shape[1:], dtype=complex)
     full[[where[off] for off in offsets]] = blocks
-    neg = [where[tuple(-x for x in off)] for off in keys]
-    return keys, 0.5 * (full + full[neg].conj().transpose(0, 2, 1))
+    return keys, 0.5 * (full + full[_negated(keys)].conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)

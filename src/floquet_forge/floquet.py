@@ -73,6 +73,7 @@ from .lattice import (
     LatticeSpec,
     _bond_blocks,
     _check_k,
+    _first_occurrences,
     _integer,
     _items,
     _numbers,
@@ -516,9 +517,9 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
     )
 
 
-def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
-    """Validated sweep inputs: (drives in ascending omega, k list)."""
-    ws = sorted(_real(w, "omegas entry") for w in _items(omegas, "omegas"))
+def _sweep_omegas(omegas) -> list:
+    """Sweep frequencies, ascending: distinct, at least 4, spanning a factor 8."""
+    ws = sorted(_check_omega(w, "omegas entry") for w in _items(omegas, "omegas"))
     if len(set(ws)) != len(ws):
         raise ValidationError("sweep frequencies must be distinct")
     if len(ws) < 4:
@@ -527,6 +528,12 @@ def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
         raise ValidationError(
             f"sweep must span at least a factor 8 in omega, got {ws[-1] / ws[0]:.3g}"
         )
+    return ws
+
+
+def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
+    """Validated sweep inputs: (drives in ascending omega, k list)."""
+    ws = _sweep_omegas(omegas)
     k_list = [_check_k(k, lattice.space_dim) for k in _items(k_set, "k_set")]
     if not k_list:
         raise ValidationError("k_set must be nonempty")
@@ -540,17 +547,6 @@ def _sweep_inputs(lattice: LatticeSpec, drive_family, k_set, omegas) -> tuple:
         _check_drive_dim(lattice, drive)
         drives.append(drive)
     return drives, k_list
-
-
-def _first_occurrences(points) -> list:
-    """For each point, the index of its first bit-equal occurrence.
-
-    Points are float64 arrays, already read (a sweep's k list, a k-path's
-    points). They compare by shape and bytes, so -0.0 and 0.0 differ: a
-    repeat is only ever a point whose every computation gives the same bits.
-    """
-    seen = {}
-    return [seen.setdefault((a.shape, a.tobytes()), i) for i, a in enumerate(points)]
 
 
 def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:

@@ -18,43 +18,24 @@ from .lattice import LatticeSpec, _integer, reciprocal_vectors
 __all__ = ["KPath", "high_symmetry_points", "named_kpath", "bz_grid"]
 
 
-def _family(lattice: LatticeSpec) -> str:
+def high_symmetry_points(lattice: LatticeSpec) -> dict:
+    """Vertex letters -> Cartesian k for the lattice's Bravais family, in the
+    order of its default path: GX (1d chains), GXM (square), GMK (triangular)."""
+    g = reciprocal_vectors(lattice)
+    G = np.zeros(lattice.space_dim)
     if lattice.dimension == 1:
-        return "1d"
+        return {"G": G, "X": 0.5 * g[0]}
     if lattice.dimension == 2:
         b1, b2 = lattice.bravais_vectors
         c = abs(float(b1 @ b2) / (np.linalg.norm(b1) * np.linalg.norm(b2)))
         if c < 1e-6:
-            return "square"
+            return {"G": G, "X": 0.5 * g[0], "M": 0.5 * (g[0] + g[1])}
         if abs(c - 0.5) < 1e-6:
-            return "triangular"
+            return {"G": G, "M": 0.5 * g[0], "K": (2.0 * g[0] + g[1]) / 3.0}
     raise ValidationError(
         "no named k-path convention for this Bravais geometry; "
         "supported families: 1d chains, square, triangular (60 degree) lattices"
     )
-
-
-def high_symmetry_points(lattice: LatticeSpec) -> dict:
-    """Vertex letters -> Cartesian k for the lattice's Bravais family."""
-    g = reciprocal_vectors(lattice)
-    family = _family(lattice)
-    if family == "1d":
-        return {"G": np.zeros(lattice.space_dim), "X": 0.5 * g[0]}
-    if family == "square":
-        return {
-            "G": np.zeros(lattice.space_dim),
-            "X": 0.5 * g[0],
-            "M": 0.5 * (g[0] + g[1]),
-        }
-    return {
-        "G": np.zeros(lattice.space_dim),
-        "M": 0.5 * g[0],
-        "K": (2.0 * g[0] + g[1]) / 3.0,
-    }
-
-
-def default_path(lattice: LatticeSpec) -> str:
-    return {"1d": "GXG", "square": "GXMG", "triangular": "GMKG"}[_family(lattice)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,17 +53,17 @@ def named_kpath(lattice: LatticeSpec, path: str | None = None, per_segment: int 
     """Sample a vertex-letter path ("GMKG" style), per_segment points per leg.
 
     The first vertex is included once; every leg then contributes per_segment
-    points ending exactly on its terminal vertex.
+    points ending exactly on its terminal vertex. ``path=None`` takes the
+    family's default path: the vertices of :func:`high_symmetry_points` in
+    order, back to G (GXG, GXMG or GMKG).
     """
     per_segment = _integer(per_segment, "per_segment")
     if per_segment < 1:
         raise ValidationError(f"per_segment must be >= 1, got {per_segment}")
-    if path is None:
-        path = default_path(lattice)
-    elif not isinstance(path, str):
+    if path is not None and not isinstance(path, str):
         raise ValidationError(f"k-path must be a string of vertex letters, got {path!r}")
-    labels = path.strip().upper()
     table = high_symmetry_points(lattice)
+    labels = ("".join(table) + "G" if path is None else path).strip().upper()
     if len(labels) < 2:
         raise ValidationError(f"k-path needs at least two vertices, got '{labels}'")
     try:

@@ -334,21 +334,10 @@ def from_offset_dict(table: dict) -> tuple:
     return tuple(OffsetMatrix(k, v) for k, v in sorted(table.items()))
 
 
-def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
-    """Whether every block has a partner at the negated offset equal to its
-    conjugate transpose, within ``tol`` times the largest entry (at least 1).
-    A set with a NaN block is not closed; an empty one is."""
-    table = offset_dict(offsets)
-    if not table:
-        return True
-    where = {off: n for n, off in enumerate(table)}
-    neg = [where.get(tuple(-x for x in off)) for off in table]
-    if None in neg:
-        return False
-    mats = np.array(list(table.values()))
-    scale = float(np.abs(mats).max())
-    # NaN compares false: not closed
-    return bool(np.abs(mats[neg] - mats.conj().transpose(0, 2, 1)).max() <= tol * max(scale, 1.0))
+def _negated(keys) -> list:
+    """Index in ``keys`` of each key's negation (None where it is missing)."""
+    where = {off: n for n, off in enumerate(keys)}
+    return [where.get(tuple(-x for x in off)) for off in keys]
 
 
 # Keyed by identity (see the module docstring); the cache's strong references
@@ -372,7 +361,10 @@ def _offset_stack(offsets: tuple) -> tuple:
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         raise ValidationError(f"offset {keys[finite.argmin()]}: matrix must be finite")
-    if not is_hermitian_closed_offsets(offsets):
+    # closed: M_-o = M_o^H for each offset o, within 1e-9 times the largest entry (at least 1)
+    neg = _negated(keys)
+    scale = max(float(np.abs(mats).max()), 1.0)
+    if None in neg or np.abs(mats[neg] - mats.conj().transpose(0, 2, 1)).max() > 1e-9 * scale:
         raise ValidationError("offset set is not Hermitian-closed")
     offs = _readonly([(0,) * len(keys[0])] + keys)
     mats = _readonly(np.concatenate([np.zeros_like(mats[:1]), mats]), complex)
@@ -437,18 +429,25 @@ class _PairTable:
     total_index: np.ndarray
 
 
+def _first_occurrences(points) -> list:
+    """For each point, the index of its first bit-equal occurrence.
+
+    Points are float64 arrays, already read (k vectors, bond rows). They
+    compare by shape and bytes, so -0.0 and 0.0 differ: a repeat is only
+    ever a point whose every computation gives the same bits.
+    """
+    seen = {}
+    return [seen.setdefault((a.shape, a.tobytes()), i) for i, a in enumerate(points)]
+
+
 def _pair_table(spec: LatticeSpec) -> _PairTable:
     bonds = spec.bonds
     displacements = _readonly([spec.displacement(b) for b in bonds]).reshape(
         len(bonds), spec.space_dim
     )
-    index, distinct, distinct_of = {}, [], []
-    for i, (a, b) in enumerate(zip(displacements, bonds)):
-        key = (a.tobytes(), np.complex128(b.amplitude).tobytes())
-        if key not in index:
-            index[key] = len(distinct)
-            distinct.append(i)
-        distinct_of.append(index[key])
+    rows = [[*a, b.amplitude.real, b.amplitude.imag] for a, b in zip(displacements, bonds)]
+    first = _first_occurrences(np.array(rows))
+    distinct = sorted(set(first))
     pairs = [
         (i, j)
         for i, b1 in enumerate(bonds)
@@ -464,7 +463,7 @@ def _pair_table(spec: LatticeSpec) -> _PairTable:
     return _PairTable(
         displacements=displacements,
         distinct=_readonly(distinct, np.intp),
-        distinct_of=_readonly(distinct_of, np.intp),
+        distinct_of=_readonly(np.searchsorted(distinct, first), np.intp),
         first=_readonly([i for i, _ in pairs], np.intp),
         second=_readonly([j for _, j in pairs], np.intp),
         source=_readonly([bonds[i].source_basis for i, _ in pairs], np.intp),

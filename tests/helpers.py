@@ -66,6 +66,23 @@ def random_lattice(rng, dim):
     return LatticeSpec(dim, A, sites, tuple(bonds))
 
 
+def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
+    """Whether every block has a partner at the negated offset equal to its
+    conjugate transpose, within ``tol`` times the largest entry (at least 1).
+    A set with a NaN block is not closed; an empty one is."""
+    table = offset_dict(offsets)
+    if not table:
+        return True
+    where = {off: n for n, off in enumerate(table)}
+    neg = [where.get(tuple(-x for x in off)) for off in table]
+    if None in neg:
+        return False
+    mats = np.array(list(table.values()))
+    scale = float(np.abs(mats).max())
+    # NaN compares false: not closed
+    return bool(np.abs(mats[neg] - mats.conj().transpose(0, 2, 1)).max() <= tol * max(scale, 1.0))
+
+
 def composable_pairs(lattice):
     """All ordered bond pairs (b1, b2) where b2 starts where b1 ends."""
     return [

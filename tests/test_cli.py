@@ -167,6 +167,22 @@ def test_an_unknown_gauge_is_refused_before_any_output_is_created(tmp_path, caps
     assert parser.parse_args(["bands"]).gauge is Gauge.STATIC_FREE
 
 
+def test_a_bad_omegas_list_is_refused_before_any_output_is_created(tmp_path, capsys):
+    # the sweep rule used to run inside error_matrix, after --output was created
+    out = tmp_path / "out"
+    zigzag = ["--preset", "zigzag", "--omega", "10", "--circular", "21.2", "--output", str(out)]
+    refused = {
+        "nan,20,40,80": "omegas entry must be finite and positive, got nan",
+        "10,20,40": "sweep needs at least 4 frequencies, got 3",
+        "10,10,40,80": "sweep frequencies must be distinct",
+        "0,20,40,80": "omegas entry must be finite and positive, got 0.0",
+    }
+    for omegas, message in refused.items():
+        code, got, err = run(capsys, "verify", *zigzag, f"--omegas={omegas}")
+        assert (code, got, err) == (1, "", f"error: {message}\n"), omegas
+        assert not out.exists(), omegas
+
+
 def test_kpoints_must_be_a_positive_integer(tmp_path, capsys):
     # 0 and -2 used to reach named_kpath: "error: per_segment must be >= 1, got 0"
     chain = ["--preset", "chain", "--omega", "10", "--linear", "13", "--output", str(tmp_path)]

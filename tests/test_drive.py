@@ -25,7 +25,6 @@ from floquet_forge import (
 from floquet_forge import PRESET_NAMES
 from floquet_forge.floquet import offset_matrices_at_time
 from floquet_forge.drive import MAX_CUTOFF, _harmonics_at
-from floquet_forge.lattice import _pair_table
 from helpers import (
     peierls_lattice,
     random_drive,
@@ -336,8 +335,8 @@ def test_parseval_failure_names_the_same_first_bond_as_the_per_bond_path():
 
 
 def test_bit_equal_bonds_share_one_spectrum_kept_across_escalation(monkeypatch):
-    assert len(_pair_table(preset("kagome")).distinct) == 6
-    assert len(_pair_table(preset("lieb")).distinct) == 4
+    assert len(preset("kagome")._pairs.distinct) == 6
+    assert len(preset("lieb")._pairs.distinct) == 4
     calls = []
     fft = np.fft.fft
 

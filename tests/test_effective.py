@@ -20,9 +20,7 @@ from floquet_forge import (
 )
 from floquet_forge import effective
 from floquet_forge.lattice import (
-    _pair_table,
     from_offset_dict,
-    is_hermitian_closed_offsets,
     offset_dict,
 )
 from helpers import (
@@ -30,6 +28,7 @@ from helpers import (
     bloch_harmonics,
     chiral_two_harmonic,
     composable_pairs,
+    is_hermitian_closed_offsets,
     peierls_lattice,
     random_drive,
     random_lattice,
@@ -401,7 +400,7 @@ def test_two_step_amplitudes_match_the_reference_and_stay_antisymmetric():
         # the whole pair table through the one-pass sum, against the two
         # passes (bond rows' gauge terms, then pair rows) it replaced
         G = np.array([table[b].coefficients for b in lat.bonds])
-        pairs = _pair_table(lat)
+        pairs = lat._pairs
         for gauge in Gauge:
             got = effective._two_step(G, pairs.first, pairs.second, drive.omega, gauge)
             want = two_pass_two_step(G, pairs.first, pairs.second, drive.omega, gauge)

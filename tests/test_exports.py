@@ -368,16 +368,14 @@ def test_src_imports_are_used():
 
 
 def test_helpers_outside_the_api_stay_importable_but_unexported():
-    from floquet_forge import floquet, kpath, lattice
+    from floquet_forge import floquet, lattice
 
     helpers = [
         (floquet, "thread_count"),
         (floquet, "offset_matrices_at_time"),
         (floquet, "commutator_offsets"),
-        (kpath, "default_path"),
         (lattice, "offset_dict"),
         (lattice, "from_offset_dict"),
-        (lattice, "is_hermitian_closed_offsets"),
     ]
     for mod, name in helpers:
         assert callable(getattr(mod, name)), name

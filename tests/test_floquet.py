@@ -713,6 +713,33 @@ def test_sweeps_on_random_lattices_equal_a_point_by_point_rebuild(monkeypatch):
         assert error_matrix(lat, family, ks, omegas).tobytes() == want.tobytes()
 
 
+def test_random_lattices_scale_as_verify_expects():
+    # scaling on arbitrary geometries: with the drive's strength held fixed,
+    # the error falls at least as fast as verify's one-sided slopes require
+    # (order 1 at most -1.7, order 0 at most -0.7) on random non-Bravais
+    # lattices of dimension 1 and 2, over a 2x2 zone grid
+    from floquet_forge.cli import EXPECTED_SLOPE, SLOPE_MARGIN
+
+    rng = np.random.default_rng(7)
+    omegas = [10.0, 20.0, 40.0, 80.0]
+    checked = 0
+    for dim in itertools.cycle((1, 2)):
+        lat = random_lattice(rng, dim)
+        if lat.basis_count < 2:
+            continue
+        base = random_drive(rng, dim, omega=10.0, scale=8.0)
+        errors = scaling_errors(
+            lat, lambda w: rescale_drive(base, w), bz_grid(lat, 2), omegas, orders=(0, 1)
+        )
+        for order, errs in errors.items():
+            fit = fit_power_law(omegas, errs)
+            assert fit.excluded_omegas.size == 0, (lat, order)
+            assert fit.slope <= EXPECTED_SLOPE[order] + SLOPE_MARGIN, (lat, order, fit.slope)
+        checked += 1
+        if checked == 6:
+            break
+
+
 def test_sweeps_reach_every_propagation_through_propagate_period(monkeypatch):
     # the benchmark counts propagations, resolutions and substeps by wrapping
     # propagate_period and reading its steps and refine: an engine path that

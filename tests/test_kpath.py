@@ -11,7 +11,6 @@ from floquet_forge import (
     preset,
     reciprocal_vectors,
 )
-from floquet_forge.kpath import default_path
 
 
 def square_lattice():
@@ -24,12 +23,12 @@ def square_lattice():
 
 
 def test_default_paths_by_family():
-    assert default_path(preset("chain")) == "GXG"
-    assert default_path(preset("zigzag")) == "GXG"
-    assert default_path(square_lattice()) == "GXMG"
-    assert default_path(preset("triangular")) == "GMKG"
-    assert default_path(preset("kagome")) == "GMKG"
-    assert default_path(preset("hexagonal")) == "GMKG"
+    assert named_kpath(preset("chain")).labels == "GXG"
+    assert named_kpath(preset("zigzag")).labels == "GXG"
+    assert named_kpath(square_lattice()).labels == "GXMG"
+    assert named_kpath(preset("triangular")).labels == "GMKG"
+    assert named_kpath(preset("kagome")).labels == "GMKG"
+    assert named_kpath(preset("hexagonal")).labels == "GMKG"
 
 
 def test_high_symmetry_points_chain():

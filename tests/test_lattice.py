@@ -47,12 +47,12 @@ from floquet_forge.floquet import offset_matrices_at_time
 from floquet_forge.lattice import (
     _PairTable,
     from_offset_dict,
-    is_hermitian_closed_offsets,
     offset_dict,
 )
 from floquet_forge.serialization import json_text
 from helpers import (
     composable_pairs,
+    is_hermitian_closed_offsets,
     random_drive,
     random_lattice,
     random_offset_matrices,
@@ -500,6 +500,14 @@ def test_hermitian_closure_of_offsets():
                 partner[0, 0] = edge * factor
                 offsets = (OffsetMatrix((1,), size * m), OffsetMatrix((-1,), partner))
                 assert is_hermitian_closed_offsets(offsets, tol) is closed, (tol, size, factor)
+                if tol != 1e-9:
+                    continue
+                # bloch_matrix's own check has the one tolerance 1e-9
+                if closed:
+                    assert bloch_matrix(offsets, [0.3], [[1.0]]).shape == (2, 2)
+                else:
+                    with pytest.raises(ValidationError, match="^offset set is not Hermitian-closed$"):
+                        bloch_matrix(offsets, [0.3], [[1.0]])
 
 
 def test_undriven_chain_band_minimum():

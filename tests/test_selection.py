@@ -24,7 +24,7 @@ from floquet_forge import (
     preset,
 )
 from floquet_forge import selection
-from floquet_forge.lattice import _pair_table, offset_dict
+from floquet_forge.lattice import offset_dict
 from helpers import random_drive, random_lattice
 
 
@@ -296,7 +296,7 @@ def test_report_and_order1_read_the_same_pair_table():
     for name in PRESET_NAMES:
         lat = preset(name)
         report = enumerate_processes(lat)
-        assert len(report.processes) == len(_pair_table(lat).first)
+        assert len(report.processes) == len(lat._pairs.first)
         finite = finite_keys(report)
         for gauge in Gauge:
             blocks = build_effective_model(lat, random_drive(rng, lat.space_dim), gauge).order1
