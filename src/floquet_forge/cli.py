@@ -473,7 +473,3 @@ def main(argv=None) -> int:
     except (ConsistencyError, ConvergenceError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

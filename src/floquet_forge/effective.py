@@ -20,8 +20,9 @@ A model build is one array pass with one compensated sum: the composable
 pairs, their total offsets and basis indices come from the lattice's cached
 pair table, the harmonics are stacked into one (bonds, 2N+1) array, lines
 one and two of every pair's beta are evaluated in one expression, and those
-pair rows, together with every bond row's static-free gauge term f, are
-summed along n by one compensated (Kahan) sum over all rows at once. It is
+pair rows, together with every bond row's gauge term f (the gauge supplies
+its rows, zeros in the Floquet gauge), are summed along n by one
+compensated (Kahan) sum over all rows at once. It is
 bit-identical to a per-pair loop: every vector operation is the one the loop
 applied to a pair's arrays, and Kahan's four add/subtract steps round the
 same in vector and scalar form. Only line three, a handful of scalar
@@ -107,8 +108,10 @@ def _split(G: np.ndarray) -> tuple:
 def _two_step(G: np.ndarray, first, second, omega: float, gauge: Gauge) -> np.ndarray:
     """All three lines of the two-step amplitude for every pair (rows
     first[p], then second[p]) of a coefficient stack in ``gauge``. Lines one
-    and two of every pair and, in the static-free gauge, each row's gauge
-    term f = sum_{n>=1} (i/n)(g^{-n} - g^{n}) take one compensated sum."""
+    and two of every pair and each row's gauge term f take one compensated
+    sum. The gauge supplies only the rows summed into f: (i/n)(g^{-n} - g^{n})
+    in the static-free gauge, zeros in the Floquet gauge (each row sums
+    alone, and a compensated sum of zeros is exactly +0)."""
     pos, neg, zero = _split(G)
     n = np.arange(1, pos.shape[1] + 1)
     g1p, g1n, g1z = pos[first], neg[first], zero[first, None]
@@ -116,11 +119,9 @@ def _two_step(G: np.ndarray, first, second, omega: float, gauge: Gauge) -> np.nd
     line1 = g2p * g1n - g2n * g1p
     line2 = (g2n - g2p) * g1z - g2z * (g1n - g1p)
     lines = (line1 + line2) / (n * omega)
-    if gauge is Gauge.STATIC_FREE:
-        sums = _row_sums(lines, 1j * (neg - pos) / n)
-        sums, f = sums[: len(lines)], sums[len(lines):]
-    else:
-        sums, f = _row_sums(lines), [0.0 + 0.0j] * len(G)
+    f_rows = 1j * (neg - pos) / n if gauge is Gauge.STATIC_FREE else np.zeros_like(pos)
+    sums = _row_sums(lines, f_rows)
+    sums, f = sums[: len(lines)], sums[len(lines):]
     # Line three stays scalar, pair by pair: numpy's vector complex multiply
     # fuses multiply-adds where its scalar one does not, so the two differ in
     # the last bit for about half of all products.

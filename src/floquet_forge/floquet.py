@@ -49,10 +49,10 @@ through ``_sweep_errors``. The distinct k run on one thread pool,
 omega through ``propagate_period``. Workers share only the sweep's dict, the
 lattice's pair table and the cached offset stacks; two workers missing the
 same entry both build it, with identical results, and the dict keeps the
-first (``dict.setdefault`` is atomic), so no lock is needed.
-Results are gathered by task key. The pool size is capped by the
-FLOQUET_FORGE_THREADS environment variable (0 or unset means one worker per
-CPU).
+first (``dict.setdefault`` is atomic), so no lock is needed. ``_on_pool``
+maps the task over the distinct k, and results are gathered in the order of
+the distinct k. The pool size is capped by the FLOQUET_FORGE_THREADS
+environment variable (0 or unset means one worker per CPU).
 """
 
 from __future__ import annotations
@@ -456,11 +456,11 @@ def thread_count() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
-def _on_pool(task, keys) -> dict:
-    """{key: task(*key)} on thread_count() workers; a task's error raises on collection."""
+def _on_pool(task, items) -> list:
+    """[task(item) for item in items], run on thread_count() workers; a
+    task's error raises on collection."""
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futures = {key: pool.submit(task, *key) for key in keys}
-        return {key: fut.result() for key, fut in futures.items()}
+        return list(pool.map(task, items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,21 +486,21 @@ def fit_power_law(omegas, errors) -> PowerLawFit:
     Errors at or below ERROR_FLOOR carry no scaling information (they measure
     integrator and rounding noise, not the expansion remainder); they are
     left out of the fit and listed in ``excluded_omegas``/``excluded_errors``.
-    A non-finite or non-positive omega raises ValidationError; a non-finite
-    error, or fewer than two distinct frequencies above the floor, raises
-    ConvergenceError naming the points.
+    A non-finite or non-positive omega raises ValidationError, as in a
+    sweep; a non-finite error, or fewer than two distinct frequencies above
+    the floor, raises ConvergenceError naming the points.
     """
     x = _numbers(omegas, "omegas", float)
     y = _numbers(errors, "errors", float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("omegas and errors must be 1d arrays of equal length")
-    if not np.all(np.isfinite(x) & (x > 0)):
-        raise ValidationError(f"omegas must be finite and positive, got {x.tolist()}")
+    for w in x.tolist():
+        _check_omega(w, "omegas entry")
     bad = ~np.isfinite(y)
     if bad.any():
         raise ConvergenceError(f"sweep errors are not finite: {_point_list(x[bad], y[bad])}")
     keep = y > ERROR_FLOOR
-    if np.unique(x[keep]).size < 2:
+    if len(set(x[keep].tolist())) < 2:
         excluded = "" if keep.all() else f"; at the floor: {_point_list(x[~keep], y[~keep])}"
         raise ConvergenceError(
             "fewer than two sweep points above the error floor at distinct frequencies; "
@@ -578,9 +578,8 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
         with _sweep_scope(terms, drives):
             return [propagate_period(lattice, drive, k_list[ik]).quasienergies for drive in drives]
 
-    exact = _on_pool(task, [(ik,) for ik in distinct])
     Q = np.zeros_like(E)
-    for (ik,), spectra in exact.items():
+    for ik, spectra in zip(distinct, _on_pool(task, distinct)):
         for iw, eps in enumerate(spectra):
             for io in range(len(orders)):
                 Q[io, iw, ik] = eps[match_permutation(E[io, iw, ik], eps, drives[iw].omega)]

@@ -183,6 +183,55 @@ def test_integers_are_read_through_one_rule():
     ]
 
 
+def _unique_calls(tree):
+    """The top-level function (or class, or '<module>') around every call of
+    numpy's ``unique``, as ``np.unique``, ``numpy.unique`` or an imported
+    ``unique``."""
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        for a in node.names
+        if a.name == "unique"
+    }
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (
+                isinstance(f, ast.Attribute) and f.attr == "unique"
+                and getattr(f.value, "id", "") in ("np", "numpy")
+            ) or getattr(f, "id", None) in imported:
+                yield owner
+
+
+def test_no_numpy_unique_in_src():
+    # the first np.unique call in a process raises peak RSS by about 0.8 MB
+    # (fresh interpreter, ru_maxrss), which every verify run paid inside its
+    # fit; len(set(...)) counts distinct values without it, and an earlier
+    # np.unique draft read +0.9% cli peak_rss_mb in the benchmark
+    found = [
+        (path.name, owner)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for owner in _unique_calls(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    # the check itself can fail
+    sample = (
+        "import numpy as np\n"
+        "from numpy import unique as u\n"
+        "n = np.unique(x).size\n"
+        "def fit_power_law(x):\n"
+        "    return len(set(x.tolist())), numpy.unique(x)\n"
+        "class Table:\n"
+        "    def rows(self):\n"
+        "        return u(self.rows, axis=0), self.unique(), unique(x)\n"
+    )
+    assert list(_unique_calls(ast.parse(sample))) == ["<module>", "fit_power_law", "Table"]
+
+
 def _bool_checks(tree):
     """The top-level function (or class, or '<module>') around every
     ``isinstance`` check for ``bool`` or ``np.bool_``, alone or in a tuple."""

@@ -412,6 +412,37 @@ def test_fit_power_law_refuses_bad_omegas_before_fitting():
             fit_power_law([bad, 10.0, 20.0, 40.0], e)
 
 
+def test_the_fit_and_the_sweeps_refuse_a_bad_frequency_alike():
+    # one frequency rule, drive._check_omega, reads every entry of both lists
+    chain = preset("chain")
+
+    def family(w):
+        return linear_drive(w, [0.5 * w])
+
+    e = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+    for bad in (0.0, -4.0, np.nan, np.inf):
+        with pytest.raises(ValidationError) as fit:
+            fit_power_law([bad, 20, 40, 80], e)
+        with pytest.raises(ValidationError) as sweep:
+            error_matrix(chain, family, [[0.1]], [bad, 20.0, 40.0, 80.0])
+        assert str(fit.value) == str(sweep.value)
+        assert str(fit.value) == f"omegas entry must be finite and positive, got {bad}"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_k_tasks_error_reaches_the_sweeps_caller(monkeypatch, threads):
+    # _on_pool collects every task's result, so a task's own error raises
+    # there, with one worker or more; the settling limits are forced as in
+    # the propagator's refusal test above
+    monkeypatch.setattr(floquet, "RICHARDSON_TOL", 1e-16)
+    monkeypatch.setattr(floquet, "MAX_STEPS", 1024)
+    monkeypatch.setenv("FLOQUET_FORGE_THREADS", threads)
+    base = circular_drive(5.0, 8.0)
+    ks = [np.array([0.3, 0.4]), np.array([0.1, 0.0])]
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        error_matrix(preset("zigzag"), lambda w: rescale_drive(base, w), ks, [5.0, 10.0, 20.0, 40.0])
+
+
 def test_fit_power_law_refuses_a_non_finite_error():
     w = np.array([10.0, 20.0, 40.0, 80.0])
     for bad in (np.nan, np.inf):

@@ -95,6 +95,7 @@ PRESET_DIGESTS = {
 
 @pytest.mark.parametrize("name, amplitude", sorted(PRESET_DIGESTS, key=str))
 def test_presets_keep_their_bits(name, amplitude):
-    # recorded before the presets became one table: every coordinate, bond,
-    # bond order and displacement keeps its bits, so no model moves
+    # every coordinate, bond, bond order and displacement is pinned to the
+    # bit, so an edit of the table that moves any of them fails here before
+    # a model or an artifact moves
     assert _preset_digest(preset(name, amplitude)) == PRESET_DIGESTS[name, amplitude]
