@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from floquet_forge import (
     PRESET_NAMES,
     Bond,
+    DriveSpec,
     EffectiveModel,
     Gauge,
+    Harmonic,
     OffsetMatrix,
     ValidationError,
     beta_static_free,
@@ -451,3 +455,63 @@ def test_effective_models_are_periodic_and_hermitian_closed():
                     shift = G.T @ rng.integers(-3, 4, size=lat.dimension)
                     H = effective_bloch(model, k)
                     assert np.abs(effective_bloch(model, k + shift) - H).max() <= tol
+
+
+def model_drives(dim):
+    """{name: drive} with ``dim`` Cartesian components: a circular drive and a
+    two-harmonic one (the first ``dim`` components of the planar ones)."""
+    return {
+        "circular": DriveSpec(12.0, (Harmonic(1, [15.0, 0.0][:dim], [0.0, 15.0][:dim]),)),
+        "two-harmonic": DriveSpec(20.0, (
+            Harmonic(1, [5.0, 1.0][:dim], [0.5, 4.0][:dim]),
+            Harmonic(2, [1.5, -2.0][:dim], [3.0, 0.7][:dim]),
+        )),
+    }
+
+
+def _model_digest(model) -> str:
+    """SHA-256 over a model's cutoff and, per order, its count, offsets and block bytes."""
+    h = hashlib.sha256(repr(model.cutoff).encode())
+    for order in (model.order0, model.order1):
+        h.update(repr(len(order)).encode())
+        for o in order:
+            h.update(repr(o.offset).encode())
+            h.update(o.matrix.tobytes())
+    return h.hexdigest()
+
+
+MODEL_DIGESTS = {
+    ("chain", "circular", "floquet"): "4deafeddfe66608db4d30a212b065c8a19c483f42b5b79238054a2244d595bfa",
+    ("chain", "circular", "static-free"): "4deafeddfe66608db4d30a212b065c8a19c483f42b5b79238054a2244d595bfa",
+    ("chain", "two-harmonic", "floquet"): "166ebf030c57ce7a182352f172f50fd803224d67b05b3991808cc1f75d88df23",
+    ("chain", "two-harmonic", "static-free"): "166ebf030c57ce7a182352f172f50fd803224d67b05b3991808cc1f75d88df23",
+    ("hexagonal", "circular", "floquet"): "3699a1c8d5ee5cd710bb7af81d2d8fd0062cfd95c6294312b923066ebb83ad8c",
+    ("hexagonal", "circular", "static-free"): "6e616ae849a11040a01776a53d08913c2fc40ed09edc5f6cd23b1df9af111dac",
+    ("hexagonal", "two-harmonic", "floquet"): "e00297d3cf7b346459e8770cbdea1bb2a8e2f6f06ac93d2045d6027301725f3b",
+    ("hexagonal", "two-harmonic", "static-free"): "7766b9072f0fbf8dd95532e658ef8129c6876c2eaf13b54cf67da694e2d17079",
+    ("kagome", "circular", "floquet"): "e17d3777817a4834755eb91f48365a2a76d3b8e73b1d6859069e973a9cbec8f9",
+    ("kagome", "circular", "static-free"): "22084c75bbc526602c1699a704f903a763447bfcb0defe0ffa8e5d67cf01300a",
+    ("kagome", "two-harmonic", "floquet"): "33eedaa8f1e36007cf8c861f5bd3011045eb05cdada41f36451baf2a91c6036a",
+    ("kagome", "two-harmonic", "static-free"): "5b7d22b3eaa6ca3d86bf821cf4cfc98e6999766735ec440ba673daaeab519d04",
+    ("lieb", "circular", "floquet"): "9d429c600ae346ee7b8d94e79f8e4cb28ebd81edda2d3ced43047dc0e14cb462",
+    ("lieb", "circular", "static-free"): "df9de036e85c5c99f24db3229442d0a4286be4dfafa328afa0931156b067dd50",
+    ("lieb", "two-harmonic", "floquet"): "c6702fbdd52bb42fdacafa5696abd2b881179ff2df98669ef4ec01ed9a706ee0",
+    ("lieb", "two-harmonic", "static-free"): "b428af5b54707cf910ab180a5b3266724a42a3a5eb380a9dfe9729dd3158da1a",
+    ("triangular", "circular", "floquet"): "c703310fa19587961674cb48db646e24cd501c3c1b20cf9b0c45ae3d75296891",
+    ("triangular", "circular", "static-free"): "c703310fa19587961674cb48db646e24cd501c3c1b20cf9b0c45ae3d75296891",
+    ("triangular", "two-harmonic", "floquet"): "2adb1d884e537e03f677d7b5742116785f487ce0e1d646bf02a1d86e967a955a",
+    ("triangular", "two-harmonic", "static-free"): "2adb1d884e537e03f677d7b5742116785f487ce0e1d646bf02a1d86e967a955a",
+    ("zigzag", "circular", "floquet"): "44ab1ef355209fbc8c7b0d77e22ffd8a16d7c59e8f07c27d5f3afbd11d4e9f8d",
+    ("zigzag", "circular", "static-free"): "e6a4cd7074eae5e3292fc7f21bc1da2b4e348905287560f9922b896704e0eaf1",
+    ("zigzag", "two-harmonic", "floquet"): "e25398f9b38c130970656406e10096fa374effad3cd2df8f138b9c8433c54cc1",
+    ("zigzag", "two-harmonic", "static-free"): "dfa0167a63db7c50d1dbdca9eec0902111eaae19425b52f27fa0171c4c2b28b5",
+}
+
+
+@pytest.mark.parametrize("name, drive, gauge", sorted(MODEL_DIGESTS))
+def test_models_keep_their_bits(name, drive, gauge):
+    # the builder's output is pinned to the bit on every preset, so a change
+    # in its assembly, closure or pruning that moves any block fails here
+    lat = preset(name)
+    model = build_effective_model(lat, model_drives(lat.space_dim)[drive], Gauge(gauge))
+    assert _model_digest(model) == MODEL_DIGESTS[name, drive, gauge]
