@@ -29,8 +29,9 @@ same in vector and scalar form. Only line three, a handful of scalar
 products per pair, stays scalar, because numpy's vector complex multiply
 rounds differently from its scalar one. The betas are scattered into the
 offset blocks in pair order; the Hermitian closure and the pruning then act
-once on the stack of offset blocks, each block paired with its negated
-offset's by an index.
+once on the stack of offset blocks, placed by a plan on the lattice's pair
+table, each block paired with its negated offset's by reversing the stack.
+``effective_bloch`` is one ``bloch_matrix`` call over both orders.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .lattice import (
     LatticeSpec,
     OffsetMatrix,
     _bond_blocks,
-    _negated,
     _real,
     bloch_matrix,
 )
@@ -163,7 +163,7 @@ def _order0_from_harmonics(lattice, harmonics) -> tuple:
     g0 = [harmonics[b].coeff(0) for b in lattice.bonds]
     table = _bond_blocks(lattice, g0)
     d = lattice.basis_count
-    offsets, blocks = _symmetrize(list(table), np.array(list(table.values())).reshape(-1, d, d))
+    offsets, blocks = _symmetrize(lattice._pairs.order0_plan, np.array(list(table.values())).reshape(-1, d, d))
     return tuple(OffsetMatrix(off, m) for off, m in zip(offsets, blocks))
 
 
@@ -180,22 +180,21 @@ def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple
         (table.total_index, table.target, table.source),
         _two_step(G, table.first, table.second, omega, gauge),
     )
-    offsets, blocks = _symmetrize(table.totals, blocks)
+    offsets, blocks = _symmetrize(table.order1_plan, blocks)
     threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
     blocks = np.where(np.abs(blocks) < threshold, 0.0, blocks)
     kept = (blocks != 0).any(axis=(1, 2)).tolist()
     return tuple(OffsetMatrix(off, m) for off, m, keep in zip(offsets, blocks, kept) if keep)
 
 
-def _symmetrize(offsets, blocks: np.ndarray) -> tuple:
-    """Exact Hermitian closure across opposite offsets: (the sorted union of
-    ``offsets`` and their negations, the stack of 0.5 * (M_o + M_{-o}^H)
-    there), a missing block counting as zero."""
-    keys = sorted(set(offsets) | {tuple(-x for x in off) for off in offsets})
-    where = {off: n for n, off in enumerate(keys)}
+def _symmetrize(plan: tuple, blocks: np.ndarray) -> tuple:
+    """Exact Hermitian closure of blocks given in the order of a pair-table
+    ``plan``: (its sorted offsets, the stack of 0.5 * (M_o + M_{-o}^H) there),
+    a missing block counting as zero; M_{-o} is the stack reversed."""
+    keys, rows = plan
     full = np.zeros((len(keys),) + blocks.shape[1:], dtype=complex)
-    full[[where[off] for off in offsets]] = blocks
-    return keys, 0.5 * (full + full[_negated(keys)].conj().transpose(0, 2, 1))
+    full[rows] = blocks
+    return keys, 0.5 * (full + full[::-1].conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +248,6 @@ def build_effective_model(
 
 def effective_bloch(model: EffectiveModel, k) -> np.ndarray:
     """Bloch matrix of the truncated effective Hamiltonian at wave vector k,
-    or a stack of them for a stack of k, as in :func:`bloch_matrix`."""
-    H = bloch_matrix(model.order0, k, model.bravais_vectors)
-    if model.order1:
-        H = H + bloch_matrix(model.order1, k, model.bravais_vectors)
-    return H
+    or a stack of them for a stack of k: one :func:`bloch_matrix` call over
+    the tuple (order0, order1)."""
+    return bloch_matrix((model.order0, model.order1), k, model.bravais_vectors)

@@ -11,16 +11,16 @@ Both carriers are immutable, so their checks run once. A ``LatticeSpec``
 completes its bond list at construction: every reverse bond is present
 exactly once, with the conjugate amplitude, so every consumer reads a
 Hermitian static Hamiltonian.
-``bloch_matrix`` validates and stacks an offset set on its first call and
-keeps the result in a small bounded cache keyed on the tuple of
-``OffsetMatrix`` objects: tuples of frozen, identity-compared carriers with
-read-only blocks cannot change under the cache, the cached arrays are
-read-only, and ``functools.lru_cache`` is thread-safe (two threads missing
-the same set both build it, with identical results). It takes one k or a
-stack of them: one array pass over (k, offset) gives every k's matrix with
-the bits of a call for that k alone. The drive-independent two-step data of
-a lattice, its pair table, is no cache: a ``LatticeSpec`` builds it at
-construction and keeps it, as ``_pairs``, for as long as the spec lives.
+``bloch_matrix`` validates and stacks an offset set, or a tuple of sets,
+with the Bravais vectors once and keeps them in a small bounded cache keyed
+on the ``OffsetMatrix`` objects and the Bravais bytes: frozen,
+identity-compared carriers with read-only blocks cannot change under the
+cache, the cached arrays are read-only, and ``functools.lru_cache`` is
+thread-safe (two threads missing one key both build it, with identical
+results). One array pass over (k, offset) gives every k's matrix, for one k
+or a stack, with the bits of a call for that k and each set alone. A
+lattice's drive-independent two-step data, its pair table, is no cache: a
+``LatticeSpec`` builds it at construction and keeps it, as ``_pairs``.
 """
 
 from __future__ import annotations
@@ -334,74 +334,97 @@ def from_offset_dict(table: dict) -> tuple:
     return tuple(OffsetMatrix(k, v) for k, v in sorted(table.items()))
 
 
-def _negated(keys) -> list:
-    """Index in ``keys`` of each key's negation (None where it is missing)."""
+def _symmetrization_plan(offsets) -> tuple:
+    """Where a Hermitian closure puts blocks given at ``offsets``: the sorted
+    union of the offsets and their negations, and each given offset's row
+    there (read-only). Negation reverses that order: row n's is row -1 - n."""
+    keys = tuple(sorted(set(offsets) | {tuple(-x for x in off) for off in offsets}))
     where = {off: n for n, off in enumerate(keys)}
-    return [where.get(tuple(-x for x in off)) for off in keys]
+    return keys, _readonly([where[off] for off in offsets], np.intp)
 
 
-# Keyed by identity (see the module docstring); the cache's strong references
-# keep a cached id from being reused, and a set that fails a check is not
-# cached. A model has two sets (orders 0 and 1); eight entries hold four
-# models'. A sweep or a k-path reads each set once, with all its k stacked.
-# A cache, not a field like the pair table: callers of the public bloch_matrix
-# pass its key in, and a scan calls effective_bloch once per k on one model.
-@functools.lru_cache(maxsize=8)
-def _offset_stack(offsets: tuple) -> tuple:
-    """Validate an offset set once; return its offsets as floats in ascending
-    order and its blocks stacked in the same order, both read-only and led
-    by one more entry, a zero offset with a zero block (see ``bloch_matrix``)."""
-    table = offset_dict(offsets)
-    if not table:
-        raise ValidationError(
-            "offset set is empty: a Bloch matrix needs at least one block to fix its size"
-        )
-    keys = sorted(table)
-    mats = np.array([table[off] for off in keys])
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(f"offset {keys[finite.argmin()]}: matrix must be finite")
-    # closed: M_-o = M_o^H for each offset o, within 1e-9 times the largest entry (at least 1)
-    neg = _negated(keys)
-    scale = max(float(np.abs(mats).max()), 1.0)
-    if None in neg or np.abs(mats[neg] - mats.conj().transpose(0, 2, 1)).max() > 1e-9 * scale:
-        raise ValidationError("offset set is not Hermitian-closed")
-    offs = _readonly([(0,) * len(keys[0])] + keys)
-    mats = _readonly(np.concatenate([np.zeros_like(mats[:1]), mats]), complex)
-    return offs, mats
+def _offset_sets(offsets) -> tuple:
+    """``offsets``, one offset set or a sequence of sets, as a tuple of tuples
+    of ``OffsetMatrix``; any other entry, or no block at all, is refused."""
+    entries = _items(offsets, "offsets")
+    one = entries and isinstance(entries[0], OffsetMatrix)
+    sets = (entries,) if one else tuple(_items(s, "offsets entry") for s in entries)
+    bad = [om for s in sets for om in s if not isinstance(om, OffsetMatrix)]
+    if bad:
+        raise ValidationError(f"offsets must be OffsetMatrix entries or sets of them, got {bad[0]!r}")
+    if not any(sets):
+        raise ValidationError("offset set is empty: offsets need at least one block to fix the matrix size")
+    return sets
+
+
+# Keyed by identity (see the module docstring) and the Bravais bytes; its
+# strong references keep a cached id from being reused, and a key that fails
+# a check is not cached. effective_bloch takes one entry per model, a sweep
+# two (its orders apart); four keep no more models alive than they serve. A
+# cache, not a field: callers of the public bloch_matrix pass its key in.
+@functools.lru_cache(maxsize=4)
+def _offset_stack(sets: tuple, bravais: bytes, shape: tuple) -> tuple:
+    """Validate offset sets and Bravais vectors once; return, read-only, R =
+    offset @ A and the blocks of every set (its offsets ascending, led by a
+    zero offset with a zero block: see ``bloch_matrix``) and each set's slice."""
+    lengths = sorted({len(om.offset) for s in sets for om in s})
+    if len(lengths) > 1:
+        raise ValidationError(f"offsets must all have one length, got lengths {lengths}")
+    A = np.frombuffer(bravais).reshape(shape).copy()
+    if A.ndim != 2 or len(A) != lengths[0]:
+        raise ValidationError(f"bravais_vectors must be {lengths[0]} rows, got shape {A.shape}")
+    tables = [offset_dict(s) for s in sets]
+    (d, _), *other = {next(iter(table.values())).shape for table in tables if table}
+    if other:
+        raise ValidationError("inconsistent matrix sizes in offset set")
+    R, blocks, spans = [], [], [slice(0)]
+    for table in tables:
+        keys = sorted(table)
+        mats = np.array([np.zeros((d, d))] + [table[off] for off in keys], dtype=complex)
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(f"offset {keys[finite.argmin() - 1]}: matrix must be finite")
+        # closed: negation reverses the ascending offsets, and M_-o = M_o^H for
+        # each offset o, within 1e-9 times the largest entry (at least 1)
+        tol = 1e-9 * max(float(np.abs(mats).max()), 1.0)
+        gap = np.abs(mats[:0:-1] - mats[1:].conj().transpose(0, 2, 1)).max(initial=0.0)
+        if [tuple(-x for x in off) for off in reversed(keys)] != keys or gap > tol:
+            raise ValidationError("offset set is not Hermitian-closed")
+        spans.append(slice(spans[-1].stop, spans[-1].stop + len(mats)))
+        R.append(np.array([(0,) * lengths[0]] + keys, dtype=float) @ A)  # the set's own product
+        blocks.append(mats)
+    return _readonly(np.concatenate(R)), _readonly(np.concatenate(blocks), complex), tuple(spans[1:])
 
 
 def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
-    """Sum of exp(i k . R_offset) * M_offset over the offset set.
+    """Sum of exp(i k . R_offset) * M_offset over the offset set, or over
+    each set of a tuple of sets, their sums then added in the given order.
 
     ``k`` is a Cartesian reciprocal vector, shape (space_dim,), or a stack of
     them, shape (n_k, space_dim); the result is one (d, d) matrix or a
     stack of them, shape (n_k, d, d), each with the bits of its k alone.
-    R_offset = offset @ bravais_vectors. The offset set must be finite and
-    Hermitian-closed, so every result is Hermitian. An empty offset set is
-    refused: it fixes no size.
-
-    The checks and the stacking of the blocks run once per offset set, not
-    once per call: a small bounded cache, keyed on the tuple of
-    ``OffsetMatrix`` objects (identity), holds them as read-only arrays, so
-    repeated calls on one model share them, also across threads.
+    R_offset = offset @ bravais_vectors. Every set must be finite and
+    Hermitian-closed, so every result is Hermitian. Offsets without a block
+    are refused (they fix no size); in a tuple, an empty set adds zero. The
+    checks, the blocks and R are stacked once per key, in a small bounded
+    cache (see the module docstring), so repeated calls on one model share
+    them, also across threads.
     """
-    offs, mats = _offset_stack(tuple(offsets))
+    sets = _offset_sets(offsets)
     A = _numbers(bravais_vectors, "bravais_vectors", float)
-    if A.ndim != 2 or len(A) != offs.shape[1]:
-        raise ValidationError(f"bravais_vectors must be {offs.shape[1]} rows, got shape {A.shape}")
-    k = _check_k(k, A.shape[1], stack=True)
-    # Same bits as summing offset by offset, for each k. np.vecdot runs, per
-    # (k, offset), the dot kernel of a scalar k @ r, where R @ k, einsum and
-    # an elementwise sum round differently. The stack's leading zero offset
-    # has the phase exp(i 0) = 1 exactly, so one multiply gives terms led by
-    # a +0 block, and add.accumulate along the offset axis adds in order,
-    # (0 + t0) + t1 + ..., signed zeros included; add.reduce would switch to
-    # pairwise summation.
-    terms = np.exp(1j * np.vecdot(offs @ A, k[..., None, :]))[..., None, None] * mats
-    # a stack is copied out of the partial sums, which are (offsets + 1)
-    # times its size; one k's matrix is contiguous there and stays a view
-    return np.ascontiguousarray(np.add.accumulate(terms, axis=-3, out=terms)[..., -1, :, :])
+    R, mats, spans = _offset_stack(sets, A.tobytes(), A.shape)
+    k = _check_k(k, R.shape[1], stack=True)
+    # Same bits as summing offset by offset, for each k and set. np.vecdot
+    # runs, per (k, offset), the dot kernel of a scalar k @ r, where R @ k,
+    # einsum and an elementwise sum round differently. Each set's leading
+    # zero offset has the phase exp(i 0) = 1 exactly, so one multiply gives
+    # terms led by a +0 block, and add.accumulate along a set's offsets adds
+    # in order, (0 + t0) + t1 + ..., signed zeros included (add.reduce would
+    # sum pairwise; one accumulate over all sets would chain them).
+    terms = np.exp(1j * np.vecdot(R, k[..., None, :]))[..., None, None] * mats
+    parts = [terms[..., span, :, :] for span in spans]
+    H = functools.reduce(operator.add, [np.add.accumulate(p, axis=-3, out=p)[..., -1, :, :] for p in parts])
+    return np.ascontiguousarray(H)  # a copy for a stack; one set at one k stays a view
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,7 +438,8 @@ class _PairTable:
     pair (first hop, then a second hop starting where the first ends), in
     the bond-by-bond double-loop order: the two bond indices, the first hop's
     source basis, the second hop's target basis, and the index of the total
-    cell offset in ``totals`` (ascending).
+    cell offset in ``totals`` (ascending). The ``_symmetrization_plan`` of
+    the bonds' distinct cell offsets in bond order (order 0) and of ``totals``.
     """
 
     displacements: np.ndarray
@@ -427,6 +451,8 @@ class _PairTable:
     target: np.ndarray
     totals: tuple
     total_index: np.ndarray
+    order0_plan: tuple
+    order1_plan: tuple
 
 
 def _first_occurrences(points) -> list:
@@ -470,6 +496,8 @@ def _pair_table(spec: LatticeSpec) -> _PairTable:
         target=_readonly([bonds[j].target_basis for _, j in pairs], np.intp),
         totals=totals,
         total_index=_readonly([where[off] for off in total], np.intp),
+        order0_plan=_symmetrization_plan(list(dict.fromkeys(b.cell_offset for b in bonds))),
+        order1_plan=_symmetrization_plan(totals),
     )
 
 

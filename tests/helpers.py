@@ -281,6 +281,30 @@ def count_bloch_matrices(monkeypatch):
     return calls
 
 
+def single_set_bloch(offsets, k, bravais_vectors):
+    """The single-set kernel of ``bloch_matrix`` before it took a tuple of
+    sets, without its cache or checks: the set's offsets ascending, led by a
+    zero offset with a zero block, R = offsets @ A, one vecdot, exp and
+    multiply over (k, offset), and one ordered add.accumulate."""
+    table = offset_dict(offsets)
+    keys = sorted(table)
+    offs = np.array([(0,) * len(keys[0])] + keys, dtype=float)
+    mats = np.array([np.zeros_like(table[keys[0]])] + [table[off] for off in keys])
+    k = np.array(k, dtype=float)
+    terms = np.exp(1j * np.vecdot(offs @ np.array(bravais_vectors, dtype=float), k[..., None, :]))
+    terms = terms[..., None, None] * mats
+    return np.ascontiguousarray(np.add.accumulate(terms, axis=-3, out=terms)[..., -1, :, :])
+
+
+def two_call_effective_bloch(model, k):
+    """``effective_bloch`` as it was: one single-set call per order, added
+    (order 1 only where the model has one)."""
+    H = single_set_bloch(model.order0, k, model.bravais_vectors)
+    if model.order1:
+        H = H + single_set_bloch(model.order1, k, model.bravais_vectors)
+    return H
+
+
 def undriven_offsets(spec):
     """The bare tunneling matrices J_offset of the static Hamiltonian."""
     return from_offset_dict(_bond_blocks(spec, [b.amplitude for b in spec.bonds]))

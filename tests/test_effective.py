@@ -38,6 +38,7 @@ from helpers import (
     random_lattice,
     reference_lattice_harmonics,
     strong_drive,
+    two_call_effective_bloch,
     two_pass_row_sums,
     two_pass_two_step,
     two_site_chain,
@@ -515,3 +516,24 @@ def test_models_keep_their_bits(name, drive, gauge):
     lat = preset(name)
     model = build_effective_model(lat, model_drives(lat.space_dim)[drive], Gauge(gauge))
     assert _model_digest(model) == MODEL_DIGESTS[name, drive, gauge]
+
+
+def test_effective_bloch_has_the_bits_of_one_call_per_order():
+    # one bloch_matrix call over both orders keeps the bits of the two
+    # single-set calls it replaced, added in order, on every preset (order 1
+    # empty on the Bravais ones) and on random lattices, for one k, a stack
+    # and a stack with a repeated k
+    rng = np.random.default_rng(51)
+    shapes = np.random.default_rng(53)
+    lattices = [preset(name) for name in PRESET_NAMES]
+    lattices += [random_lattice(shapes, dim) for dim in (1, 1, 2, 2, 3, 3)]
+    for n, lat in enumerate(lattices):
+        drives = model_drives(lat.space_dim).values() if n < len(PRESET_NAMES) else [random_drive(rng, lat.space_dim)]
+        ks = rng.normal(scale=3.0, size=(5, lat.space_dim))
+        for drive in drives:
+            for gauge in Gauge:
+                model = build_effective_model(lat, drive, gauge)
+                for k in (ks[0], ks, ks[[0, 3, 1, 3]]):
+                    want = two_call_effective_bloch(model, k)
+                    got = effective_bloch(model, k)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -639,16 +639,51 @@ def test_bloch_matrix_errors_are_not_cached():
             bloch_matrix(open_set, np.array([0.3]), [[1.0]])
 
 
+_NOT_OFFSET_SETS = {
+    "dict": ({(1,): [[1.0]], (-1,): [[1.0]]}, r"^offsets must be OffsetMatrix entries or sets of them, got 1$"),
+    "array entry": ([np.eye(1)], r"^offsets must be OffsetMatrix entries or sets of them, got array\(\[1\.\]\)$"),
+    "number rows": ([[1.0]], r"^offsets must be OffsetMatrix entries or sets of them, got 1.0$"),
+    "None": (None, r"^offsets must be a sequence, got None$"),
+    "unequal lengths": (
+        (OffsetMatrix((1,), [[1.0]]), OffsetMatrix((-1, 0), [[1.0]])),
+        r"^offsets must all have one length, got lengths \[1, 2\]$",
+    ),
+    "unequal lengths across sets": (
+        ((OffsetMatrix((0,), [[1.0]]),), (OffsetMatrix((0, 0), [[1.0]]),)),
+        r"^offsets must all have one length, got lengths \[1, 2\]$",
+    ),
+    "block sizes across sets": (
+        ((OffsetMatrix((0,), np.eye(1)),), (OffsetMatrix((0,), np.eye(2)),)),
+        "^inconsistent matrix sizes in offset set$",
+    ),
+    "empty tuple of sets": ((), "^offset set is empty: offsets need at least one block"),
+    "tuple of empty sets": (((), ()), "^offset set is empty: offsets need at least one block"),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_OFFSET_SETS)
+def test_bloch_matrix_refuses_what_is_not_an_offset_set_by_name(case):
+    # refused with a ValidationError naming offsets, not with a bare
+    # AttributeError, an unhashable TypeError from the cache or the wrong
+    # closure message
+    offsets, message = _NOT_OFFSET_SETS[case]
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValidationError, match=message):
+            bloch_matrix(offsets, [0.3], [[1.0]])
+
+
 def test_offset_stack_cache_is_bounded_and_thread_safe():
-    # more offset sets than entries, evaluated by more workers than cores with
-    # rapid thread switches: every result equals the serial reference
+    # more keys than entries (each set with two Bravais bases, which key
+    # apart), evaluated by more workers than cores with rapid thread
+    # switches: every result equals the serial reference
     lat = preset("kagome")
     sets = [undriven_offsets(lat) for _ in range(3 * lattice._offset_stack.cache_info().maxsize)]
+    bases = [lat.bravais_vectors, 2.0 * lat.bravais_vectors]
     ks = np.random.default_rng(2).normal(size=(6, 2))
-    want = [[reference_bloch(s, k, lat.bravais_vectors) for k in ks] for s in sets]
+    want = [[reference_bloch(s, k, bases[i % 2]) for k in ks] for i, s in enumerate(sets)]
 
     def task(i):
-        return [bloch_matrix(sets[i], k, lat.bravais_vectors) for k in ks]
+        return [bloch_matrix(sets[i], k, bases[i % 2]) for k in ks]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -660,7 +695,7 @@ def test_offset_stack_cache_is_bounded_and_thread_safe():
     for g, w in zip(got, want):
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
     info = lattice._offset_stack.cache_info()
-    assert 0 < info.currsize <= info.maxsize == 8
+    assert 0 < info.currsize <= info.maxsize == 4
 
 
 class _Reads:
@@ -672,6 +707,15 @@ class _Reads:
     def __getattr__(self, name):
         self.fields.add(name)
         return getattr(self.table, name)
+
+
+def _same(a, b) -> bool:
+    """Equal pair-table fields: tuples entry by entry, arrays by dtype, shape and bytes."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
 
 
 def test_pair_table_lists_composable_pairs_in_double_loop_order(monkeypatch):
@@ -688,11 +732,7 @@ def test_pair_table_lists_composable_pairs_in_double_loop_order(monkeypatch):
         table = lat._pairs
         fresh = build(lat)
         for field in _PairTable.__dataclass_fields__:
-            a, b = getattr(table, field), getattr(fresh, field)
-            if field == "totals":
-                assert a == b
-            else:
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+            assert _same(getattr(table, field), getattr(fresh, field)), field
         reads = _Reads(table)
         object.__setattr__(lat, "_pairs", reads)
         drive = linear_drive(10.0, np.linspace(1.0, 2.0, lat.space_dim))
@@ -700,6 +740,8 @@ def test_pair_table_lists_composable_pairs_in_double_loop_order(monkeypatch):
         for field, call in (
             ("distinct", lambda: lattice_harmonics(lat, drive)),
             ("total_index", lambda: build_effective_model(lat, drive)),
+            ("order0_plan", lambda: build_effective_model(lat, drive)),
+            ("order1_plan", lambda: build_effective_model(lat, drive)),
             ("first", lambda: enumerate_processes(lat)),
             ("distinct_of", lambda: bloch_hamiltonian_t(lat, drive, k, 0.3)),
             ("distinct_of", lambda: offset_matrices_at_time(lat, drive, 0.3)),
