@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: check-geometry, fourier, effective, selection-rules, bands,
-verify. Exit codes: 0 success, 1 validation error (bad flags, config, or
-inputs), 2 verification inconsistency (selection cross-check violation,
-scaling fit failure, or non-convergence).
+verify. Exit codes: 0 success, 1 validation error (bad flags, config,
+inputs, or an unwritable output file), 2 verification inconsistency
+(selection cross-check violation, scaling fit failure, or non-convergence).
 
 The lattice comes from --preset or from the [lattice] section of --config;
 the drive comes from the [drive] section or from --omega with --circular or
@@ -39,7 +39,7 @@ from .kpath import named_kpath
 from .lattice import Geometry, classify_geometry
 from .presets import PRESET_NAMES, preset
 from .selection import CouplingClass, cross_validate, enumerate_processes
-from .serialization import bond_id, write_csv, write_json
+from .serialization import bond_id, write_csv, write_json, write_text
 
 __all__ = ["main"]
 
@@ -362,8 +362,7 @@ def _cmd_selection(args) -> int:
     }
     write_json(os.path.join(outdir, "selection.json"), payload)
     text = _selection_table(report)
-    with open(os.path.join(outdir, "selection.txt"), "w", newline="") as fh:
-        fh.write(text)
+    write_text(os.path.join(outdir, "selection.txt"), text)
     print(text, end="")
     if verdict is not None:
         if not verdict.consistent:

@@ -74,17 +74,21 @@ def _built(where: str, make, *args):
         raise ValidationError(f"{where} {exc}") from None
 
 
-def _bond_from_table(table, index: int, sites: int) -> Bond:
-    field = f"[lattice] bond #{index}"
+def _check_table(table, field: str, required: tuple, optional: tuple) -> None:
+    """Refuse, naming ``field``, a non-table, an unknown key or a missing one."""
     if not isinstance(table, dict):
         raise ValidationError(f"{field} must be an inline table {{...}}")
-    allowed = {"to", "from", "offset", "amplitude_re", "amplitude_im"}
-    unknown = set(table) - allowed
+    unknown = set(table) - set(required) - set(optional)
     if unknown:
         raise ValidationError(f"{field}: unknown key '{sorted(unknown)[0]}'")
-    for req in ("to", "from", "offset", "amplitude_re"):
+    for req in required:
         if req not in table:
             raise ValidationError(f"{field}: missing key '{req}'")
+
+
+def _bond_from_table(table, index: int, sites: int) -> Bond:
+    field = f"[lattice] bond #{index}"
+    _check_table(table, field, ("to", "from", "offset", "amplitude_re"), ("amplitude_im",))
     to, source = (_integer(table[key], f"{field}: '{key}'") for key in ("to", "from"))
     for key, value in (("to", to), ("from", source)):
         if not 0 <= value < sites:
@@ -137,13 +141,7 @@ def lattice_from_items(items) -> tuple:
 
 def _harmonic_from_table(table, index: int) -> Harmonic:
     field = f"[drive] harmonic #{index}"
-    if not isinstance(table, dict):
-        raise ValidationError(f"{field} must be an inline table {{...}}")
-    unknown = set(table) - {"m", "a", "b"}
-    if unknown:
-        raise ValidationError(f"{field}: unknown key '{sorted(unknown)[0]}'")
-    if "m" not in table:
-        raise ValidationError(f"{field}: missing key 'm'")
+    _check_table(table, field, ("m",), ("a", "b"))
     m = _integer(table["m"], f"{field}: 'm'")
     if "a" not in table and "b" not in table:
         raise ValidationError(f"{field}: at least one of 'a', 'b' is required")

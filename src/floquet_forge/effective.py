@@ -27,10 +27,10 @@ bit-identical to a per-pair loop: every vector operation is the one the loop
 applied to a pair's arrays, and Kahan's four add/subtract steps round the
 same in vector and scalar form. Only line three, a handful of scalar
 products per pair, stays scalar, because numpy's vector complex multiply
-rounds differently from its scalar one. The betas are scattered into the
-offset blocks in pair order; the Hermitian closure and the pruning then act
-once on the stack of offset blocks, placed by a plan on the lattice's pair
-table, each block paired with its negated offset's by reversing the stack.
+rounds differently from its scalar one. The bonds' g^0 and the pairs' betas
+are scattered, in bond and pair order, into stacks over the pair table's
+sorted offsets (``lattice._scatter``); the Hermitian closure then pairs each
+block with its negated offset's by reversing the stack, and order 1 is pruned.
 ``effective_bloch`` is one ``bloch_matrix`` call over both orders.
 """
 
@@ -46,8 +46,8 @@ from .errors import ValidationError
 from .lattice import (
     LatticeSpec,
     OffsetMatrix,
-    _bond_blocks,
     _real,
+    _scatter,
     bloch_matrix,
 )
 
@@ -159,42 +159,30 @@ def beta_static_free(h1: BondHarmonics, h2: BondHarmonics) -> complex:
     return _row_sums(terms[None, :])[0]
 
 
-def _order0_from_harmonics(lattice, harmonics) -> tuple:
-    g0 = [harmonics[b].coeff(0) for b in lattice.bonds]
-    table = _bond_blocks(lattice, g0)
-    d = lattice.basis_count
-    offsets, blocks = _symmetrize(lattice._pairs.order0_plan, np.array(list(table.values())).reshape(-1, d, d))
-    return tuple(OffsetMatrix(off, m) for off, m in zip(offsets, blocks))
+def _order0_from_harmonics(lattice, G) -> tuple:
+    """Order 0 from the coefficient stack: each bond's g^0 in its offset block."""
+    table = lattice._pairs
+    blocks = _scatter(len(table.offsets), table.bond_index, _split(G)[2], lattice.basis_count)
+    return tuple(OffsetMatrix(off, m) for off, m in zip(table.offsets, _symmetrize(blocks)))
 
 
-def _order1_from_harmonics(lattice, harmonics, gauge, omega, prune_tol) -> tuple:
+def _order1_from_harmonics(lattice, G, gauge, omega, prune_tol) -> tuple:
     table = lattice._pairs
     if not len(table.first):
         return ()
-    G = np.array([harmonics[b].coefficients for b in lattice.bonds])
-    d = lattice.basis_count
-    blocks = np.zeros((len(table.totals), d, d), dtype=complex)
-    # unbuffered and in pair order: each entry adds its betas in pair-table order
-    np.add.at(
-        blocks,
-        (table.total_index, table.target, table.source),
-        _two_step(G, table.first, table.second, omega, gauge),
-    )
-    offsets, blocks = _symmetrize(table.order1_plan, blocks)
+    index = (table.total_index, table.target, table.source)
+    betas = _two_step(G, table.first, table.second, omega, gauge)
+    blocks = _symmetrize(_scatter(len(table.totals), index, betas, lattice.basis_count))
     threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
     blocks = np.where(np.abs(blocks) < threshold, 0.0, blocks)
     kept = (blocks != 0).any(axis=(1, 2)).tolist()
-    return tuple(OffsetMatrix(off, m) for off, m, keep in zip(offsets, blocks, kept) if keep)
+    return tuple(OffsetMatrix(off, m) for off, m, keep in zip(table.totals, blocks, kept) if keep)
 
 
-def _symmetrize(plan: tuple, blocks: np.ndarray) -> tuple:
-    """Exact Hermitian closure of blocks given in the order of a pair-table
-    ``plan``: (its sorted offsets, the stack of 0.5 * (M_o + M_{-o}^H) there),
-    a missing block counting as zero; M_{-o} is the stack reversed."""
-    keys, rows = plan
-    full = np.zeros((len(keys),) + blocks.shape[1:], dtype=complex)
-    full[rows] = blocks
-    return keys, 0.5 * (full + full[::-1].conj().transpose(0, 2, 1))
+def _symmetrize(blocks: np.ndarray) -> np.ndarray:
+    """Exact Hermitian closure 0.5 * (M_o + M_{-o}^H) of a stack of blocks at
+    offsets closed under negation and sorted, so M_{-o} is the stack reversed."""
+    return 0.5 * (blocks + blocks[::-1].conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +223,11 @@ def build_effective_model(
         raise ValidationError(f"prune_tol must be >= 0, got {prune_tol}")
     h = lattice_harmonics(lattice, drive, cutoff)
     used_cutoff = next(iter(h.values())).cutoff if h else 0
+    # one (2N+1)-coefficient row per bond, for both orders; (0, 1) without bonds
+    G = np.array([h[b].coefficients for b in lattice.bonds]).reshape(len(h), 2 * used_cutoff + 1)
     return EffectiveModel(
-        order0=_order0_from_harmonics(lattice, h),
-        order1=_order1_from_harmonics(lattice, h, gauge, drive.omega, prune_tol),
+        order0=_order0_from_harmonics(lattice, G),
+        order1=_order1_from_harmonics(lattice, G, gauge, drive.omega, prune_tol),
         gauge=gauge,
         omega=drive.omega,
         bravais_vectors=lattice.bravais_vectors,

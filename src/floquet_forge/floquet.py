@@ -71,13 +71,14 @@ from .effective import Gauge, build_effective_model
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
-    _bond_blocks,
+    OffsetMatrix,
     _check_k,
     _first_occurrences,
     _integer,
     _items,
     _numbers,
     _real,
+    _scatter,
     _torus_extents,
     bloch_matrix,
     from_offset_dict,
@@ -317,8 +318,10 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
     """Instantaneous tunneling matrices per cell offset, phases included."""
     _check_drive_dim(lattice, drive)
     phases = _bond_phases(lattice, drive, _time(t))[:, 0]
-    values = [b.amplitude * phases[row] for b, row in zip(lattice.bonds, lattice._pairs.distinct_of)]
-    return from_offset_dict(_bond_blocks(lattice, values))
+    table = lattice._pairs
+    values = [b.amplitude * phases[row] for b, row in zip(lattice.bonds, table.distinct_of)]
+    blocks = _scatter(len(table.offsets), table.bond_index, values, lattice.basis_count)
+    return tuple(OffsetMatrix(off, m) for off, m in zip(table.offsets, blocks))
 
 
 def _time_ordered_product(chunks) -> np.ndarray:

@@ -20,7 +20,8 @@ thread-safe (two threads missing one key both build it, with identical
 results). One array pass over (k, offset) gives every k's matrix, for one k
 or a stack, with the bits of a call for that k and each set alone. A
 lattice's drive-independent two-step data, its pair table, is no cache: a
-``LatticeSpec`` builds it at construction and keeps it, as ``_pairs``.
+``LatticeSpec`` builds it at construction and keeps it, as ``_pairs``; it
+decides where ``_scatter`` puts each bond or pair amplitude in offset blocks.
 """
 
 from __future__ import annotations
@@ -334,15 +335,6 @@ def from_offset_dict(table: dict) -> tuple:
     return tuple(OffsetMatrix(k, v) for k, v in sorted(table.items()))
 
 
-def _symmetrization_plan(offsets) -> tuple:
-    """Where a Hermitian closure puts blocks given at ``offsets``: the sorted
-    union of the offsets and their negations, and each given offset's row
-    there (read-only). Negation reverses that order: row n's is row -1 - n."""
-    keys = tuple(sorted(set(offsets) | {tuple(-x for x in off) for off in offsets}))
-    where = {off: n for n, off in enumerate(keys)}
-    return keys, _readonly([where[off] for off in offsets], np.intp)
-
-
 def _offset_sets(offsets) -> tuple:
     """``offsets``, one offset set or a sequence of sets, as a tuple of tuples
     of ``OffsetMatrix``; any other entry, or no block at all, is refused."""
@@ -432,14 +424,16 @@ class _PairTable:
     """The drive-independent bond and two-step data of one lattice, as
     read-only arrays indexed by position in ``bonds``.
 
-    Per bond: its displacement, and ``distinct_of``, its index into
-    ``distinct``, the first bond of each bit-distinct (displacement,
-    amplitude), which all share one driven amplitude g(t). Per composable
-    pair (first hop, then a second hop starting where the first ends), in
-    the bond-by-bond double-loop order: the two bond indices, the first hop's
-    source basis, the second hop's target basis, and the index of the total
-    cell offset in ``totals`` (ascending). The ``_symmetrization_plan`` of
-    the bonds' distinct cell offsets in bond order (order 0) and of ``totals``.
+    Per bond: its displacement; ``distinct_of``, its index into ``distinct``,
+    the first bond of each bit-distinct (displacement, amplitude), which all
+    share one driven amplitude g(t); and ``bond_index``, its row in
+    ``offsets`` (the distinct cell offsets, ascending), target and source.
+    Per composable pair (first hop, then a second hop starting where the
+    first ends), in the bond-by-bond double-loop order: the two bond
+    indices, the first hop's source basis, the second hop's target basis,
+    and the index of the total cell offset in ``totals`` (ascending). The
+    bonds are closed under reversal, so both offset lists are closed under
+    negation, which reverses them: row n's negation is row -1 - n.
     """
 
     displacements: np.ndarray
@@ -451,8 +445,8 @@ class _PairTable:
     target: np.ndarray
     totals: tuple
     total_index: np.ndarray
-    order0_plan: tuple
-    order1_plan: tuple
+    offsets: tuple
+    bond_index: tuple
 
 
 def _first_occurrences(points) -> list:
@@ -486,6 +480,8 @@ def _pair_table(spec: LatticeSpec) -> _PairTable:
     ]
     totals = tuple(sorted(set(total)))
     where = {off: n for n, off in enumerate(totals)}
+    offsets = tuple(sorted({b.cell_offset for b in bonds}))
+    offset_row = {off: n for n, off in enumerate(offsets)}
     return _PairTable(
         displacements=displacements,
         distinct=_readonly(distinct, np.intp),
@@ -496,26 +492,28 @@ def _pair_table(spec: LatticeSpec) -> _PairTable:
         target=_readonly([bonds[j].target_basis for _, j in pairs], np.intp),
         totals=totals,
         total_index=_readonly([where[off] for off in total], np.intp),
-        order0_plan=_symmetrization_plan(list(dict.fromkeys(b.cell_offset for b in bonds))),
-        order1_plan=_symmetrization_plan(totals),
+        offsets=offsets,
+        bond_index=(
+            _readonly([offset_row[b.cell_offset] for b in bonds], np.intp),
+            _readonly([b.target_basis for b in bonds], np.intp),
+            _readonly([b.source_basis for b in bonds], np.intp),
+        ),
     )
+
+
+def _scatter(count: int, index: tuple, values, d: int) -> np.ndarray:
+    """A (count, d, d) stack of zero blocks with each value added at its
+    (block, row, column) of ``index``, unbuffered and in the given order, so
+    an entry hit twice sums its values in that order."""
+    blocks = np.zeros((count, d, d), dtype=complex)
+    np.add.at(blocks, index, values)
+    return blocks
 
 
 def reciprocal_vectors(spec: LatticeSpec) -> np.ndarray:
     """Vectors g_i in the span of the Bravais vectors with g_i . b_j = 2 pi d_ij."""
     A = spec.bravais_vectors
     return 2.0 * np.pi * np.linalg.solve(A @ A.T, A)
-
-
-def _bond_blocks(spec: LatticeSpec, values) -> dict:
-    """{cell offset: block}, with each bond's value (one per bond, in bond
-    order) added at (target, source) of its offset's block, in bond order."""
-    d = spec.basis_count
-    table = {}
-    for b, value in zip(spec.bonds, values):
-        m = table.setdefault(b.cell_offset, np.zeros((d, d), dtype=complex))
-        m[b.target_basis, b.source_basis] += value
-    return table
 
 
 def _torus_extents(torus, dim: int, offsets) -> tuple:

@@ -4,11 +4,13 @@ Identical inputs must produce bit-identical files, so floats are always
 rendered through one fixed 17-significant-digit format and JSON field order
 is the insertion order of the dicts built by the callers (never sorted at
 serialization time). Complex values become {"re": .., "im": ..} objects.
+Artifacts are rendered in memory; ``write_text`` is the one file writer.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from enum import Enum
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["fmt_float", "json_text", "write_json", "write_csv", "bond_id", "offset_id"]
+__all__ = ["fmt_float", "json_text", "write_text", "write_json", "write_csv", "bond_id", "offset_id"]
 
 
 def fmt_float(x) -> str:
@@ -31,12 +33,22 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else _render(value, "")
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; an OSError (a directory at the path, no
+    permission, a full disk) becomes ``cannot write <path>: <reason>``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(list(header))
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    write_text(path, fh.getvalue())
 
 
 def _render(obj, pad: str) -> str:
@@ -81,8 +93,7 @@ def json_text(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(json_text(obj))
+    write_text(path, json_text(obj))
 
 
 def offset_id(offset) -> str:

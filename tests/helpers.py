@@ -24,7 +24,6 @@ from floquet_forge import (
 from floquet_forge.drive import _harmonics_at
 from floquet_forge.effective import _split, _two_step
 from floquet_forge.lattice import (
-    _bond_blocks,
     _torus_extents,
     from_offset_dict,
     offset_dict,
@@ -305,9 +304,21 @@ def two_call_effective_bloch(model, k):
     return H
 
 
+def bond_blocks(spec, values) -> dict:
+    """{cell offset: block}, with each bond's value (one per bond, in bond
+    order) added at (target, source) of its offset's block, in bond order:
+    a dict loop, independent of the package's pair-table scatter."""
+    d = spec.basis_count
+    table = {}
+    for b, value in zip(spec.bonds, values):
+        m = table.setdefault(b.cell_offset, np.zeros((d, d), dtype=complex))
+        m[b.target_basis, b.source_basis] += value
+    return table
+
+
 def undriven_offsets(spec):
     """The bare tunneling matrices J_offset of the static Hamiltonian."""
-    return from_offset_dict(_bond_blocks(spec, [b.amplitude for b in spec.bonds]))
+    return from_offset_dict(bond_blocks(spec, [b.amplitude for b in spec.bonds]))
 
 
 # one evaluated two-step process: first hop a_i, second hop a_j through the

@@ -460,6 +460,23 @@ def test_output_that_is_not_a_directory_exits_1(tmp_path, capsys):
     assert taken.read_text() == "keep"
 
 
+def test_an_artifact_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys):
+    # a directory where a file goes: one line naming the path, not a traceback
+    chain = ["--preset", "chain", "--omega", "10", "--linear", "13"]
+    for argv, name in (
+        (["fourier", *chain], "fourier.csv"),
+        (["effective", *chain], "effective.json"),
+        (["selection-rules", "--preset", "lieb"], "selection.txt"),
+        (["bands", *chain, "--kpoints", "4"], "bands.csv"),
+    ):
+        blocked = tmp_path / argv[0] / name
+        blocked.mkdir(parents=True)
+        code, _, err = run(capsys, *argv, "--output", str(blocked.parent))
+        assert code == 1, argv
+        assert err == f"error: cannot write {blocked}: Is a directory\n"
+        assert blocked.is_dir() and not any(blocked.iterdir())
+
+
 def test_fourier_refuses_a_cutoff_above_the_cap(tmp_path, capsys):
     chain = ["--preset", "chain", "--omega", "10", "--linear", "13", "--output", str(tmp_path)]
     code, out, err = run(capsys, "fourier", *chain, "--cutoff", "257")

@@ -127,7 +127,8 @@ def assert_model_matches_reference(lat, drive, cutoff=None):
     for gauge in Gauge:
         model = build_effective_model(lat, drive, gauge, cutoff)
         assert model.cutoff == used
-        assert same_bits(model.order0, effective._order0_from_harmonics(lat, harmonics))
+        G = np.array([harmonics[b].coefficients for b in lat.bonds])
+        assert same_bits(model.order0, effective._order0_from_harmonics(lat, G))
         for prune_tol in (effective.DEFAULT_PRUNE_TOL, 0.0):
             want = reference_order1(lat, harmonics, gauge, drive.omega, prune_tol)
             got = build_effective_model(lat, drive, gauge, cutoff, prune_tol).order1

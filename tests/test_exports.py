@@ -232,6 +232,57 @@ def test_no_numpy_unique_in_src():
     assert list(_unique_calls(ast.parse(sample))) == ["<module>", "fit_power_law", "Table"]
 
 
+def _add_at_calls(tree):
+    """The top-level function (or class, or '<module>') around every call of
+    numpy's ``add.at``, as ``np.add.at``, ``numpy.add.at`` or the ``at`` of
+    an imported ``add``."""
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        for a in node.names
+        if a.name == "add"
+    }
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if not (isinstance(f, ast.Attribute) and f.attr == "at"):
+                continue
+            ufunc = f.value
+            if (
+                isinstance(ufunc, ast.Attribute) and ufunc.attr == "add"
+                and getattr(ufunc.value, "id", "") in ("np", "numpy")
+            ) or getattr(ufunc, "id", None) in imported:
+                yield owner
+
+
+def test_offset_blocks_are_scattered_in_one_place():
+    # lattice._scatter is the one placement of bond and pair amplitudes into
+    # offset blocks, in the order the pair table lists them; a second
+    # np.add.at would be a second scatter with its own order
+    found = [
+        (path.name, owner)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for owner in _add_at_calls(ast.parse(path.read_text()))
+    ]
+    assert found == [("lattice.py", "_scatter")]
+    # the check itself can fail
+    sample = (
+        "import numpy as np\n"
+        "from numpy import add as plus\n"
+        "np.add.at(m, i, v)\n"
+        "def order0(m):\n"
+        "    numpy.add.at(m, i, v); np.add(m, v); m.at(0)\n"
+        "class Table:\n"
+        "    def rows(self):\n"
+        "        plus.at(self.m, i, v); np.subtract.at(self.m, i, v)\n"
+    )
+    assert list(_add_at_calls(ast.parse(sample))) == ["<module>", "order0", "Table"]
+
+
 def _bool_checks(tree):
     """The top-level function (or class, or '<module>') around every
     ``isinstance`` check for ``bool`` or ``np.bool_``, alone or in a tuple."""

@@ -38,8 +38,9 @@ from floquet_forge import (
 )
 from floquet_forge import PRESET_NAMES, effective, floquet, lattice
 from floquet_forge.floquet import commutator_offsets, offset_matrices_at_time, thread_count
-from floquet_forge.lattice import offset_dict
+from floquet_forge.lattice import from_offset_dict, offset_dict
 from helpers import (
+    bond_blocks,
     count_bloch_matrices,
     count_propagations,
     gauge_difference_errors,
@@ -1121,6 +1122,25 @@ def test_offset_matrices_at_time_match_the_per_bond_route_bit_for_bit():
                 assert [om.offset for om in got] == sorted(want)
                 for om in got:
                     assert om.matrix.tobytes() == want[om.offset].tobytes()
+
+
+def test_offset_matrices_at_time_match_a_dict_loop_on_any_lattice():
+    # the package places j e^{i chi} through the pair table's one scatter; the
+    # tests' own dict loop, bond by bond, must give the same offsets and bits
+    rng = np.random.default_rng(43)
+    lattices = [preset(name) for name in PRESET_NAMES]
+    lattices += [random_lattice(rng, int(rng.integers(1, 4))) for _ in range(12)]
+    lattices.append(LatticeSpec(2, np.eye(2), [[0.0, 0.0], [0.5, 0.5]], ()))
+    for lat in lattices:
+        drive = random_drive(rng, lat.space_dim, omega=float(rng.uniform(6.0, 15.0)))
+        for t in rng.uniform(0.0, drive.period, size=2):
+            chis = [float(phase(drive, lat.displacement(b), float(t))) for b in lat.bonds]
+            values = [b.amplitude * np.exp(1j * chi) for b, chi in zip(lat.bonds, chis)]
+            want = from_offset_dict(bond_blocks(lat, values))
+            got = offset_matrices_at_time(lat, drive, float(t))
+            assert [om.offset for om in got] == [om.offset for om in want]
+            assert all(g.matrix.tobytes() == w.matrix.tobytes() for g, w in zip(got, want))
+    assert offset_matrices_at_time(lattices[-1], drive, 0.1) == ()
 
 
 def test_bloch_hamiltonian_t_is_hermitian_and_periodic():

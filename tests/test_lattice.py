@@ -740,11 +740,11 @@ def test_pair_table_lists_composable_pairs_in_double_loop_order(monkeypatch):
         for field, call in (
             ("distinct", lambda: lattice_harmonics(lat, drive)),
             ("total_index", lambda: build_effective_model(lat, drive)),
-            ("order0_plan", lambda: build_effective_model(lat, drive)),
-            ("order1_plan", lambda: build_effective_model(lat, drive)),
+            ("bond_index", lambda: build_effective_model(lat, drive)),
             ("first", lambda: enumerate_processes(lat)),
             ("distinct_of", lambda: bloch_hamiltonian_t(lat, drive, k, 0.3)),
             ("distinct_of", lambda: offset_matrices_at_time(lat, drive, 0.3)),
+            ("bond_index", lambda: offset_matrices_at_time(lat, drive, 0.3)),
         ):
             reads.fields.clear()
             call()
@@ -759,15 +759,29 @@ def test_pair_table_lists_composable_pairs_in_double_loop_order(monkeypatch):
             total = tuple(x + y for x, y in zip(b1.cell_offset, b2.cell_offset))
             assert table.totals[table.total_index[p]] == total
             assert (table.source[p], table.target[p]) == (b1.source_basis, b2.target_basis)
-        assert list(table.totals) == sorted(set(table.totals))
+        # both offset lists are sorted and closed under negation, which reverses them
+        for offsets in (table.totals, table.offsets):
+            assert list(offsets) == sorted(set(offsets))
+            assert [tuple(-x for x in off) for off in reversed(offsets)] == list(offsets)
+        assert list(table.offsets) == sorted({b.cell_offset for b in lat.bonds})
+        rows, targets, sources = table.bond_index
         for i, b in enumerate(lat.bonds):
             assert table.displacements[i].tobytes() == lat.displacement(b).tobytes()
             first = lat.bonds[table.distinct[table.distinct_of[i]]]
             assert lat.displacement(first).tobytes() == lat.displacement(b).tobytes()
             assert first.amplitude == b.amplitude
+            assert (table.offsets[rows[i]], targets[i], sources[i]) == (
+                b.cell_offset, b.target_basis, b.source_basis
+            )
         for field in ("displacements", "distinct", "distinct_of", "first", "second",
                       "source", "target", "total_index"):
             assert not getattr(table, field).flags.writeable, field
+        for index in table.bond_index:
+            assert index.dtype == np.intp and len(index) == len(lat.bonds)
+            assert not index.flags.writeable
+    bare = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())._pairs
+    assert bare.offsets == bare.totals == ()
+    assert [(len(a), a.dtype, a.flags.writeable) for a in bare.bond_index] == [(0, np.intp, False)] * 3
 
 
 def test_reciprocal_vectors_are_dual():
