@@ -21,16 +21,17 @@ pairs, their total offsets and basis indices come from the lattice's cached
 pair table, the harmonics are stacked into one (bonds, 2N+1) array, lines
 one and two of every pair's beta are evaluated in one expression, and those
 pair rows, together with every bond row's gauge term f (the gauge supplies
-its rows, zeros in the Floquet gauge), are summed along n by one
-compensated (Kahan) sum over all rows at once. It is
-bit-identical to a per-pair loop: every vector operation is the one the loop
-applied to a pair's arrays, and Kahan's four add/subtract steps round the
-same in vector and scalar form. Only line three, a handful of scalar
-products per pair, stays scalar, because numpy's vector complex multiply
-rounds differently from its scalar one. The bonds' g^0 and the pairs' betas
-are scattered, in bond and pair order, into stacks over the pair table's
-sorted offsets (``lattice._scatter``); the Hermitian closure then pairs each
-block with its negated offset's by reversing the stack, and order 1 is pruned.
+its rows, zeros in the Floquet gauge), are summed along n by one compensated
+(Kahan) sum over all rows at once. It is bit-identical to a per-pair loop:
+every vector operation is the one the loop applied to a pair's arrays, and
+Kahan's four add/subtract steps round the same in vector and scalar form.
+Only line three, a few products per pair, stays scalar, on Python complex
+(whose arithmetic rounds as numpy's scalar one does), because numpy's vector
+complex multiply rounds differently. The bonds' g^0 and the pairs' betas are
+scattered, in bond and pair order, into stacks over the pair table's sorted
+offsets (``lattice._scatter``); the Hermitian closure pairs each block with
+its negated offset's by reversing the stack, and order 1 is pruned. Each
+block is a view of its read-only stack, unchecked (``OffsetMatrix._trusted``).
 ``effective_bloch`` is one ``bloch_matrix`` call over both orders.
 """
 
@@ -122,15 +123,14 @@ def _two_step(G: np.ndarray, first, second, omega: float, gauge: Gauge) -> np.nd
     f_rows = 1j * (neg - pos) / n if gauge is Gauge.STATIC_FREE else np.zeros_like(pos)
     sums = _row_sums(lines, f_rows)
     sums, f = sums[: len(lines)], sums[len(lines):]
-    # Line three stays scalar, pair by pair: numpy's vector complex multiply
-    # fuses multiply-adds where its scalar one does not, so the two differ in
-    # the last bit for about half of all products.
-    gz = [complex(z) for z in zero]
-    iw = 1j / omega
+    # Line three stays scalar, pair by pair, on Python complex: its unfused
+    # textbook formulas are numpy's scalar ones, but numpy's vector multiply
+    # fuses multiply-adds and differs in the last bit for about half of them.
+    gz, f, iw = zero.tolist(), f.tolist(), 1j / omega
     return np.array(
         [
             s + iw * (f[j] * gz[i] - gz[j] * f[i])
-            for s, i, j in zip(sums, first.tolist(), second.tolist())
+            for s, i, j in zip(sums.tolist(), first.tolist(), second.tolist())
         ],
         dtype=complex,
     )
@@ -162,8 +162,9 @@ def beta_static_free(h1: BondHarmonics, h2: BondHarmonics) -> complex:
 def _order0_from_harmonics(lattice, G) -> tuple:
     """Order 0 from the coefficient stack: each bond's g^0 in its offset block."""
     table = lattice._pairs
-    blocks = _scatter(len(table.offsets), table.bond_index, _split(G)[2], lattice.basis_count)
-    return tuple(OffsetMatrix(off, m) for off, m in zip(table.offsets, _symmetrize(blocks)))
+    blocks = _symmetrize(_scatter(len(table.offsets), table.bond_index, _split(G)[2], lattice.basis_count))
+    blocks.flags.writeable = False
+    return tuple(map(OffsetMatrix._trusted, table.offsets, blocks))
 
 
 def _order1_from_harmonics(lattice, G, gauge, omega, prune_tol) -> tuple:
@@ -176,7 +177,8 @@ def _order1_from_harmonics(lattice, G, gauge, omega, prune_tol) -> tuple:
     threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
     blocks = np.where(np.abs(blocks) < threshold, 0.0, blocks)
     kept = (blocks != 0).any(axis=(1, 2)).tolist()
-    return tuple(OffsetMatrix(off, m) for off, m, keep in zip(table.totals, blocks, kept) if keep)
+    blocks.flags.writeable = False
+    return tuple(OffsetMatrix._trusted(off, m) for off, m, keep in zip(table.totals, blocks, kept) if keep)
 
 
 def _symmetrize(blocks: np.ndarray) -> np.ndarray:

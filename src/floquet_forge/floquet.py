@@ -321,7 +321,8 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
     table = lattice._pairs
     values = [b.amplitude * phases[row] for b, row in zip(lattice.bonds, table.distinct_of)]
     blocks = _scatter(len(table.offsets), table.bond_index, values, lattice.basis_count)
-    return tuple(OffsetMatrix(off, m) for off, m in zip(table.offsets, blocks))
+    blocks.flags.writeable = False
+    return tuple(map(OffsetMatrix._trusted, table.offsets, blocks))
 
 
 def _time_ordered_product(chunks) -> np.ndarray:

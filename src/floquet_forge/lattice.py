@@ -7,10 +7,12 @@ cells. Because the tunneling matrices depend only on the integer cell offset,
 everything is stored per offset class; ``OffsetMatrix`` is the basic carrier
 for any such translationally invariant single-particle operator.
 
-Both carriers are immutable, so their checks run once. A ``LatticeSpec``
-completes its bond list at construction: every reverse bond is present
-exactly once, with the conjugate amplitude, so every consumer reads a
-Hermitian static Hamiltonian.
+Both carriers are immutable, so their checks run once, where values enter;
+blocks the package builds from its own arrays (both effective orders and
+``offset_matrices_at_time``) skip them, as read-only views of a read-only
+stack made by ``OffsetMatrix._trusted``. A ``LatticeSpec`` completes its
+bond list at construction: every reverse bond is present exactly once, with
+the conjugate amplitude, so every consumer reads a Hermitian static Hamiltonian.
 ``bloch_matrix`` validates and stacks an offset set, or a tuple of sets,
 with the Bravais vectors once and keeps them in a small bounded cache keyed
 on the ``OffsetMatrix`` objects and the Bravais bytes: frozen,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -314,6 +317,14 @@ class OffsetMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, offset: tuple, matrix: np.ndarray) -> "OffsetMatrix":
+        """A block the package built, unchecked: plain-int offset, square complex view."""
+        om = object.__new__(cls)
+        matrix.flags.writeable = False
+        om.__dict__.update(offset=offset, matrix=matrix)
+        return om
+
 
 def offset_dict(offsets) -> dict:
     """Collect OffsetMatrix entries into {offset: matrix}, checking shape
@@ -340,7 +351,7 @@ def _offset_sets(offsets) -> tuple:
     of ``OffsetMatrix``; any other entry, or no block at all, is refused."""
     entries = _items(offsets, "offsets")
     one = entries and isinstance(entries[0], OffsetMatrix)
-    sets = (entries,) if one else tuple(_items(s, "offsets entry") for s in entries)
+    sets = (entries,) if one else tuple([_items(s, "offsets entry") for s in entries])
     bad = [om for s in sets for om in s if not isinstance(om, OffsetMatrix)]
     if bad:
         raise ValidationError(f"offsets must be OffsetMatrix entries or sets of them, got {bad[0]!r}")
@@ -369,23 +380,24 @@ def _offset_stack(sets: tuple, bravais: bytes, shape: tuple) -> tuple:
     (d, _), *other = {next(iter(table.values())).shape for table in tables if table}
     if other:
         raise ValidationError("inconsistent matrix sizes in offset set")
-    R, blocks, spans = [], [], [slice(0)]
-    for table in tables:
-        keys = sorted(table)
-        mats = np.array([np.zeros((d, d))] + [table[off] for off in keys], dtype=complex)
-        finite = np.isfinite(mats).all(axis=(1, 2))
-        if not finite.all():
-            raise ValidationError(f"offset {keys[finite.argmin() - 1]}: matrix must be finite")
-        # closed: negation reverses the ascending offsets, and M_-o = M_o^H for
-        # each offset o, within 1e-9 times the largest entry (at least 1)
-        tol = 1e-9 * max(float(np.abs(mats).max()), 1.0)
-        gap = np.abs(mats[:0:-1] - mats[1:].conj().transpose(0, 2, 1)).max(initial=0.0)
-        if [tuple(-x for x in off) for off in reversed(keys)] != keys or gap > tol:
-            raise ValidationError("offset set is not Hermitian-closed")
-        spans.append(slice(spans[-1].stop, spans[-1].stop + len(mats)))
-        R.append(np.array([(0,) * lengths[0]] + keys, dtype=float) @ A)  # the set's own product
-        blocks.append(mats)
-    return _readonly(np.concatenate(R)), _readonly(np.concatenate(blocks), complex), tuple(spans[1:])
+    # each set's rows: a zero block at the zero offset, then its offsets ascending
+    keys = [[(0,) * lengths[0], *sorted(table)] for table in tables]
+    rows, zero = [o for ks in keys for o in ks], np.zeros((d, d))
+    mats = np.array([m for t, ks in zip(tables, keys) for m in (zero, *map(t.get, ks[1:]))], dtype=complex)
+    spans = [slice(stop - len(ks), stop) for ks, stop in zip(keys, itertools.accumulate(map(len, keys)))]
+    if not np.isfinite(mats).all():
+        row = np.isfinite(mats).all(axis=(1, 2)).argmin()
+        raise ValidationError(f"offset {rows[row]}: matrix must be finite")
+    # closed: negation maps each set's zero row to itself and reverses its other
+    # rows, and M_-o = M_o^H within 1e-9 times the set's largest entry
+    partner = [i for s in spans for i in (s.start, *range(s.stop - 1, s.start, -1))]
+    starts = [s.start * d * d for s in spans]  # each set's first entry in the raveled stack
+    diff = mats[partner] - mats.conj().transpose(0, 2, 1)
+    gap, top = (np.maximum.reduceat(np.abs(x).ravel(), starts) for x in (diff, mats))
+    if [tuple(map(operator.neg, rows[i])) for i in partner] != rows or (gap > 1e-9 * top).any():
+        raise ValidationError("offset set is not Hermitian-closed")
+    R = np.concatenate([np.array(ks, dtype=float) @ A for ks in keys])  # each set its own product
+    return _readonly(R), _readonly(mats, complex), tuple(spans)
 
 
 def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:

@@ -67,8 +67,8 @@ def random_lattice(rng, dim):
 
 def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
     """Whether every block has a partner at the negated offset equal to its
-    conjugate transpose, within ``tol`` times the largest entry (at least 1).
-    A set with a NaN block is not closed; an empty one is."""
+    conjugate transpose, within ``tol`` times the largest entry. A set with a
+    NaN block is not closed; an empty or all-zero one is."""
     table = offset_dict(offsets)
     if not table:
         return True
@@ -79,7 +79,7 @@ def is_hermitian_closed_offsets(offsets, tol: float = 1e-9) -> bool:
     mats = np.array(list(table.values()))
     scale = float(np.abs(mats).max())
     # NaN compares false: not closed
-    return bool(np.abs(mats[neg] - mats.conj().transpose(0, 2, 1)).max() <= tol * max(scale, 1.0))
+    return bool(np.abs(mats[neg] - mats.conj().transpose(0, 2, 1)).max() <= tol * scale)
 
 
 def composable_pairs(lattice):

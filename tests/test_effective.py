@@ -23,6 +23,7 @@ from floquet_forge import (
     reciprocal_vectors,
 )
 from floquet_forge import effective
+from floquet_forge.floquet import offset_matrices_at_time
 from floquet_forge.lattice import (
     from_offset_dict,
     offset_dict,
@@ -517,6 +518,32 @@ def test_models_keep_their_bits(name, drive, gauge):
     lat = preset(name)
     model = build_effective_model(lat, model_drives(lat.space_dim)[drive], Gauge(gauge))
     assert _model_digest(model) == MODEL_DIGESTS[name, drive, gauge]
+
+
+def test_package_built_blocks_keep_the_public_contract():
+    # both orders and offset_matrices_at_time make their blocks unchecked
+    # (OffsetMatrix._trusted); each block is what the public constructor makes
+    # of it, to the bit, and neither it nor the stack it views can be written
+    rng = np.random.default_rng(59)
+    lattices = [preset(name) for name in PRESET_NAMES]
+    lattices += [random_lattice(rng, dim) for dim in (1, 1, 2, 2, 3, 3)]
+    for n, lat in enumerate(lattices):
+        drives = [random_drive(rng, lat.space_dim)]
+        if n < len(PRESET_NAMES):
+            drives.append(strong_drive(lat, 30.0))
+            assert build_effective_model(lat, drives[-1]).cutoff == 64, lat
+        blocks = []
+        for drive in drives:
+            for gauge in Gauge:
+                model = build_effective_model(lat, drive, gauge)
+                blocks += model.order0 + model.order1
+            blocks += offset_matrices_at_time(lat, drive, 0.3 * drive.period)
+        for om in blocks:
+            again = OffsetMatrix(om.offset, om.matrix)
+            assert type(om.offset) is tuple and all(type(x) is int for x in om.offset)
+            assert again.offset == om.offset and again.matrix.tobytes() == om.matrix.tobytes()
+            assert om.matrix.dtype == np.complex128 and om.matrix.shape == (lat.basis_count,) * 2
+            assert not om.matrix.flags.writeable and not om.matrix.base.flags.writeable
 
 
 def test_effective_bloch_has_the_bits_of_one_call_per_order():

@@ -283,6 +283,48 @@ def test_offset_blocks_are_scattered_in_one_place():
     assert list(_add_at_calls(ast.parse(sample))) == ["<module>", "order0", "Table"]
 
 
+def _trusted_uses(tree):
+    """The top-level function (or class, or '<module>') around every read of
+    an attribute named ``_trusted``, called or passed on."""
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for use in ast.walk(node):
+            if isinstance(use, ast.Attribute) and use.attr == "_trusted" and isinstance(use.ctx, ast.Load):
+                yield owner
+
+
+def test_unchecked_blocks_come_from_three_builders():
+    # OffsetMatrix._trusted skips the public checks, so only builders that
+    # make the block from the package's own read-only arrays may use it; a
+    # block read from a caller's values (from_offset_dict, bloch_matrix's
+    # arguments) goes through the public constructor
+    found = [
+        (path.name, owner)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for owner in _trusted_uses(ast.parse(path.read_text()))
+    ]
+    assert found == [
+        ("effective.py", "_order0_from_harmonics"),
+        ("effective.py", "_order1_from_harmonics"),
+        ("floquet.py", "offset_matrices_at_time"),
+    ]
+    # the check itself can fail
+    sample = (
+        "om = lattice.OffsetMatrix._trusted((0,), m)\n"
+        "def _order0_from_harmonics(lattice, G):\n"
+        "    return tuple(map(OffsetMatrix._trusted, offsets, blocks))\n"
+        "def from_offset_dict(table):\n"
+        "    return tuple(OffsetMatrix._trusted(k, v) for k, v in sorted(table.items()))\n"
+        "class OffsetMatrix:\n"
+        "    @classmethod\n"
+        "    def _trusted(cls, offset, matrix):\n"
+        "        return '._trusted', cls._checked\n"
+    )
+    assert list(_trusted_uses(ast.parse(sample))) == [
+        "<module>", "_order0_from_harmonics", "from_offset_dict"
+    ]
+
+
 def _bool_checks(tree):
     """The top-level function (or class, or '<module>') around every
     ``isinstance`` check for ``bool`` or ``np.bool_``, alone or in a tuple."""

@@ -24,6 +24,7 @@ from floquet_forge import (
     error_matrix,
     fit_power_law,
     fold,
+    lattice_harmonics,
     linear_drive,
     magnus_commutator_probe,
     match_distance,
@@ -819,6 +820,25 @@ def test_bloch_matrices_are_reached_through_the_module_attributes(monkeypatch):
             patch.setattr(module, "bloch_matrix", counting)
             call()
         assert len(calls) == count, module.__name__
+
+
+def test_model_harmonics_are_reached_through_the_module_attribute(monkeypatch):
+    # the benchmark's drive.* layer times and counts the harmonics where the
+    # model builder looks them up (effective.lattice_harmonics): a shortcut to
+    # drive._harmonics_at would zero that layer without failing anything. One
+    # call per model, also when it escalates the cutoff
+    lat = preset("kagome")
+    for drive, cutoff in ((circular_drive(10.0, 15.0), 32), (strong_drive(lat, 30.0), 64)):
+        calls = []
+
+        def counting(*args, calls=calls):
+            calls.append(args[1])
+            return lattice_harmonics(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(effective, "lattice_harmonics", counting)
+            model = build_effective_model(lat, drive)
+        assert calls == [drive] and model.cutoff == cutoff
 
 
 def test_first_occurrences_compare_bits():

@@ -490,11 +490,11 @@ def test_hermitian_closure_of_offsets():
     nan = m.copy()
     nan[0, 0] = np.nan
     assert not is_hermitian_closed_offsets((OffsetMatrix((1,), nan), OffsetMatrix((-1,), nan.conj().T)))
-    # a deviation of tol * (1 -+ 1e-12) times the largest entry (at least 1)
-    # sits just inside or just outside the tolerance
+    # a deviation of tol * (1 -+ 1e-12) times the largest entry sits just
+    # inside or just outside the tolerance, also below 1
     for tol in (1e-9, 1e-6):
         for size in (0.5, 4.0):
-            edge = tol * max(size, 1.0)
+            edge = tol * size
             for factor, closed in ((1 - 1e-12, True), (1 + 1e-12, False)):
                 partner = size * m.conj().T
                 partner[0, 0] = edge * factor
@@ -508,6 +508,16 @@ def test_hermitian_closure_of_offsets():
                 else:
                     with pytest.raises(ValidationError, match="^offset set is not Hermitian-closed$"):
                         bloch_matrix(offsets, [0.3], [[1.0]])
+    # tiny entries are held to their own scale, so 1e-12 against 3e-12 is not
+    # closed (an absolute floor would let a non-Hermitian 1x1 through), and an
+    # all-zero set is closed exactly
+    tiny = (OffsetMatrix((1,), [[1e-12]]), OffsetMatrix((-1,), [[3e-12]]))
+    assert not is_hermitian_closed_offsets(tiny)
+    with pytest.raises(ValidationError, match="^offset set is not Hermitian-closed$"):
+        bloch_matrix(tiny, [0.3], [[1.0]])
+    zeros = (OffsetMatrix((1,), np.zeros((2, 2))), OffsetMatrix((-1,), np.zeros((2, 2))))
+    assert is_hermitian_closed_offsets(zeros)
+    assert not bloch_matrix(zeros, [0.3], [[1.0]]).any()
 
 
 def test_undriven_chain_band_minimum():
