@@ -17,8 +17,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import load_config
 from .drive import (
@@ -30,7 +28,7 @@ from .drive import (
     linear_drive,
     rescale_drive,
 )
-from .effective import DEFAULT_PRUNE_TOL, Gauge, build_effective_model
+from .effective import DEFAULT_PRUNE_TOL, Gauge, _prune_tol, build_effective_model
 from .errors import ConsistencyError, ConvergenceError, ValidationError
 from .floquet import _matched_spectra, _point_list, _sweep_omegas, error_matrix, fit_power_law
 # not called here: bench/selftest.py reads cli.propagate_period until ROADMAP item 1 lands
@@ -63,13 +61,9 @@ def _common_flags(p) -> None:
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
-        ok = bool(np.isfinite(value) and value >= 0)
-    except ValueError:
-        ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+        return _prune_tol(float(text))
+    except (ValueError, ValidationError):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
 def _gauge(text: str) -> Gauge:

@@ -171,13 +171,12 @@ class BondHarmonics:
             raise ValidationError(f"harmonic index {n} exceeds cutoff {self.cutoff}")
         return complex(self.coefficients[n + self.cutoff])
 
-    def positive(self) -> np.ndarray:
-        """g^n for n = 1..cutoff."""
-        return self.coefficients[self.cutoff + 1:]
 
-    def negative(self) -> np.ndarray:
-        """g^{-n} for n = 1..cutoff."""
-        return self.coefficients[self.cutoff - 1::-1]
+def _split(G: np.ndarray) -> tuple:
+    """Views of g^n and g^{-n} for n = 1..N and of g^0, for each row of a
+    stack of (2N+1)-coefficient windows such as ``BondHarmonics.coefficients``."""
+    N = G.shape[1] // 2
+    return G[:, N + 1:], G[:, N - 1::-1], G[:, N]
 
 
 def _default_samples(cutoff: int) -> int:

@@ -30,9 +30,10 @@ Only line three, a few products per pair, stays scalar, on Python complex
 complex multiply rounds differently. The bonds' g^0 and the pairs' betas are
 scattered, in bond and pair order, into stacks over the pair table's sorted
 offsets (``lattice._scatter``); the Hermitian closure pairs each block with
-its negated offset's by reversing the stack, and order 1 is pruned. Each
-block is a view of its read-only stack, unchecked (``OffsetMatrix._trusted``).
-``effective_bloch`` is one ``bloch_matrix`` call over both orders.
+its negated offset's by reversing the stack; order 1 drops entries below
+``_threshold`` and then its empty blocks. ``OffsetMatrix._trusted`` makes
+each stack read-only and returns its blocks, unchecked. ``effective_bloch``,
+one ``bloch_matrix`` call over both orders, is the one order sum.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .drive import BondHarmonics, DriveSpec, lattice_harmonics
+from .drive import BondHarmonics, DriveSpec, _split, lattice_harmonics
 from .errors import ValidationError
 from .lattice import (
     LatticeSpec,
@@ -99,13 +100,6 @@ def _row_sums(*blocks: np.ndarray) -> np.ndarray:
     return s
 
 
-def _split(G: np.ndarray) -> tuple:
-    """g^n for n = 1..N, g^{-n} for n = 1..N and g^0 of each row of a stack
-    of (2N+1)-coefficient windows."""
-    N = G.shape[1] // 2
-    return G[:, N + 1:], G[:, N - 1::-1], G[:, N]
-
-
 def _two_step(G: np.ndarray, first, second, omega: float, gauge: Gauge) -> np.ndarray:
     """All three lines of the two-step amplitude for every pair (rows
     first[p], then second[p]) of a coefficient stack in ``gauge``. Lines one
@@ -136,35 +130,39 @@ def _two_step(G: np.ndarray, first, second, omega: float, gauge: Gauge) -> np.nd
     )
 
 
-def _check_compatible(h1: BondHarmonics, h2: BondHarmonics) -> None:
-    if h1.omega != h2.omega:
-        raise ValidationError(
-            f"harmonic sets have different omega: {h1.omega} vs {h2.omega}"
-        )
-    if h1.cutoff != h2.cutoff:
-        raise ValidationError(
-            f"harmonic sets have different cutoff: {h1.cutoff} vs {h2.cutoff}"
-        )
-
-
 def beta_static_free(h1: BondHarmonics, h2: BondHarmonics) -> complex:
     """Two-step amplitude in the static-free gauge (first hop h1, then h2).
 
     Valid when the tunneling amplitude depends only on the hop displacement;
-    equals line (1) of the general expression.
+    equals line (1) of the general expression. h1 and h2 share omega and cutoff.
     """
-    _check_compatible(h1, h2)
+    for field, a, b in (("omega", h1.omega, h2.omega), ("cutoff", h1.cutoff, h2.cutoff)):
+        if a != b:
+            raise ValidationError(f"harmonic sets have different {field}: {a} vs {b}")
+    pos, neg, _ = _split(np.stack([h1.coefficients, h2.coefficients]))
     n = np.arange(1, h1.cutoff + 1)
-    terms = (h1.negative() * h2.positive() - h2.negative() * h1.positive()) / (n * h1.omega)
+    terms = (neg[0] * pos[1] - neg[1] * pos[0]) / (n * h1.omega)
     return _row_sums(terms[None, :])[0]
+
+
+def _prune_tol(value) -> float:
+    """``value`` as a pruning tolerance, a finite float >= 0, or ValidationError."""
+    value = _real(value, "prune_tol")
+    if not (np.isfinite(value) and value >= 0):
+        raise ValidationError(f"prune_tol must be finite and >= 0, got {value}")
+    return value
+
+
+def _threshold(tol: float, scale: float, omega: float) -> float:
+    """tol * |j|^2 / omega: the first-order size below which an entry is noise."""
+    return tol * scale**2 / omega
 
 
 def _order0_from_harmonics(lattice, G) -> tuple:
     """Order 0 from the coefficient stack: each bond's g^0 in its offset block."""
     table = lattice._pairs
-    blocks = _symmetrize(_scatter(len(table.offsets), table.bond_index, _split(G)[2], lattice.basis_count))
-    blocks.flags.writeable = False
-    return tuple(map(OffsetMatrix._trusted, table.offsets, blocks))
+    blocks = _scatter(len(table.offsets), table.bond_index, _split(G)[2], lattice.basis_count)
+    return OffsetMatrix._trusted(table.offsets, _symmetrize(blocks))
 
 
 def _order1_from_harmonics(lattice, G, gauge, omega, prune_tol) -> tuple:
@@ -174,11 +172,10 @@ def _order1_from_harmonics(lattice, G, gauge, omega, prune_tol) -> tuple:
     index = (table.total_index, table.target, table.source)
     betas = _two_step(G, table.first, table.second, omega, gauge)
     blocks = _symmetrize(_scatter(len(table.totals), index, betas, lattice.basis_count))
-    threshold = prune_tol * lattice.amplitude_scale() ** 2 / omega
+    threshold = _threshold(prune_tol, lattice.amplitude_scale(), omega)
     blocks = np.where(np.abs(blocks) < threshold, 0.0, blocks)
-    kept = (blocks != 0).any(axis=(1, 2)).tolist()
-    blocks.flags.writeable = False
-    return tuple(OffsetMatrix._trusted(off, m) for off, m, keep in zip(table.totals, blocks, kept) if keep)
+    kept = (blocks != 0).any(axis=(1, 2))
+    return OffsetMatrix._trusted([o for o, k in zip(table.totals, kept.tolist()) if k], blocks[kept])
 
 
 def _symmetrize(blocks: np.ndarray) -> np.ndarray:
@@ -216,13 +213,11 @@ def build_effective_model(
     Gauge or its name); entries below prune_tol * |j|^2 / omega become exact
     zeros and offset classes that vanish entirely are dropped. On a Bravais
     lattice (one basis site) it is empty: every process cancels against its
-    hop-order-reversed partner. A NaN or negative prune_tol raises
-    ValidationError, as does a non-number; an infinite one drops order 1.
+    hop-order-reversed partner. prune_tol must be a finite number >= 0, as
+    ``cross_validate`` reads it; anything else raises ValidationError.
     """
     gauge = Gauge.parse(gauge)
-    prune_tol = _real(prune_tol, "prune_tol")
-    if not prune_tol >= 0:
-        raise ValidationError(f"prune_tol must be >= 0, got {prune_tol}")
+    prune_tol = _prune_tol(prune_tol)
     h = lattice_harmonics(lattice, drive, cutoff)
     used_cutoff = next(iter(h.values())).cutoff if h else 0
     # one (2N+1)-coefficient row per bond, for both orders; (0, 1) without bonds

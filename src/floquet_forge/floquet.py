@@ -38,9 +38,9 @@ drive's own call pops its own (``_propagator``), with a lone product's bits.
 
 Effective and exact spectra are compared in one core, ``_matched_spectra``,
 behind the sweeps and ``cli bands``. It takes every effective spectrum first
-(one Bloch stack per model and order over all distinct k, order 1 added to
-order 0), so a model that cannot be evaluated fails before any propagation,
-then propagates each
+(one Bloch stack per model and order over all distinct k: order 0 alone, or
+``effective_bloch``, the one sum of both orders), so a model that cannot be
+evaluated fails before any propagation, then propagates each
 bit-distinct (omega, k) point once for all orders (a repeated k, such as the
 closing vertex of a k-path, gets its first occurrence's bits) and matches
 each spectrum once. ``error_matrix`` and ``scaling_errors`` reduce its result
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import DriveSpec, _check_drive_dim, _check_omega, phase
-from .effective import Gauge, build_effective_model
+from .effective import Gauge, build_effective_model, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
@@ -321,8 +321,7 @@ def offset_matrices_at_time(lattice: LatticeSpec, drive: DriveSpec, t: float) ->
     table = lattice._pairs
     values = [b.amplitude * phases[row] for b, row in zip(lattice.bonds, table.distinct_of)]
     blocks = _scatter(len(table.offsets), table.bond_index, values, lattice.basis_count)
-    blocks.flags.writeable = False
-    return tuple(map(OffsetMatrix._trusted, table.offsets, blocks))
+    return OffsetMatrix._trusted(table.offsets, blocks)
 
 
 def _time_ordered_product(chunks) -> np.ndarray:
@@ -557,9 +556,9 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
     """(E, Q), both shaped (orders, drives, k, basis): E holds the spectra of
     ``models`` truncated at each of ``orders`` (0 or 1), Q the exact
     quasienergies of ``drives`` that ``match_permutation`` pairs with them.
-    Every E is taken before any propagation: one ``bloch_matrix`` call per
-    model and order over the stack of distinct k, order 1 added to order 0
-    as ``effective_bloch`` does, and one stacked ``eigvalsh`` per order. Each
+    Every E is taken before any propagation: per model and order one Bloch
+    call over the stack of distinct k, ``bloch_matrix`` of order 0 alone or
+    ``effective_bloch`` for order 1, and one stacked ``eigvalsh``. Each
     bit-distinct (drive, k) is propagated once; a repeated k copies its first
     occurrence. One pool task per distinct k propagates every drive in the
     given order (ascending omega in a sweep), so drives whose H(t) stacks are
@@ -569,12 +568,9 @@ def _matched_spectra(lattice, drives, models, k_list, orders) -> tuple:
     ks = np.array([k_list[ik] for ik in distinct])
     E = np.zeros((len(orders), len(drives), len(k_list), lattice.basis_count))
     for iw, model in enumerate(models):
-        H0 = bloch_matrix(model.order0, ks, model.bravais_vectors)
-        H1 = H0
-        if 1 in orders and model.order1:
-            H1 = H0 + bloch_matrix(model.order1, ks, model.bravais_vectors)
         for io, o in enumerate(orders):
-            E[io, iw, distinct] = np.linalg.eigvalsh(H1 if o else H0)
+            H = effective_bloch(model, ks) if o else bloch_matrix(model.order0, ks, model.bravais_vectors)
+            E[io, iw, distinct] = np.linalg.eigvalsh(H)
 
     terms = {}
 

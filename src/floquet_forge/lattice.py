@@ -9,8 +9,8 @@ for any such translationally invariant single-particle operator.
 
 Both carriers are immutable, so their checks run once, where values enter;
 blocks the package builds from its own arrays (both effective orders and
-``offset_matrices_at_time``) skip them, as read-only views of a read-only
-stack made by ``OffsetMatrix._trusted``. A ``LatticeSpec`` completes its
+``offset_matrices_at_time``) skip them: ``OffsetMatrix._trusted`` makes the
+stack read-only and returns a view per offset. A ``LatticeSpec`` completes its
 bond list at construction: every reverse bond is present exactly once, with
 the conjugate amplitude, so every consumer reads a Hermitian static Hamiltonian.
 ``bloch_matrix`` validates and stacks an offset set, or a tuple of sets,
@@ -192,7 +192,7 @@ class LatticeSpec:
         Primitive vectors in Cartesian coordinates. ``space_dim`` may exceed
         ``dimension`` (e.g. a zig-zag chain embedded in the plane).
     basis_sites : (basis_count, space_dim) array
-        Cartesian positions of the sites inside one unit cell.
+        Cartesian positions of the sites inside one unit cell, at least one.
     bonds : tuple of Bond
         Directed tunneling amplitudes. The stored tuple is the Hermitian
         closure: each missing reverse (q<-p, -offset, conj j) is added, exact
@@ -233,6 +233,8 @@ class LatticeSpec:
             raise ValidationError(
                 f"basis sites have {S.shape[1]} coordinates, bravais vectors have {space_dim}"
             )
+        if not len(S):
+            raise ValidationError("basis_sites must hold at least one site, got none")
         for i in range(len(S)):
             for j in range(i + 1, len(S)):
                 if np.linalg.norm(S[i] - S[j]) < 1e-9:
@@ -318,12 +320,14 @@ class OffsetMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _trusted(cls, offset: tuple, matrix: np.ndarray) -> "OffsetMatrix":
-        """A block the package built, unchecked: plain-int offset, square complex view."""
-        om = object.__new__(cls)
-        matrix.flags.writeable = False
-        om.__dict__.update(offset=offset, matrix=matrix)
-        return om
+    def _trusted(cls, offsets, blocks: np.ndarray) -> tuple:
+        """Blocks the package built, unchecked: one per plain-int offset, each
+        a square complex view of the stack ``blocks``, made read-only here."""
+        blocks.flags.writeable = False
+        out = tuple(object.__new__(cls) for _ in offsets)
+        for om, offset, matrix in zip(out, offsets, blocks):
+            om.__dict__.update(offset=offset, matrix=matrix)
+        return out
 
 
 def offset_dict(offsets) -> dict:

@@ -25,9 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from .effective import DEFAULT_PRUNE_TOL
+from .effective import DEFAULT_PRUNE_TOL, _prune_tol, _threshold
 from .errors import ConsistencyError, ValidationError
-from .lattice import LatticeSpec, _real, offset_dict
+from .lattice import LatticeSpec, offset_dict
 
 __all__ = [
     "ProcessClass",
@@ -134,9 +134,9 @@ def _process_report(lattice: LatticeSpec) -> ProcessReport:
 
     bonds = lattice.bonds
     groups = {}
-    for i, j, t in zip(table.first.tolist(), table.second.tolist(), table.total_index.tolist()):
-        total = table.totals[t]
-        groups.setdefault((bonds[i].source_basis, bonds[j].target_basis, total), []).append((i, j))
+    columns = (table.source, table.target, table.total_index, table.first, table.second)
+    for source, target, t, i, j in zip(*(c.tolist() for c in columns)):
+        groups.setdefault((source, target, table.totals[t]), []).append((i, j))
 
     keys_of = [_vkey(a) for a in displacements]
     processes = []
@@ -210,10 +210,8 @@ def cross_validate(
     the rounding noise order 1 leaves in an exact zero. With ``strict`` a violation raises ConsistencyError;
     otherwise the verdict lists the offending couplings.
     """
-    prune_tol = _real(prune_tol, "prune_tol")
-    if not (np.isfinite(prune_tol) and prune_tol >= 0):
-        raise ValidationError(f"prune_tol must be finite and >= 0, got {prune_tol}")
-    threshold = max(prune_tol, _ROUNDING_FLOOR) * model.amplitude_scale**2 / model.omega
+    prune_tol = _prune_tol(prune_tol)
+    threshold = _threshold(max(prune_tol, _ROUNDING_FLOOR), model.amplitude_scale, model.omega)
     table = offset_dict(model.order1)
     violations = []
     for c in report.couplings:

@@ -21,8 +21,8 @@ from floquet_forge import (
     match_distance,
     propagate_period,
 )
-from floquet_forge.drive import _harmonics_at
-from floquet_forge.effective import _split, _two_step
+from floquet_forge.drive import _harmonics_at, _split
+from floquet_forge.effective import _two_step
 from floquet_forge.lattice import (
     _torus_extents,
     from_offset_dict,
@@ -163,6 +163,49 @@ def random_offset_matrices(rng, dim, block, count=3, reach=1):
     from floquet_forge import OffsetMatrix
 
     return tuple(OffsetMatrix(o, m) for o, m in sorted(table.items()))
+
+
+def rotation_map(spec, angle, centre) -> tuple:
+    """A rotation R by ``angle`` about the point ``centre`` of a planar
+    lattice, as a map of the lattice onto itself: (site, shift, M), where
+    basis site i goes to basis site site[i] in the cell shift[i] and a cell
+    offset o goes to o @ M. Raises AssertionError if R does not map the
+    Bravais lattice or the sites onto themselves."""
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    A = spec.bravais_vectors
+    inverse = np.linalg.inv(A)
+
+    def cells(v):
+        """The integer lattice coordinates of Cartesian v, or None."""
+        x = np.asarray(v) @ inverse
+        n = np.rint(x)
+        return n.astype(int) if np.abs(x - n).max() < 1e-9 else None
+
+    M = cells(A @ R.T)
+    assert M is not None, "the rotation does not map the Bravais lattice onto itself"
+    site, shift = [], []
+    for r in spec.basis_sites:
+        image = centre + (r - centre) @ R.T
+        hits = [(j, n) for j, q in enumerate(spec.basis_sites) if (n := cells(image - q)) is not None]
+        assert len(hits) == 1, f"site {r} has no image among the basis sites"
+        site.append(hits[0][0])
+        shift.append(hits[0][1])
+    return site, shift, M
+
+
+def rotation_gap(blocks: dict, site, shift, M) -> float:
+    """Largest |B[site[t], site[s]](o @ M + shift[t] - shift[s]) - B[t, s](o)|
+    over the entries of the offset blocks {o: B(o)} (a missing block counts
+    as zero), relative to their largest entry."""
+    zero = np.zeros_like(next(iter(blocks.values())))
+    top = max(np.abs(m).max() for m in blocks.values())
+    gap = 0.0
+    for o, m in blocks.items():
+        for t, s in np.ndindex(m.shape):
+            image = tuple((np.array(o) @ M + shift[t] - shift[s]).tolist())
+            gap = max(gap, abs(blocks.get(image, zero)[site[t], site[s]] - m[t, s]))
+    return gap / top
 
 
 def peierls_lattice(lattice, vector_potential):

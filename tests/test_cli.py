@@ -587,14 +587,15 @@ def test_repeated_path_points_are_propagated_once(tmp_path, capsys, monkeypatch)
 
 def test_bands_builds_one_bloch_set_per_distinct_path_point(tmp_path, capsys, monkeypatch):
     # kagome's GMKG repeats only its closing Gamma: 24 distinct points of 25.
-    # One order-0 and one order-1 call, each over the 24 distinct points once
+    # Order 1 is one effective_bloch call, both orders over the 24 distinct
+    # points once
     calls = count_bloch_matrices(monkeypatch)
     code, _, err = run(
         capsys, "bands", "--preset", "kagome", "--omega", "25", "--circular", "30",
         "--kpath", "GMKG", "--kpoints", "8", "--output", str(tmp_path),
     )
     assert code == 0, err
-    assert len(calls) == 2
+    assert len(calls) == 1
     for call in calls:
         assert len(call) == 24 and len({row.tobytes() for row in call}) == 24
 

@@ -24,7 +24,7 @@ from floquet_forge import (
 )
 from floquet_forge import PRESET_NAMES
 from floquet_forge.floquet import offset_matrices_at_time
-from floquet_forge.drive import MAX_CUTOFF, _harmonics_at
+from floquet_forge.drive import MAX_CUTOFF, _harmonics_at, _split
 from helpers import (
     peierls_lattice,
     random_drive,
@@ -197,8 +197,8 @@ def test_coefficients_store_symmetric_window():
     h = lattice_harmonics(lat, drive, cutoff=16)[lat.bonds[0]]
     assert h.cutoff == 16
     assert h.coefficients.shape == (33,)
-    assert h.positive()[2] == h.coeff(3)
-    assert h.negative()[2] == h.coeff(-3)
+    pos, neg, zero = _split(h.coefficients[None, :])
+    assert pos[0, 2] == h.coeff(3) and neg[0, 2] == h.coeff(-3) and zero[0] == h.coeff(0)
     with pytest.raises(ValidationError):
         h.coeff(17)
 

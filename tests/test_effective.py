@@ -38,6 +38,8 @@ from helpers import (
     random_drive,
     random_lattice,
     reference_lattice_harmonics,
+    rotation_gap,
+    rotation_map,
     strong_drive,
     two_call_effective_bloch,
     two_pass_row_sums,
@@ -59,17 +61,25 @@ def reference_kahan(values) -> complex:
     return s
 
 
+def reference_window(h) -> tuple:
+    """(g^n, g^{-n}) for n = 1..cutoff, sliced from the coefficients here,
+    independent of the package's ``drive._split``."""
+    c, N = h.coefficients, h.cutoff
+    return c[N + 1:], c[N - 1::-1]
+
+
 def reference_gauge_coefficient(h) -> complex:
     n = np.arange(1, h.cutoff + 1)
-    return reference_kahan(1j * (h.negative() - h.positive()) / n)
+    pos, neg = reference_window(h)
+    return reference_kahan(1j * (neg - pos) / n)
 
 
 def reference_beta_lines(h1, h2, f1, f2) -> complex:
     """One pair's three-line amplitude, as evaluated before the row kernel."""
     w = h1.omega
     n = np.arange(1, h1.cutoff + 1)
-    g1p, g1n = h1.positive(), h1.negative()
-    g2p, g2n = h2.positive(), h2.negative()
+    g1p, g1n = reference_window(h1)
+    g2p, g2n = reference_window(h2)
     g1z, g2z = h1.coeff(0), h2.coeff(0)
     line1 = g2p * g1n - g2n * g1p
     line2 = (g2n - g2p) * g1z - g2z * (g1n - g1p)
@@ -243,19 +253,47 @@ def test_first_order_is_hermitian_closed():
 def test_prune_tolerance_scales_the_cut():
     lat = preset("kagome")
     drive = circular_drive(12.0, 8.0)
-    assert build_effective_model(lat, drive, prune_tol=np.inf).order1 == ()
     kept = build_effective_model(lat, drive, prune_tol=0.0).order1
     assert kept
     # raw accumulation keeps cancellation residue the default prune removes
     raw = offset_dict(kept)
     assert max(abs(raw[o]).max() for o in raw) > 0
-    # NaN or a negative value would skip pruning silently and keep every entry
-    for bad in (float("nan"), -1.0, -np.inf):
-        with pytest.raises(ValidationError, match="prune_tol must be >= 0"):
+    # NaN or a negative value would skip pruning silently and keep every
+    # entry; an infinite one is refused as cross_validate and --prune refuse it
+    for bad in (float("nan"), -1.0, -np.inf, np.inf):
+        with pytest.raises(ValidationError, match=f"^prune_tol must be finite and >= 0, got {bad}"):
             build_effective_model(lat, drive, prune_tol=bad)
     for bad in ("x", None, True):
         with pytest.raises(ValidationError, match="prune_tol must be a real number"):
             build_effective_model(lat, drive, prune_tol=bad)
+
+
+ROTATIONS = {
+    "hexagonal": (3, lambda sites: sites[0]),
+    "kagome": (3, lambda sites: sites.mean(axis=0)),  # centre of the basis triangle
+    "lieb": (4, lambda sites: sites[0]),
+}
+
+
+@pytest.mark.parametrize("name", ROTATIONS)
+def test_order1_rates_keep_the_rotation_symmetry_of_the_presets(name):
+    # a circular drive turned by a lattice rotation is the same drive shifted
+    # in time, which the static-free order 1 does not see: the emergent rates
+    # map onto each other, B[pi(t), pi(s)](o M + n_t - n_s) = B[t, s](o), for
+    # every rotation of the point group about the centre
+    lat = preset(name)
+    turns, centre = ROTATIONS[name]
+    blocks = offset_dict(build_effective_model(lat, circular_drive(10.0, 15.0)).order1)
+    for k in range(1, turns):
+        rotation = rotation_map(lat, 2 * np.pi * k / turns, centre(lat.basis_sites))
+        assert rotation_gap(blocks, *rotation) <= 1e-13, (name, k)
+    # an elliptic drive is no longer the same under the rotation, and the
+    # rates of the two C3 lattices show it (about 5e-2 and 7e-2)
+    if turns == 3:
+        elliptic = DriveSpec(10.0, (Harmonic(1, [15.0, 0.0], [0.0, 9.0]),))
+        broken = offset_dict(build_effective_model(lat, elliptic).order1)
+        rotation = rotation_map(lat, 2 * np.pi / turns, centre(lat.basis_sites))
+        assert rotation_gap(broken, *rotation) > 1e-2
 
 
 def test_zigzag_first_order_blocks_are_diagonal():
@@ -394,9 +432,9 @@ def test_two_step_amplitudes_match_the_reference_and_stay_antisymmetric():
         for b1, b2 in composable_pairs(lat):
             h1, h2 = table[b1], table[b2]
             fast = beta_static_free(h1, h2)
+            (g1p, g1n), (g2p, g2n) = reference_window(h1), reference_window(h2)
             assert fast.tobytes() == reference_kahan(
-                (h1.negative() * h2.positive() - h2.negative() * h1.positive())
-                / (np.arange(1, h1.cutoff + 1) * h1.omega)
+                (g1n * g2p - g2n * g1p) / (np.arange(1, h1.cutoff + 1) * h1.omega)
             ).tobytes()
             assert fast + beta_static_free(h2, h1) == 0.0
         for b1, b2 in composable_pairs(lat)[:4]:

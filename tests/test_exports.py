@@ -183,6 +183,103 @@ def test_integers_are_read_through_one_rule():
     ]
 
 
+def _owners(tree, found):
+    """The top-level function (or class, or '<module>') around every node
+    for which ``found`` holds, once per top-level statement, in order."""
+    for node in tree.body:
+        if any(found(sub) for sub in ast.walk(node)):
+            yield getattr(node, "name", "<module>")
+
+
+def _reads_prune_tol(node) -> bool:
+    """A node that reads or range-checks a pruning tolerance: "prune_tol" as
+    a call's field name or at the head of an f-string message, or a
+    comparison or ``isfinite`` call on a name ``prune_tol``."""
+    if isinstance(node, ast.Call) and any(
+        isinstance(a, ast.Constant) and a.value == "prune_tol" for a in node.args
+    ):
+        return True
+    if isinstance(node, ast.JoinedStr):
+        head = node.values[0] if node.values else None
+        return isinstance(head, ast.Constant) and str(head.value).startswith("prune_tol")
+    checked = isinstance(node, ast.Compare) or (
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "isfinite"
+    )
+    return checked and any(getattr(n, "id", None) == "prune_tol" for n in ast.walk(node))
+
+
+def test_prune_tol_is_read_through_one_rule():
+    # effective._prune_tol is the one reader of a pruning tolerance, for the
+    # model builder, cross_validate and --prune alike; a second reader would
+    # be a second rule, as when the builder took inf and cross_validate did not
+    found = [
+        (path.name, owner)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for owner in _owners(ast.parse(path.read_text()), _reads_prune_tol)
+    ]
+    assert found == [("effective.py", "_prune_tol")]
+    # --prune has no numeric check of its own either: the command line
+    # imports no numpy
+    cli = ast.parse((Path(floquet_forge.__file__).parent / "cli.py").read_text())
+    imported = [a.name for n in ast.walk(cli) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module for n in ast.walk(cli) if isinstance(n, ast.ImportFrom) and n.module]
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    # the check itself can fail
+    sample = (
+        "tol = _real(text, 'prune_tol')\n"
+        "def build_effective_model(lattice, drive, prune_tol=1e-10):\n"
+        "    if not prune_tol >= 0:\n"
+        "        raise ValidationError(f'prune_tol must be >= 0, got {prune_tol}')\n"
+        "def cross_validate(report, model, prune_tol):\n"
+        "    return np.isfinite(prune_tol)\n"
+        "def _tolerance(text):\n"
+        "    return _prune_tol(float(text))\n"
+        "class Cut:\n"
+        "    def check(self, value):\n"
+        "        raise ValidationError(f'prune_tol must be finite, got {value}')\n"
+    )
+    assert list(_owners(ast.parse(sample), _reads_prune_tol)) == [
+        "<module>", "build_effective_model", "cross_validate", "Cut"
+    ]
+
+
+def _windows_harmonics(node) -> bool:
+    """A definition of ``_split`` or a slice of an attribute ``coefficients``,
+    the (2N+1) window of a bond's harmonics."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name == "_split"
+    return (
+        isinstance(node, ast.Subscript)
+        and getattr(node.value, "attr", None) == "coefficients"
+        and any(isinstance(n, ast.Slice) for n in ast.walk(node.slice))
+    )
+
+
+def test_the_harmonic_window_is_split_in_one_place():
+    # drive._split alone cuts a coefficient window into g^n, g^{-n} and g^0;
+    # a method or function that slices the window again is a second owner
+    found = [
+        (path.name, owner)
+        for path in sorted(Path(floquet_forge.__file__).parent.glob("*.py"))
+        for owner in _owners(ast.parse(path.read_text()), _windows_harmonics)
+    ]
+    assert found == [("drive.py", "_split")]
+    # the check itself can fail
+    sample = (
+        "def _split(G):\n"
+        "    return G[:, 1:]\n"
+        "class BondHarmonics:\n"
+        "    def positive(self):\n"
+        "        return self.coefficients[self.cutoff + 1:]\n"
+        "def coeff(h, n):\n"
+        "    return h.coefficients[n + h.cutoff]\n"
+        "def beta(h1, h2):\n"
+        "    return h1.coefficients[None, ::-1] * h2.coefficients[0]\n"
+    )
+    assert list(_owners(ast.parse(sample), _windows_harmonics)) == ["_split", "BondHarmonics", "beta"]
+
+
 def _unique_calls(tree):
     """The top-level function (or class, or '<module>') around every call of
     numpy's ``unique``, as ``np.unique``, ``numpy.unique`` or an imported

@@ -798,17 +798,26 @@ def test_sweeps_reach_every_propagation_through_propagate_period(monkeypatch):
 def test_bloch_matrices_are_reached_through_the_module_attributes(monkeypatch):
     # the benchmark counts bloch_matrix calls by replacing the function where
     # effective_bloch (effective.bloch_matrix) and the comparison core
-    # (floquet.bloch_matrix) look it up: a path that held its own reference
-    # would zero that count without failing anything; effective_bloch makes
-    # one call for both orders
+    # (floquet.bloch_matrix, for order 0 alone) look it up: a path that held
+    # its own reference would zero that count without failing anything.
+    # effective_bloch makes one call for both orders, so an order-1 sweep
+    # reaches effective.bloch_matrix once per model and an order-0 sweep
+    # floquet.bloch_matrix once per model
     lat = preset("zigzag")
     base = circular_drive(10.0, 15.0)
     model = build_effective_model(lat, base)
     omegas = [10.0, 20.0, 40.0, 80.0]
     assert model.order1
+
+    def sweep(order):
+        return lambda: error_matrix(lat, lambda w: rescale_drive(base, w), [[0.5, 0.0]], omegas, order)
+
     for module, call, count in (
         (effective, lambda: effective_bloch(model, [0.5, 0.0]), 1),
-        (floquet, lambda: error_matrix(lat, lambda w: rescale_drive(base, w), [[0.5, 0.0]], omegas), 8),
+        (effective, sweep(1), 4),
+        (floquet, sweep(1), 0),
+        (floquet, sweep(0), 4),
+        (effective, sweep(0), 0),
     ):
         calls = []
 
@@ -930,12 +939,12 @@ def test_a_sweep_over_a_model_without_bonds_fails_before_any_propagation(monkeyp
     assert calls == []
 
 
-@pytest.mark.parametrize("name, per_model", [("kagome", 2), ("chain", 1)])
+@pytest.mark.parametrize("name, per_model", [("kagome", 2), ("chain", 2)])
 def test_each_sweep_point_builds_its_order_0_bloch_matrix_once(monkeypatch, name, per_model):
-    # order 1 adds its blocks to the order-0 matrix instead of rebuilding it;
-    # the chain's order 1 is empty, so order 0 serves both orders. Each model
-    # makes one order-0 call and at most one order-1 call, each over the
-    # stack of distinct k, every one of them exactly once
+    # one Bloch call per requested order per model: order 0 alone, and
+    # effective_bloch's one call over both orders, also where order 1 is
+    # empty (the chain's); each over the stack of distinct k, every one of
+    # them exactly once
     lat = preset(name)
     base = circular_drive(10.0, 15.0) if lat.space_dim == 2 else linear_drive(10.0, [15.0])
     ks = [np.full(lat.space_dim, 0.3), np.full(lat.space_dim, -0.7)]

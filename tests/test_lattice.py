@@ -271,6 +271,11 @@ REFUSALS = {
         lambda: LatticeSpec(1, [[1.0, 0.0]], [[0.0]], ()),
         "basis sites have 1 coordinates, bravais vectors have 2",
     ),
+    # not numpy's reshape error once a propagation stacks zero-site blocks
+    "no basis site": (
+        lambda: LatticeSpec(1, [[1.0]], np.zeros((0, 1)), ()),
+        "basis_sites must hold at least one site, got none",
+    ),
     "non-Bond entry": (lambda: LatticeSpec(1, [[1.0]], [[0.0]], (5,)), "bonds must be Bond instances"),
     "basis index": (
         lambda: LatticeSpec(1, [[1.0]], [[0.0]], (Bond(1, 0, (1,), -1.0),)),
