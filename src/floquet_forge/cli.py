@@ -37,7 +37,7 @@ from .kpath import named_kpath
 from .lattice import Geometry, classify_geometry
 from .presets import PRESET_NAMES, preset
 from .selection import CouplingClass, cross_validate, enumerate_processes
-from .serialization import bond_id, write_csv, write_json, write_text
+from .serialization import bond_id, write_all, write_csv, write_json, write_text
 
 __all__ = ["main"]
 
@@ -127,28 +127,28 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("check-geometry", help="classify the lattice geometry")
     _common_flags(q)
-    q.set_defaults(func=_cmd_check_geometry)
+    q.set_defaults(func=_cmd_check_geometry, needs_drive=False)
 
     q = sub.add_parser("fourier", help="per-bond harmonics of the driven tunneling")
     _common_flags(q)
     _cutoff_flag(q)
-    q.set_defaults(func=_cmd_fourier)
+    q.set_defaults(func=_cmd_fourier, needs_drive=True)
 
     q = sub.add_parser("effective", help="effective tunneling matrices to first order")
     _common_flags(q)
     _model_flags(q)
-    q.set_defaults(func=_cmd_effective)
+    q.set_defaults(func=_cmd_effective, needs_drive=True)
 
     q = sub.add_parser("selection-rules", help="geometric classification of couplings")
     _common_flags(q)
     _model_flags(q)
-    q.set_defaults(func=_cmd_selection)
+    q.set_defaults(func=_cmd_selection, needs_drive=False)
 
     q = sub.add_parser("bands", help="effective bands and exact quasienergies on a k-path")
     _common_flags(q)
     _model_flags(q)
     _sweep_flags(q, kpoints=24)
-    q.set_defaults(func=_cmd_bands)
+    q.set_defaults(func=_cmd_bands, needs_drive=True)
 
     q = sub.add_parser("verify", help="frequency sweep of the truncation error")
     _common_flags(q)
@@ -156,7 +156,7 @@ def _build_parser() -> _Parser:
     _sweep_flags(q, kpoints=4)
     q.add_argument("--omegas", default="10,20,40,80",
                    help="comma-separated sweep frequencies")
-    q.set_defaults(func=_cmd_verify)
+    q.set_defaults(func=_cmd_verify, needs_drive=True)
     return p
 
 
@@ -178,6 +178,10 @@ def _load_inputs(args) -> tuple:
             raise ValidationError("drive given both in config [drive] and on the command line")
         return lattice, cfg.drive, name
     if not flag_drive:
+        if args.needs_drive:
+            raise ValidationError(
+                "this command needs a drive: add a [drive] section or --omega with --circular/--linear"
+            )
         return lattice, None, name
     if args.omega is None:
         raise ValidationError("--circular/--linear require --omega")
@@ -191,14 +195,6 @@ def _load_inputs(args) -> tuple:
         raise ValidationError("--omega requires --circular or --linear")
     _check_drive_dim(lattice, drive)
     return lattice, drive, name
-
-
-def _require_drive(drive) -> DriveSpec:
-    if drive is None:
-        raise ValidationError(
-            "this command needs a drive: add a [drive] section or --omega with --circular/--linear"
-        )
-    return drive
 
 
 def _outdir(args) -> str:
@@ -257,26 +253,20 @@ def _cmd_check_geometry(args) -> int:
 
 def _cmd_fourier(args) -> int:
     lattice, drive, _ = _load_inputs(args)
-    drive = _require_drive(drive)
     outdir = _outdir(args)
     table = lattice_harmonics(lattice, drive, args.cutoff)
-    rows = []
-    cutoff = 0
-    for b in lattice.bonds:
-        h = table[b]
-        cutoff = h.cutoff
-        for n in range(-h.cutoff, h.cutoff + 1):
-            g = h.coeff(n)
-            rows.append((bond_id(b), n, g.real, g.imag, abs(g)))
-    path = os.path.join(outdir, "fourier.csv")
-    write_csv(path, ["bond", "n", "re", "im", "abs"], rows)
+    cutoff = next(iter(table.values())).cutoff
+    rows = [
+        (bond_id(b), n - cutoff, g.real, g.imag, abs(g))
+        for b in lattice.bonds for n, g in enumerate(map(complex, table[b].coefficients))
+    ]
+    [path] = write_all(outdir, [("fourier.csv", write_csv, ["bond", "n", "re", "im", "abs"], rows)])
     print(f"wrote {path}: {len(lattice.bonds)} bonds at cutoff {cutoff}")
     return 0
 
 
 def _cmd_effective(args) -> int:
     lattice, drive, name = _load_inputs(args)
-    drive = _require_drive(drive)
     outdir = _outdir(args)
     model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
     payload = {
@@ -290,8 +280,7 @@ def _cmd_effective(args) -> int:
         "order0": _offsets_payload(model.order0),
         "order1": _offsets_payload(model.order1),
     }
-    path = os.path.join(outdir, "effective.json")
-    write_json(path, payload)
+    [path] = write_all(outdir, [("effective.json", write_json, payload)])
     print(
         f"wrote {path}: {len(model.order0)} leading and "
         f"{len(model.order1)} first-order offset classes"
@@ -354,9 +343,8 @@ def _cmd_selection(args) -> int:
             "violations": [] if verdict is None else list(verdict.violations),
         },
     }
-    write_json(os.path.join(outdir, "selection.json"), payload)
     text = _selection_table(report)
-    write_text(os.path.join(outdir, "selection.txt"), text)
+    write_all(outdir, [("selection.json", write_json, payload), ("selection.txt", write_text, text)])
     print(text, end="")
     if verdict is not None:
         if not verdict.consistent:
@@ -367,7 +355,6 @@ def _cmd_selection(args) -> int:
 
 def _cmd_bands(args) -> int:
     lattice, drive, name = _load_inputs(args)
-    drive = _require_drive(drive)
     kp = named_kpath(lattice, args.kpath, args.kpoints)
     outdir = _outdir(args)
     model = build_effective_model(lattice, drive, args.gauge, args.cutoff, args.prune)
@@ -379,12 +366,8 @@ def _cmd_bands(args) -> int:
         for ik, k in enumerate(kp.points)
         for band, (e, q) in enumerate(zip(E[0, 0, ik], Q[0, 0, ik]))
     ]
-    path = os.path.join(outdir, "bands.csv")
-    write_csv(
-        path,
-        ["k_distance", *coord_names, "band", "effective_energy", "quasienergy"],
-        rows,
-    )
+    header = ["k_distance", *coord_names, "band", "effective_energy", "quasienergy"]
+    [path] = write_all(outdir, [("bands.csv", write_csv, header, rows)])
     print(
         f"wrote {path}: path {kp.labels}, {len(kp.points)} k-points, "
         f"{lattice.basis_count} bands"
@@ -394,7 +377,6 @@ def _cmd_bands(args) -> int:
 
 def _cmd_verify(args) -> int:
     lattice, drive, name = _load_inputs(args)
-    drive = _require_drive(drive)
     omegas = _sweep_omegas(_float_list(args.omegas, "--omegas"))
     kp = named_kpath(lattice, args.kpath, args.kpoints)
     outdir = _outdir(args)
@@ -423,8 +405,6 @@ def _cmd_verify(args) -> int:
         for iw in range(len(omegas))
         for ik in range(len(kp.points))
     ]
-    csv_path = os.path.join(outdir, "verify.csv")
-    write_csv(csv_path, ["omega", "k_index", *coord_names, "error"], rows)
     payload = {
         "version": __version__,
         "lattice": _lattice_payload(lattice, name),
@@ -442,8 +422,10 @@ def _cmd_verify(args) -> int:
         "excluded_errors": fit.excluded_errors,
         "passed": passed,
     }
-    json_path = os.path.join(outdir, "verify.json")
-    write_json(json_path, payload)
+    csv_path, json_path = write_all(outdir, [
+        ("verify.csv", write_csv, ["omega", "k_index", *coord_names, "error"], rows),
+        ("verify.json", write_json, payload),
+    ])
     print(
         f"wrote {csv_path} and {json_path}: slope {fit.slope:.3f} "
         f"(expected about {expected:g})"

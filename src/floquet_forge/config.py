@@ -134,8 +134,6 @@ def lattice_from_items(items) -> tuple:
         _bond_from_table(v, i + 1, sites)
         for i, (k, v) in enumerate(kv for kv in items if kv[0] == "bond")
     ]
-    if not bonds:
-        raise ValidationError("[lattice] needs at least one bond")
     return _built("[lattice]", LatticeSpec, dimension, bravais, basis, tuple(bonds)), None
 
 

@@ -235,8 +235,6 @@ def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None
     with bit-equal displacement and amplitude share one read-only array.
     """
     _check_drive_dim(lattice, drive)
-    if not lattice.bonds:
-        return {}
     table = lattice._pairs
     amplitudes = [lattice.bonds[i].amplitude for i in table.distinct]
     n, coefficients = _harmonics_at(

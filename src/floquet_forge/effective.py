@@ -167,8 +167,6 @@ def _order0_from_harmonics(lattice, G) -> tuple:
 
 def _order1_from_harmonics(lattice, G, gauge, omega, prune_tol) -> tuple:
     table = lattice._pairs
-    if not len(table.first):
-        return ()
     index = (table.total_index, table.target, table.source)
     betas = _two_step(G, table.first, table.second, omega, gauge)
     blocks = _symmetrize(_scatter(len(table.totals), index, betas, lattice.basis_count))
@@ -219,9 +217,9 @@ def build_effective_model(
     gauge = Gauge.parse(gauge)
     prune_tol = _prune_tol(prune_tol)
     h = lattice_harmonics(lattice, drive, cutoff)
-    used_cutoff = next(iter(h.values())).cutoff if h else 0
-    # one (2N+1)-coefficient row per bond, for both orders; (0, 1) without bonds
-    G = np.array([h[b].coefficients for b in lattice.bonds]).reshape(len(h), 2 * used_cutoff + 1)
+    used_cutoff = next(iter(h.values())).cutoff
+    # one (2N+1)-coefficient row per bond, for both orders
+    G = np.array([h[b].coefficients for b in lattice.bonds])
     return EffectiveModel(
         order0=_order0_from_harmonics(lattice, G),
         order1=_order1_from_harmonics(lattice, G, gauge, drive.omega, prune_tol),

@@ -298,10 +298,9 @@ def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, phases: np.ndarray) 
     d = lattice.basis_count
     bonds = lattice.bonds
     H = np.zeros((phases.shape[1], d, d), dtype=complex)
-    # shaped (bonds, space_dim) also when a lattice has no bonds
     R = np.array([np.asarray(b.cell_offset, dtype=float) @ lattice.bravais_vectors for b in bonds])
     # one scalar dot kernel per bond, as in bloch_matrix: R @ k rounds differently
-    kR = np.vecdot(R.reshape(len(bonds), len(k)), k)
+    kR = np.vecdot(R, k)
     for b, row, x in zip(bonds, lattice._pairs.distinct_of, kR):
         H[:, b.target_basis, b.source_basis] += b.amplitude * np.exp(1j * x) * phases[row]
     return H
@@ -673,12 +672,12 @@ def magnus_commutator_probe(
 ) -> float:
     """Largest commutator matrix element of [H(t1), H(t2)] on a finite torus.
 
-    Zero for every single-site-basis lattice (blocks are scalars), for t1 =
-    t2 and without bonds; a generically nonzero value signals that the
-    leading effective Hamiltonian cannot be exact. Torus extents must cover
-    twice the largest bond offset. Every block row of the torus matrix holds
-    the sums, in ascending offset order, of the classes whose offsets agree
-    modulo the extents, so the cost does not grow with the torus.
+    Zero for every single-site-basis lattice (blocks are scalars) and for
+    t1 = t2; a generically nonzero value signals that the leading effective
+    Hamiltonian cannot be exact. Torus extents must cover twice the largest
+    bond offset. Every block row of the torus matrix holds the sums, in
+    ascending offset order, of the classes whose offsets agree modulo the
+    extents, so the cost does not grow with the torus.
     """
     offsets = commutator_offsets(lattice, drive, t1, t2)
     extents = _torus_extents(torus, lattice.dimension, [b.cell_offset for b in lattice.bonds])
@@ -687,4 +686,4 @@ def magnus_commutator_probe(
     for om in offsets:
         r = tuple(x % L for x, L in zip(om.offset, extents))
         sums[r] = sums.get(r, np.zeros((d, d), dtype=complex)) + om.matrix
-    return max((float(np.abs(m).max()) for m in sums.values()), default=0.0)
+    return max(float(np.abs(m).max()) for m in sums.values())

@@ -240,6 +240,8 @@ class LatticeSpec:
                 if np.linalg.norm(S[i] - S[j]) < 1e-9:
                     raise ValidationError(f"basis sites {i} and {j} coincide")
         bonds = _items(self.bonds, "bonds")
+        if not bonds:
+            raise ValidationError("bonds must hold at least one bond, got none")
         for b in bonds:
             if not isinstance(b, Bond):
                 raise ValidationError("bonds must be Bond instances")
@@ -267,8 +269,6 @@ class LatticeSpec:
 
     def amplitude_scale(self) -> float:
         """max |j| over bonds, the reference scale for relative tolerances."""
-        if not self.bonds:
-            return 0.0
         return max(abs(b.amplitude) for b in self.bonds)
 
 
@@ -478,9 +478,7 @@ def _first_occurrences(points) -> list:
 
 def _pair_table(spec: LatticeSpec) -> _PairTable:
     bonds = spec.bonds
-    displacements = _readonly([spec.displacement(b) for b in bonds]).reshape(
-        len(bonds), spec.space_dim
-    )
+    displacements = _readonly([spec.displacement(b) for b in bonds])
     rows = [[*a, b.amplitude.real, b.amplitude.imag] for a, b in zip(displacements, bonds)]
     first = _first_occurrences(np.array(rows))
     distinct = sorted(set(first))

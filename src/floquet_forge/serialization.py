@@ -4,14 +4,16 @@ Identical inputs must produce bit-identical files, so floats are always
 rendered through one fixed 17-significant-digit format and JSON field order
 is the insertion order of the dicts built by the callers (never sorted at
 serialization time). Complex values become {"re": .., "im": ..} objects.
-Artifacts are rendered in memory; ``write_text`` is the one file writer.
+Artifacts are rendered in memory; ``write_all`` writes a command's set of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 from enum import Enum
 
 import numpy as np
@@ -34,13 +36,32 @@ def _cell(value) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path``; an OSError (a directory at the path, no
-    permission, a full disk) becomes ``cannot write <path>: <reason>``."""
+    """Write ``text`` to ``path``, a temporary file of ``write_all``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def write_all(outdir, artifacts) -> list:
+    """Write each ``(name, writer, *arguments)`` to a temporary file in ``outdir``,
+    then move them all into place, or none: on any error the files made here go,
+    and an OSError becomes ``cannot write <path>: <reason>``. Returns the paths."""
+    made, paths = [], []
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        for name, writer, *arguments in artifacts:
+            paths.append(path := os.path.join(outdir, name))
+            made.append(f"{path}.{os.getpid()}.tmp")
+            writer(made[-1], *arguments)
+        for i, path in enumerate(paths):
+            os.replace(made[i], path)
+            made[i] = path
+        made = []
+        return paths
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for leftover in made:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
 
 
 def write_csv(path, header, rows) -> None:

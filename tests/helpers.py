@@ -194,18 +194,31 @@ def rotation_map(spec, angle, centre) -> tuple:
     return site, shift, M
 
 
-def rotation_gap(blocks: dict, site, shift, M) -> float:
-    """Largest |B[site[t], site[s]](o @ M + shift[t] - shift[s]) - B[t, s](o)|
-    over the entries of the offset blocks {o: B(o)} (a missing block counts
-    as zero), relative to their largest entry."""
+def rotation_gap(blocks: dict, site, shift, M, images: dict | None = None) -> float:
+    """Largest |C[site[t], site[s]](o @ M + shift[t] - shift[s]) - B[t, s](o)|
+    over the entries of the offset blocks B = {o: B(o)}, where C is
+    ``images`` or else B itself (a missing block counts as zero), relative
+    to the largest entry of B."""
+    images = blocks if images is None else images
     zero = np.zeros_like(next(iter(blocks.values())))
     top = max(np.abs(m).max() for m in blocks.values())
     gap = 0.0
     for o, m in blocks.items():
         for t, s in np.ndindex(m.shape):
             image = tuple((np.array(o) @ M + shift[t] - shift[s]).tolist())
-            gap = max(gap, abs(blocks.get(image, zero)[site[t], site[s]] - m[t, s]))
+            gap = max(gap, abs(images.get(image, zero)[site[t], site[s]] - m[t, s]))
     return gap / top
+
+
+def shift_drive(drive, tau):
+    """The drive shifted in time, F'(t) = F(t + tau): each harmonic's
+    (A, B) becomes (A cos(m w tau) + B sin(m w tau), B cos(m w tau) - A sin(m w tau))."""
+    harmonics = []
+    for h in drive.harmonics:
+        c, s = np.cos(h.m * drive.omega * tau), np.sin(h.m * drive.omega * tau)
+        A, B = h.cos_amplitude, h.sin_amplitude
+        harmonics.append(Harmonic(h.m, A * c + B * s, B * c - A * s))
+    return DriveSpec(drive.omega, tuple(harmonics))
 
 
 def peierls_lattice(lattice, vector_potential):

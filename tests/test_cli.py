@@ -20,6 +20,7 @@ from floquet_forge import (
     preset,
     propagate_period,
 )
+from floquet_forge import serialization
 from floquet_forge.cli import _build_parser, main
 from floquet_forge.config import load_config
 from floquet_forge.floquet import offset_matrices_at_time
@@ -461,20 +462,65 @@ def test_output_that_is_not_a_directory_exits_1(tmp_path, capsys):
 
 
 def test_an_artifact_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys):
-    # a directory where a file goes: one line naming the path, not a traceback
+    # a directory where a file goes: one line naming the path, not a
+    # traceback, and none of the command's artifacts or temporaries left
     chain = ["--preset", "chain", "--omega", "10", "--linear", "13"]
+    zigzag = ["--preset", "zigzag", "--omega", "10", "--circular", "21.2"]
     for argv, name in (
         (["fourier", *chain], "fourier.csv"),
         (["effective", *chain], "effective.json"),
+        (["selection-rules", "--preset", "lieb"], "selection.json"),
         (["selection-rules", "--preset", "lieb"], "selection.txt"),
         (["bands", *chain, "--kpoints", "4"], "bands.csv"),
+        (["verify", *zigzag, "--kpoints", "2"], "verify.csv"),
+        (["verify", *zigzag, "--kpoints", "2"], "verify.json"),
     ):
-        blocked = tmp_path / argv[0] / name
+        blocked = tmp_path / name / name
         blocked.mkdir(parents=True)
         code, _, err = run(capsys, *argv, "--output", str(blocked.parent))
         assert code == 1, argv
         assert err == f"error: cannot write {blocked}: Is a directory\n"
-        assert blocked.is_dir() and not any(blocked.iterdir())
+        assert list(blocked.parent.iterdir()) == [blocked], name
+        assert not any(blocked.iterdir())
+
+
+def test_a_failed_write_keeps_no_artifact_and_propagates_other_errors(tmp_path):
+    # an error that is not an OSError, such as a refused non-finite value,
+    # removes the temporaries already written and is raised unchanged
+    def refuse(path, obj):
+        serialization.fmt_float(float("nan"))
+
+    with pytest.raises(ValidationError, match="^non-finite value nan cannot be serialized$"):
+        serialization.write_all(str(tmp_path), [
+            ("a.txt", serialization.write_text, "x\n"), ("b.json", refuse, {}),
+        ])
+    assert list(tmp_path.iterdir()) == []
+    paths = serialization.write_all(str(tmp_path), [("a.txt", serialization.write_text, "x\n")])
+    assert paths == [str(tmp_path / "a.txt")] and list(tmp_path.iterdir()) == [tmp_path / "a.txt"]
+
+
+def test_commands_that_need_a_drive_refuse_to_run_without_one(tmp_path, capsys):
+    # one declaration per command, one refusal, before --output is created
+    target = tmp_path / "out"
+    want = (
+        "error: this command needs a drive: add a [drive] section or --omega "
+        "with --circular/--linear\n"
+    )
+    for command in ("fourier", "effective", "bands", "verify"):
+        code, out, err = run(capsys, command, "--preset", "lieb", "--output", str(target))
+        assert (code, out, err) == (1, "", want), command
+        assert not target.exists()
+    for command in ("check-geometry", "selection-rules"):
+        code, _, err = run(capsys, command, "--preset", "lieb", "--output", str(target))
+        assert (code, err) == (0, ""), command
+
+
+def test_a_config_lattice_without_bonds_is_refused_with_the_library_text(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[lattice]\ndimension = 1\nbravais = [[1.0]]\nbasis = [[0.0], [0.5]]\n")
+    code, out, err = run(capsys, "check-geometry", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: [lattice] bonds must hold at least one bond, got none\n"
 
 
 def test_fourier_refuses_a_cutoff_above_the_cap(tmp_path, capsys):

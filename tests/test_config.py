@@ -290,6 +290,10 @@ CONSTRUCTOR_REFUSALS = {
         lambda: lattice_from_items(_zigzag(to=-1)),
         "[lattice] bond #1: 'to' must be a basis index in [0, 1], got -1",
     ),
+    "no bond": (
+        lambda: lattice_from_items(ZIGZAG_LATTICE[:3]),
+        "[lattice] bonds must hold at least one bond, got none",
+    ),
     "unknown preset": (
         lambda: lattice_from_items([("preset", "cubic")]),
         "[lattice] preset: unknown preset 'cubic'",

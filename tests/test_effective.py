@@ -19,7 +19,9 @@ from floquet_forge import (
     circular_drive,
     effective_bloch,
     lattice_harmonics,
+    match_distance,
     preset,
+    propagate_period,
     reciprocal_vectors,
 )
 from floquet_forge import effective
@@ -40,6 +42,7 @@ from helpers import (
     reference_lattice_harmonics,
     rotation_gap,
     rotation_map,
+    shift_drive,
     strong_drive,
     two_call_effective_bloch,
     two_pass_row_sums,
@@ -273,6 +276,7 @@ ROTATIONS = {
     "kagome": (3, lambda sites: sites.mean(axis=0)),  # centre of the basis triangle
     "lieb": (4, lambda sites: sites[0]),
 }
+ELLIPTIC = DriveSpec(10.0, (Harmonic(1, [15.0, 0.0], [0.0, 9.0]),))
 
 
 @pytest.mark.parametrize("name", ROTATIONS)
@@ -290,10 +294,63 @@ def test_order1_rates_keep_the_rotation_symmetry_of_the_presets(name):
     # an elliptic drive is no longer the same under the rotation, and the
     # rates of the two C3 lattices show it (about 5e-2 and 7e-2)
     if turns == 3:
-        elliptic = DriveSpec(10.0, (Harmonic(1, [15.0, 0.0], [0.0, 9.0]),))
-        broken = offset_dict(build_effective_model(lat, elliptic).order1)
+        broken = offset_dict(build_effective_model(lat, ELLIPTIC).order1)
         rotation = rotation_map(lat, 2 * np.pi / turns, centre(lat.basis_sites))
         assert rotation_gap(broken, *rotation) > 1e-2
+
+
+def _turn(name):
+    """The preset, its rotation map through one turn 2 pi / n, and that
+    rotation as a Cartesian matrix."""
+    lat = preset(name)
+    turns, centre = ROTATIONS[name]
+    angle = 2 * np.pi / turns
+    c, s = np.cos(angle), np.sin(angle)
+    return lat, turns, rotation_map(lat, angle, centre(lat.basis_sites)), np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("name", ROTATIONS)
+def test_floquet_gauge_rates_of_a_drive_rotate_into_those_of_the_drive_shifted_by_a_turn(name):
+    # the Floquet gauge is anchored at t = 0, so its rates are not covariant
+    # by themselves: those of the circular drive, mapped by the rotation,
+    # are the rates of the same drive shifted in time by T / n
+    lat, turns, rotation, _ = _turn(name)
+    circular = circular_drive(10.0, 15.0)
+
+    def rates(drive):
+        return offset_dict(build_effective_model(lat, drive, Gauge.FLOQUET).order1)
+
+    blocks = rates(circular)
+    shifted = rates(shift_drive(circular, circular.period / turns))
+    assert len(shifted) == len(blocks)
+    assert rotation_gap(blocks, *rotation, shifted) <= 1e-13
+    # without the shift the rates differ at O(1) (about 1.9), so the shift is checked
+    assert rotation_gap(blocks, *rotation) > 1.0
+    # an elliptic drive turned by the rotation is no time shift of itself (about 0.4)
+    broken = rates(ELLIPTIC)
+    assert rotation_gap(broken, *rotation, rates(shift_drive(ELLIPTIC, ELLIPTIC.period / turns))) > 0.1
+
+
+@pytest.mark.parametrize("name", ROTATIONS)
+def test_exact_quasienergies_keep_the_rotation_symmetry_of_the_presets(name):
+    # a rotation of the lattice that is a time shift of the drive maps the
+    # period propagator at k onto the one at R k, up to a unitary and a
+    # shift of the time origin, so both have the same quasienergies
+    lat, _, _, R = _turn(name)
+    ks = np.random.default_rng(35).normal(size=(4, 2))
+
+    def gap(drive):
+        return max(
+            match_distance(
+                propagate_period(lat, drive, k).quasienergies,
+                propagate_period(lat, drive, R @ k).quasienergies,
+                drive.omega,
+            )
+            for k in ks
+        ) / drive.omega
+
+    assert gap(circular_drive(10.0, 15.0)) <= 1e-12
+    assert gap(ELLIPTIC) > 1e-4
 
 
 def test_zigzag_first_order_blocks_are_diagonal():

@@ -915,28 +915,12 @@ def test_sweeps_refuse_a_drive_family_that_returns_no_drive():
         error_matrix(preset("chain"), lambda w: None, [[0.1]], [10.0, 20.0, 40.0, 80.0])
 
 
-def test_a_lattice_without_bonds_has_a_zero_hamiltonian():
-    # not a bare numpy ValueError from the bond stack of shape (0,)
-    empty = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())
-    drive = linear_drive(10.0, [5.0])
-    assert np.array_equal(bloch_hamiltonian_t(empty, drive, [0.3], 0.1), np.zeros((2, 2)))
-    spec = propagate_period(empty, drive, [0.3])
-    assert np.array_equal(spec.propagator, np.eye(2))
-    assert np.array_equal(spec.quasienergies, [0.0, 0.0])
-    with pytest.raises(ValidationError, match="^offset set is empty"):
-        error_matrix(empty, lambda w: linear_drive(w, [w]), [[0.3]], [10.0, 20.0, 40.0, 80.0])
-
-
-def test_a_sweep_over_a_model_without_bonds_fails_before_any_propagation(monkeypatch):
-    # every effective spectrum is taken first: the empty order-0 set is
-    # refused before the 4 x 3 propagations, not after them
-    empty = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())
-    calls = count_propagations(monkeypatch)
-    sweep = ([[0.1], [0.2], [0.3]], [10.0, 20.0, 40.0, 80.0])
-    for call in (error_matrix, scaling_errors):
-        with pytest.raises(ValidationError, match="^offset set is empty"):
-            call(empty, lambda w: linear_drive(w, [w]), *sweep)
-    assert calls == []
+def test_a_lattice_without_bonds_is_refused_naming_bonds():
+    # a geometry without a bond has no dynamics: it used to give an identity
+    # propagator and an empty model that every sweep then refused
+    for bonds in ((), []):
+        with pytest.raises(ValidationError, match="^bonds must hold at least one bond, got none$"):
+            LatticeSpec(1, [[1.0]], [[0.0], [0.5]], bonds)
 
 
 @pytest.mark.parametrize("name, per_model", [("kagome", 2), ("chain", 2)])
@@ -1088,8 +1072,6 @@ def test_commutator_probe_sums_offset_classes_modulo_the_torus():
                 dense = torus_hamiltonian(table, extents, lat.basis_count)
                 want = float(np.abs(dense).max())
                 assert magnus_commutator_probe(lat, drive, t1, t2, extents) == want
-    empty = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())
-    assert magnus_commutator_probe(empty, linear_drive(10.0, [5.0]), 0.1, 0.2, (3,)) == 0.0
 
 
 def test_commutator_probe_memory_does_not_grow_with_the_torus():
@@ -1159,7 +1141,6 @@ def test_offset_matrices_at_time_match_a_dict_loop_on_any_lattice():
     rng = np.random.default_rng(43)
     lattices = [preset(name) for name in PRESET_NAMES]
     lattices += [random_lattice(rng, int(rng.integers(1, 4))) for _ in range(12)]
-    lattices.append(LatticeSpec(2, np.eye(2), [[0.0, 0.0], [0.5, 0.5]], ()))
     for lat in lattices:
         drive = random_drive(rng, lat.space_dim, omega=float(rng.uniform(6.0, 15.0)))
         for t in rng.uniform(0.0, drive.period, size=2):
@@ -1169,7 +1150,6 @@ def test_offset_matrices_at_time_match_a_dict_loop_on_any_lattice():
             got = offset_matrices_at_time(lat, drive, float(t))
             assert [om.offset for om in got] == [om.offset for om in want]
             assert all(g.matrix.tobytes() == w.matrix.tobytes() for g, w in zip(got, want))
-    assert offset_matrices_at_time(lattices[-1], drive, 0.1) == ()
 
 
 def test_bloch_hamiltonian_t_is_hermitian_and_periodic():

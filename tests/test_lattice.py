@@ -88,21 +88,24 @@ def test_bond_normalizes_and_validates():
         Bond(0, 0, (0, 0), 1.0)
 
 
+BONDS = (Bond(0, 0, (1,), -1.0),)  # a one-dimensional lattice needs at least one bond
+
+
 def test_integer_fields_refuse_bools_and_non_integers():
     for build in (
         lambda: Bond(True, 0, (1,), -1.0),
         lambda: Bond(0, 1.5, (1,), -1.0),
         lambda: Bond(0, 0, (1.5,), -1.0),
         lambda: Bond(0, 0, (np.True_,), -1.0),
-        lambda: LatticeSpec(True, [[1.0]], [[0.0]], ()),
-        lambda: LatticeSpec(1.0, [[1.0]], [[0.0]], ()),
+        lambda: LatticeSpec(True, [[1.0]], [[0.0]], BONDS),
+        lambda: LatticeSpec(1.0, [[1.0]], [[0.0]], BONDS),
     ):
         with pytest.raises(ValidationError, match="must be an integer"):
             build()
     # numpy integers are integers, stored as plain ints
     b = Bond(np.int64(1), np.int32(0), (np.int64(-1),), -1.0)
     assert [type(x) for x in (b.target_basis, b.source_basis, *b.cell_offset)] == [int] * 3
-    assert type(LatticeSpec(np.int64(1), [[1.0]], [[0.0]], ()).dimension) is int
+    assert type(LatticeSpec(np.int64(1), [[1.0]], [[0.0]], BONDS).dimension) is int
 
 
 KAGOME = preset("kagome")
@@ -197,7 +200,7 @@ def test_numpy_scalars_and_numeric_arrays_are_read_as_numbers():
     assert Bond(0, 0, (1,), np.float32(0.5)).amplitude == 0.5
     assert Bond(0, 0, (1,), np.complex128(1 - 2j)).amplitude == 1 - 2j
     assert preset("chain", np.float32(-0.5)).bonds[0].amplitude == -0.5
-    lat = LatticeSpec(1, np.array([[2]]), np.array([[0.0], [0.5]], dtype=np.float32), ())
+    lat = LatticeSpec(1, np.array([[2]]), np.array([[0.0], [0.5]], dtype=np.float32), BONDS)
     assert lat.bravais_vectors.tolist() == [[2.0]] and lat.basis_sites.tolist() == [[0.0], [0.5]]
     h = Harmonic(1, np.array([1, 2]), [np.float32(0.5), np.int64(3)])
     assert h.cos_amplitude.tolist() == [1.0, 2.0] and h.sin_amplitude.tolist() == [0.5, 3.0]
@@ -794,9 +797,6 @@ def test_pair_table_lists_composable_pairs_in_double_loop_order(monkeypatch):
         for index in table.bond_index:
             assert index.dtype == np.intp and len(index) == len(lat.bonds)
             assert not index.flags.writeable
-    bare = LatticeSpec(1, [[1.0]], [[0.0], [0.5]], ())._pairs
-    assert bare.offsets == bare.totals == ()
-    assert [(len(a), a.dtype, a.flags.writeable) for a in bare.bond_index] == [(0, np.intp, False)] * 3
 
 
 def test_reciprocal_vectors_are_dual():
