@@ -50,9 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _common_flags(p) -> None:
+def _common_flags(p, lattice_only: bool = False) -> None:
     p.add_argument("--preset", help=f"built-in lattice, one of {PRESET_NAMES}")
     p.add_argument("--config", help="config file with [lattice] and optional [drive]")
+    if lattice_only:
+        return
     p.add_argument("--output", default=".", metavar="DIR", help="output directory")
     p.add_argument("--omega", type=float, help="drive frequency for --circular/--linear")
     p.add_argument("--circular", type=float, metavar="F0", help="circular force of magnitude F0")
@@ -74,7 +76,15 @@ def _gauge(text: str) -> Gauge:
         raise argparse.ArgumentTypeError(f"must be one of {names}, got {text!r}") from None
 
 
-class _Count(argparse.Action):
+class _Given(argparse.Action):
+    """Stores an option, noting its flag in ``given`` for ``_load_inputs``."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
+class _Count(_Given):
     """Stores an integer option, refusing one below 1 (or above ``cap``)
     while the flags are parsed."""
 
@@ -84,7 +94,7 @@ class _Count(argparse.Action):
         if value < 1 or (self.cap is not None and value > self.cap):
             bound = ">= 1" if self.cap is None else f"in [1, {self.cap}]"
             raise argparse.ArgumentError(self, f"must be an integer {bound}, got {value}")
-        setattr(namespace, self.dest, value)
+        super().__call__(parser, namespace, value, option_string)
 
 
 class _Cutoff(_Count):
@@ -104,11 +114,12 @@ def _float_list(text: str, flag: str) -> list:
 
 
 def _model_flags(p, prune: bool = True) -> None:
-    p.add_argument("--gauge", type=_gauge, default="static-free", help="floquet or static-free")
+    p.add_argument("--gauge", type=_gauge, default="static-free", action=_Given,
+                   help="floquet or static-free")
     _cutoff_flag(p)
     if prune:
-        p.add_argument("--prune", type=_tolerance, default=DEFAULT_PRUNE_TOL, metavar="TOL",
-                       help="relative first-order pruning threshold")
+        p.add_argument("--prune", type=_tolerance, default=DEFAULT_PRUNE_TOL, action=_Given,
+                       metavar="TOL", help="relative first-order pruning threshold")
 
 
 def _sweep_flags(p, kpoints: int) -> None:
@@ -126,7 +137,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     q = sub.add_parser("check-geometry", help="classify the lattice geometry")
-    _common_flags(q)
+    _common_flags(q, lattice_only=True)
     q.set_defaults(func=_cmd_check_geometry, needs_drive=False)
 
     q = sub.add_parser("fourier", help="per-bond harmonics of the driven tunneling")
@@ -172,15 +183,17 @@ def _load_inputs(args) -> tuple:
     else:
         raise ValidationError("a lattice is required: pass --preset or --config")
 
-    flag_drive = args.circular is not None or args.linear is not None or args.omega is not None
+    flag_drive = any(getattr(args, f, None) is not None for f in ("circular", "linear", "omega"))
     if cfg is not None and cfg.drive is not None:
         if flag_drive:
             raise ValidationError("drive given both in config [drive] and on the command line")
         return lattice, cfg.drive, name
     if not flag_drive:
-        if args.needs_drive:
+        unused = [f for f in getattr(args, "given", ()) if f in ("--gauge", "--cutoff", "--prune")]
+        if args.needs_drive or unused:
             raise ValidationError(
-                "this command needs a drive: add a [drive] section or --omega with --circular/--linear"
+                f"{unused[0] if unused else 'this command'} needs a drive: "
+                "add a [drive] section or --omega with --circular/--linear"
             )
         return lattice, None, name
     if args.omega is None:

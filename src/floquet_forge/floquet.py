@@ -81,8 +81,6 @@ from .lattice import (
     _scatter,
     _torus_extents,
     bloch_matrix,
-    from_offset_dict,
-    offset_dict,
 )
 
 __all__ = [
@@ -643,30 +641,6 @@ def scaling_errors(
     return {o: e.max(axis=1) for o, e in zip(orders, errors)}
 
 
-def commutator_offsets(lattice: LatticeSpec, drive: DriveSpec, t1: float, t2: float) -> tuple:
-    """Offset classes of the commutator of the Hamiltonian with itself at two
-    times, [H(t1), H(t2)].
-
-    Terms are grouped by unordered offset pair so that the two degenerate
-    cases come out as exact floating-point zeros: equal times (each group is
-    x - x) and scalar blocks (complex multiplication commutes bitwise).
-    """
-    C = offset_dict(offset_matrices_at_time(lattice, drive, t1))
-    D = offset_dict(offset_matrices_at_time(lattice, drive, t2))
-    d = lattice.basis_count
-    offs = sorted(C)
-    table = {}
-    for i, o1 in enumerate(offs):
-        for o2 in offs[i:]:
-            total = tuple(x + y for x, y in zip(o1, o2))
-            m = table.setdefault(total, np.zeros((d, d), dtype=complex))
-            if o1 == o2:
-                m += C[o1] @ D[o2] - D[o1] @ C[o2]
-            else:
-                m += (C[o1] @ D[o2] - D[o2] @ C[o1]) + (C[o2] @ D[o1] - D[o1] @ C[o2])
-    return from_offset_dict(table)
-
-
 def magnus_commutator_probe(
     lattice: LatticeSpec, drive: DriveSpec, t1: float, t2: float, torus
 ) -> float:
@@ -675,15 +649,22 @@ def magnus_commutator_probe(
     Zero for every single-site-basis lattice (blocks are scalars) and for
     t1 = t2; a generically nonzero value signals that the leading effective
     Hamiltonian cannot be exact. Torus extents must cover twice the largest
-    bond offset. Every block row of the torus matrix holds the sums, in
-    ascending offset order, of the classes whose offsets agree modulo the
-    extents, so the cost does not grow with the torus.
+    bond offset. One stacked bracket over the offset pairs i <= j groups each
+    pair's terms so that both cases give exact zeros (x - x; scalar products
+    commute bitwise); ``_scatter`` sums them by total offset, then those
+    classes, ascending, modulo the extents: every block row of the torus
+    matrix holds these sums, so the cost does not grow with the torus.
     """
-    offsets = commutator_offsets(lattice, drive, t1, t2)
+    C, D = (np.stack([om.matrix for om in offset_matrices_at_time(lattice, drive, t)]) for t in (t1, t2))
     extents = _torus_extents(torus, lattice.dimension, [b.cell_offset for b in lattice.bonds])
-    d = lattice.basis_count
-    sums = {}
-    for om in offsets:
-        r = tuple(x % L for x, L in zip(om.offset, extents))
-        sums[r] = sums.get(r, np.zeros((d, d), dtype=complex)) + om.matrix
-    return max(float(np.abs(m).max()) for m in sums.values())
+    i, j = np.triu_indices(len(C))
+    P, Q = C[:, None] @ D[None], D[:, None] @ C[None]  # P[i, j] = C_i D_j, Q[i, j] = D_i C_j
+    terms = np.where((i == j)[:, None, None], P[i, i] - Q[i, i], (P[i, j] - Q[j, i]) + (P[j, i] - Q[i, j]))
+
+    def summed(values, keys):  # per distinct key, ascending, each in the given order
+        rows = {key: n for n, key in enumerate(sorted(set(keys)))}
+        return _scatter(len(rows), ([rows[key] for key in keys],), values, lattice.basis_count)
+
+    totals = [tuple(o) for o in np.array(lattice._pairs.offsets)[[i, j]].sum(axis=0).tolist()]
+    residues = [tuple(x % L for x, L in zip(o, extents)) for o in sorted(set(totals))]
+    return float(np.abs(summed(summed(terms, totals), residues)).max())

@@ -23,7 +23,8 @@ results). One array pass over (k, offset) gives every k's matrix, for one k
 or a stack, with the bits of a call for that k and each set alone. A
 lattice's drive-independent two-step data, its pair table, is no cache: a
 ``LatticeSpec`` builds it at construction and keeps it, as ``_pairs``; it
-decides where ``_scatter`` puts each bond or pair amplitude in offset blocks.
+decides where ``_scatter``, the one placement of offset blocks, puts each
+bond or pair amplitude. The commutator probe sums its blocks through it too.
 """
 
 from __future__ import annotations
@@ -346,10 +347,6 @@ def offset_dict(offsets) -> dict:
     return out
 
 
-def from_offset_dict(table: dict) -> tuple:
-    return tuple(OffsetMatrix(k, v) for k, v in sorted(table.items()))
-
-
 def _offset_sets(offsets) -> tuple:
     """``offsets``, one offset set or a sequence of sets, as a tuple of tuples
     of ``OffsetMatrix``; any other entry, or no block at all, is refused."""
@@ -517,8 +514,8 @@ def _pair_table(spec: LatticeSpec) -> _PairTable:
 
 def _scatter(count: int, index: tuple, values, d: int) -> np.ndarray:
     """A (count, d, d) stack of zero blocks with each value added at its
-    (block, row, column) of ``index``, unbuffered and in the given order, so
-    an entry hit twice sums its values in that order."""
+    (block, row, column) of ``index``, or whole at its ``(block,)``, unbuffered
+    and in the given order, so an entry hit twice sums its values in that order."""
     blocks = np.zeros((count, d, d), dtype=complex)
     np.add.at(blocks, index, values)
     return blocks

@@ -11,6 +11,7 @@ from floquet_forge import (
     Gauge,
     Harmonic,
     LatticeSpec,
+    OffsetMatrix,
     bloch_matrix,
     build_effective_model,
     effective,
@@ -23,11 +24,8 @@ from floquet_forge import (
 )
 from floquet_forge.drive import _harmonics_at, _split
 from floquet_forge.effective import _two_step
-from floquet_forge.lattice import (
-    _torus_extents,
-    from_offset_dict,
-    offset_dict,
-)
+from floquet_forge.floquet import offset_matrices_at_time
+from floquet_forge.lattice import _torus_extents, offset_dict
 
 
 def random_drive(rng, dim, omega=None, max_harmonics=3, scale=3.0):
@@ -160,9 +158,16 @@ def random_offset_matrices(rng, dim, block, count=3, reach=1):
         off = tuple(int(x) for x in rng.integers(-reach, reach + 1, size=dim))
         m = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
         table[off] = table.get(off, 0) + m
-    from floquet_forge import OffsetMatrix
-
     return tuple(OffsetMatrix(o, m) for o, m in sorted(table.items()))
+
+
+# the rotations of the planar presets: (turns n of the C_n, its centre from
+# the basis sites)
+ROTATIONS = {
+    "hexagonal": (3, lambda sites: sites[0]),
+    "kagome": (3, lambda sites: sites.mean(axis=0)),  # centre of the basis triangle
+    "lieb": (4, lambda sites: sites[0]),
+}
 
 
 def rotation_map(spec, angle, centre) -> tuple:
@@ -372,6 +377,12 @@ def bond_blocks(spec, values) -> dict:
     return table
 
 
+def from_offset_dict(table: dict) -> tuple:
+    """{offset: matrix} as an offset set, ascending, through the public
+    ``OffsetMatrix`` checks."""
+    return tuple(OffsetMatrix(k, v) for k, v in sorted(table.items()))
+
+
 def undriven_offsets(spec):
     """The bare tunneling matrices J_offset of the static Hamiltonian."""
     return from_offset_dict(bond_blocks(spec, [b.amplitude for b in spec.bonds]))
@@ -451,6 +462,27 @@ def gauge_difference_errors(lattice, drive_family, k_set, omegas):
             for k in k_set
         )
     return out
+
+
+def commutator_offsets(lattice, drive, t1, t2) -> tuple:
+    """Offset classes of [H(t1), H(t2)], by a dict loop over the unordered
+    pairs of ascending offsets: the tests' oracle for the probe's stacked
+    bracket. Each pair's terms are grouped so that equal times and scalar
+    blocks give exact zeros."""
+    C = offset_dict(offset_matrices_at_time(lattice, drive, t1))
+    D = offset_dict(offset_matrices_at_time(lattice, drive, t2))
+    d = lattice.basis_count
+    offs = sorted(C)
+    table = {}
+    for i, o1 in enumerate(offs):
+        for o2 in offs[i:]:
+            total = tuple(x + y for x, y in zip(o1, o2))
+            m = table.setdefault(total, np.zeros((d, d), dtype=complex))
+            if o1 == o2:
+                m += C[o1] @ D[o2] - D[o1] @ C[o2]
+            else:
+                m += (C[o1] @ D[o2] - D[o2] @ C[o1]) + (C[o2] @ D[o1] - D[o1] @ C[o2])
+    return from_offset_dict(table)
 
 
 def translational_identity_check(C, D, torus):

@@ -423,7 +423,7 @@ def test_cli_surface_is_pinned():
     sweep = model + ["--kpath", "--kpoints", "--order"]
     want = {
         None: ["--version"],
-        "check-geometry": common,
+        "check-geometry": ["--config", "--preset"],
         "fourier": common + ["--cutoff"],
         "effective": model + ["--prune"],
         "selection-rules": model + ["--prune"],
@@ -510,9 +510,58 @@ def test_commands_that_need_a_drive_refuse_to_run_without_one(tmp_path, capsys):
         code, out, err = run(capsys, command, "--preset", "lieb", "--output", str(target))
         assert (code, out, err) == (1, "", want), command
         assert not target.exists()
-    for command in ("check-geometry", "selection-rules"):
-        code, _, err = run(capsys, command, "--preset", "lieb", "--output", str(target))
-        assert (code, err) == (0, ""), command
+    assert run(capsys, "check-geometry", "--preset", "lieb")[::2] == (0, "")
+    code, _, err = run(capsys, "selection-rules", "--preset", "lieb", "--output", str(target))
+    assert (code, err) == (0, "")
+
+
+def test_check_geometry_takes_only_a_lattice(tmp_path, capsys):
+    # it writes nothing and reads no drive, so --output and the drive flags
+    # used to be accepted and ignored
+    target = tmp_path / "c"
+    for flags in (
+        ["--omega", "10", "--circular", "3", "--output", str(target)],
+        ["--output", str(target)],
+        ["--omega", "10"],
+        ["--circular", "3"],
+        ["--linear", "1,0"],
+    ):
+        code, out, err = run(capsys, "check-geometry", "--preset", "kagome", *flags)
+        assert (code, out) == (1, ""), flags
+        assert err.startswith("error: unrecognized arguments: ") and flags[0] in err, flags
+    assert not target.exists()
+    # a config's [drive] section is optional for it, and still read by no one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('[lattice]\npreset = "kagome"\n[drive]\nomega = 18.0\nharmonic = {m = 1, a = [12.0, 0.0]}\n')
+    code, out, err = run(capsys, "check-geometry", "--config", str(cfg))
+    assert (code, err) == (0, "") and out.startswith("Non-Bravais")
+
+
+def test_selection_rules_refuses_model_flags_without_a_drive(tmp_path, capsys):
+    # without a drive there is no model for --gauge, --cutoff or --prune to
+    # act on; they used to be accepted and to leave the artifacts unchanged
+    target = tmp_path / "out"
+    tail = " needs a drive: add a [drive] section or --omega with --circular/--linear\n"
+    for flags, flag in (
+        (["--gauge", "floquet"], "--gauge"),
+        (["--gauge", "static-free"], "--gauge"),
+        (["--gau", "floquet"], "--gauge"),
+        (["--cutoff", "8"], "--cutoff"),
+        (["--prune", "0.5"], "--prune"),
+        (["--prune=1e-10"], "--prune"),
+        (["--prune", "0.5", "--gauge", "floquet", "--cutoff", "8"], "--prune"),
+    ):
+        code, out, err = run(capsys, "selection-rules", "--preset", "lieb", *flags, "--output", str(target))
+        assert (code, out, err) == (1, "", f"error: {flag}{tail}"), flags
+    assert not target.exists()
+    # with a drive, from the flags or a config, each of them acts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('[lattice]\npreset = "lieb"\n[drive]\nomega = 20.0\nharmonic = {m = 1, a = [24.0, 0.0], b = [0.0, 24.0]}\n')
+    for inputs in (["--preset", "lieb", "--omega", "20", "--circular", "24"], ["--config", str(cfg)]):
+        flags = ["--prune", "0.5", "--gauge", "floquet", "--cutoff", "8"]
+        code, out, err = run(capsys, "selection-rules", *inputs, *flags, "--output", str(target))
+        assert (code, err) == (0, ""), inputs
+        assert "numerically zero" in out
 
 
 def test_a_config_lattice_without_bonds_is_refused_with_the_library_text(tmp_path, capsys):

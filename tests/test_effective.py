@@ -26,15 +26,14 @@ from floquet_forge import (
 )
 from floquet_forge import effective
 from floquet_forge.floquet import offset_matrices_at_time
-from floquet_forge.lattice import (
-    from_offset_dict,
-    offset_dict,
-)
+from floquet_forge.lattice import offset_dict
 from helpers import (
+    ROTATIONS,
     beta_general,
     bloch_harmonics,
     chiral_two_harmonic,
     composable_pairs,
+    from_offset_dict,
     is_hermitian_closed_offsets,
     peierls_lattice,
     random_drive,
@@ -271,11 +270,6 @@ def test_prune_tolerance_scales_the_cut():
             build_effective_model(lat, drive, prune_tol=bad)
 
 
-ROTATIONS = {
-    "hexagonal": (3, lambda sites: sites[0]),
-    "kagome": (3, lambda sites: sites.mean(axis=0)),  # centre of the basis triangle
-    "lieb": (4, lambda sites: sites[0]),
-}
 ELLIPTIC = DriveSpec(10.0, (Harmonic(1, [15.0, 0.0], [0.0, 9.0]),))
 
 

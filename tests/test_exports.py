@@ -612,9 +612,7 @@ def test_helpers_outside_the_api_stay_importable_but_unexported():
     helpers = [
         (floquet, "thread_count"),
         (floquet, "offset_matrices_at_time"),
-        (floquet, "commutator_offsets"),
         (lattice, "offset_dict"),
-        (lattice, "from_offset_dict"),
     ]
     for mod, name in helpers:
         assert callable(getattr(mod, name)), name

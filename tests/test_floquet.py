@@ -38,12 +38,14 @@ from floquet_forge import (
     scaling_errors,
 )
 from floquet_forge import PRESET_NAMES, effective, floquet, lattice
-from floquet_forge.floquet import commutator_offsets, offset_matrices_at_time, thread_count
-from floquet_forge.lattice import from_offset_dict, offset_dict
+from floquet_forge.floquet import offset_matrices_at_time, thread_count
+from floquet_forge.lattice import offset_dict
 from helpers import (
     bond_blocks,
+    commutator_offsets,
     count_bloch_matrices,
     count_propagations,
+    from_offset_dict,
     gauge_difference_errors,
     one_drive_exponentials,
     one_pass_time_ordered_product,
@@ -947,7 +949,6 @@ def test_times_must_be_finite():
         for call in (
             lambda: bloch_hamiltonian_t(kagome, drive, [0.1, 0.2], t),
             lambda: offset_matrices_at_time(kagome, drive, t),
-            lambda: commutator_offsets(kagome, drive, 0.1, t),
             lambda: magnus_commutator_probe(kagome, drive, t, 0.2, (2, 2)),
         ):
             with pytest.raises(ValidationError, match="^t must be finite"):
@@ -1056,22 +1057,28 @@ def test_commutator_probe_matches_dense_torus_route():
 
 def test_commutator_probe_sums_offset_classes_modulo_the_torus():
     # bit for bit the largest entry of the dense periodized commutator
-    # classes, at every extent from the smallest allowed one, where classes
-    # alias, to 6; equal times included
+    # classes of the dict-loop oracle, at every extent from the smallest
+    # allowed one, where classes alias, to 6 (4 in 3-D), on the presets and
+    # on random lattices in 1 to 3 dimensions; equal times and one-site
+    # bases give exact zeros
     rng = np.random.default_rng(18)
-    for name in PRESET_NAMES:
-        lat = preset(name)
+    lattices = [preset(name) for name in PRESET_NAMES]
+    lattices += [random_lattice(rng, dim) for dim in (3, 2, 1) * 2]
+    for lat in lattices:
         reach = max(abs(x) for b in lat.bonds for x in b.cell_offset)
         for i in range(3):
             drive = random_drive(rng, lat.space_dim, omega=float(rng.uniform(4.0, 15.0)))
             t1 = float(rng.uniform(0.0, drive.period))
             t2 = t1 if i == 0 else float(rng.uniform(0.0, drive.period))
             table = offset_dict(commutator_offsets(lat, drive, t1, t2))
-            for L in range(max(2 * reach, 1), 7):
+            for L in range(max(2 * reach, 1), 7 if lat.dimension < 3 else 5):
                 extents = (L,) * lat.dimension
                 dense = torus_hamiltonian(table, extents, lat.basis_count)
                 want = float(np.abs(dense).max())
-                assert magnus_commutator_probe(lat, drive, t1, t2, extents) == want
+                got = magnus_commutator_probe(lat, drive, t1, t2, extents)
+                assert got == want
+                if t1 == t2 or lat.basis_count == 1:
+                    assert got == 0.0
 
 
 def test_commutator_probe_memory_does_not_grow_with_the_torus():

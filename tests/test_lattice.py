@@ -44,14 +44,11 @@ from floquet_forge import (
 )
 from floquet_forge import lattice
 from floquet_forge.floquet import offset_matrices_at_time
-from floquet_forge.lattice import (
-    _PairTable,
-    from_offset_dict,
-    offset_dict,
-)
+from floquet_forge.lattice import _PairTable, offset_dict
 from floquet_forge.serialization import json_text
 from helpers import (
     composable_pairs,
+    from_offset_dict,
     is_hermitian_closed_offsets,
     random_drive,
     random_lattice,

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +26,7 @@ from floquet_forge import (
 )
 from floquet_forge import selection
 from floquet_forge.lattice import offset_dict
-from helpers import random_drive, random_lattice
+from helpers import ROTATIONS, random_drive, random_lattice, rotation_map
 
 
 def verdicts(report):
@@ -336,3 +337,47 @@ def test_random_lattices_keep_every_forced_zero_or_are_refused_by_name():
                 assert model.order1 == ()
                 bravais += 1
     assert refused and bravais
+
+
+def rotation_mismatches(lattice, site, shift, M) -> list:
+    """The couplings (s, t, o) of ``lattice`` whose image under a rotation,
+    (site[s], site[t], o @ M + shift[t] - shift[s]), is missing or differs
+    in verdict or in the multiset of its process classes."""
+    classes = {
+        (c.source_basis, c.target_basis, c.offset): (c.verdict, Counter(p.klass for p in c.processes))
+        for c in enumerate_processes(lattice).couplings
+    }
+    bad = []
+    for (s, t, o), value in classes.items():
+        image = (site[s], site[t], tuple((np.array(o) @ M + shift[t] - shift[s]).tolist()))
+        if classes.get(image) != value:
+            bad.append((s, t, o))
+    return bad
+
+
+@pytest.mark.parametrize("name", ROTATIONS)
+def test_rotation_related_couplings_are_classified_alike(name):
+    # geometry alone decides the classification, so a rotation of the
+    # lattice onto itself maps each coupling onto one with the same verdict
+    # and the same process classes
+    lat = preset(name)
+    turns, centre = ROTATIONS[name]
+    assert enumerate_processes(lat).couplings
+    for k in range(1, turns):
+        rotation = rotation_map(lat, 2 * np.pi * k / turns, centre(lat.basis_sites))
+        assert rotation_mismatches(lat, *rotation) == [], (name, k)
+
+
+def test_a_lattice_without_the_rotation_symmetry_shows_mismatched_couplings():
+    # kagome without its bond pair 0 <- 1 at (1, 0): the rotation still maps
+    # the sites onto themselves, but not the bonds, and the check sees it
+    kagome = preset("kagome")
+    dropped = {(0, 1, (1, 0)), (1, 0, (-1, 0))}
+    bonds = [b for b in kagome.bonds if (b.target_basis, b.source_basis, b.cell_offset) not in dropped]
+    assert len(bonds) == len(kagome.bonds) - 2
+    lat = LatticeSpec(2, kagome.bravais_vectors, kagome.basis_sites, bonds)
+    count = len(enumerate_processes(lat).couplings)
+    for k in (1, 2):
+        rotation = rotation_map(lat, 2 * np.pi * k / 3, lat.basis_sites.mean(axis=0))
+        # 12 of the 27 couplings at each turn
+        assert len(rotation_mismatches(lat, *rotation)) > count // 3, k
