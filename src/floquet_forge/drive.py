@@ -13,9 +13,14 @@ off a uniform-grid DFT over one period.
 A lattice's harmonics take one pass per drive. Bonds with bit-equal
 displacement and amplitude have the same g(t), so g is sampled once per such
 class (6 of kagome's 12 bonds, 4 of Lieb's 8), all classes in one batched
-FFT with the sines and cosines of t evaluated once. The cutoff escalation
-keeps the spectra while the sample count stays the same. The result is
-bit-identical to one FFT per bond: each row goes through the same
+FFT with the sines and cosines of t evaluated once. A class whose
+displacement negates an earlier one's by value (the pair table's ``negated``;
+half of every preset's classes) takes that one's conj(exp(i chi)) + 0.0:
+rounding commutes with negation, so its chi is -chi wherever chi is not zero,
+and exp(-ix) = conj(exp(ix)) for x != 0; where chi is zero, of either sign,
+exp gives 1 + 0i, and + 0.0 turns the conjugate's -0i back. The cutoff
+escalation keeps the spectra while the sample count stays the same. The
+result is bit-identical to one FFT per bond: each row goes through the same
 elementwise operations in the same order (``np.vecdot`` takes the
 displacement dot products with the kernel of one scalar dot per row),
 numpy's FFT transforms each row on its own, and the Parseval check runs per
@@ -186,9 +191,19 @@ def _default_samples(cutoff: int) -> int:
     return n
 
 
-def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutoff: int | None):
+def _exponentials(drive: DriveSpec, displacements: np.ndarray, negated: np.ndarray, t) -> np.ndarray:
+    """exp(i chi) of each row at the times t, paired rows (see the module docstring) shared."""
+    own = negated < 0
+    out = np.empty((len(own), len(t)), dtype=complex)
+    out[own] = np.exp(1j * phase(drive, displacements[own], t))
+    out[~own] = out[negated[~own]].conj() + 0.0  # + 0.0 turns conj(1 + 0i) = 1 - 0i into exp(-0i) = 1 + 0i
+    return out
+
+
+def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutoff: int | None, negated):
     """(cutoff, coefficients): g^n for n in [-cutoff, cutoff], one read-only
-    row per (displacement, amplitude) row, all at one cutoff.
+    row per (displacement, amplitude) row, all at one cutoff, rows paired by
+    ``negated`` as in the pair table (-1: a row of its own).
 
     With ``cutoff=None`` the cutoff starts at 32 and doubles, up to 256, until
     every row's Parseval tail is at most 1e-10; an explicit one, also at most
@@ -204,8 +219,7 @@ def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutof
         n_s = _default_samples(n)
         if n_s not in spectra:
             t = np.arange(n_s) * (drive.period / n_s)
-            chi = phase(drive, displacements, t)
-            g = np.array(amplitudes, dtype=complex)[:, None] * np.exp(1j * chi)
+            g = np.array(amplitudes, dtype=complex)[:, None] * _exponentials(drive, displacements, negated, t)
             spectra[n_s] = np.fft.fft(g, axis=1) / n_s
         coefficients = spectra[n_s][:, np.arange(-n, n + 1) % n_s]
         # C order, so that each row's power is one pairwise sum along the
@@ -237,9 +251,7 @@ def lattice_harmonics(lattice: LatticeSpec, drive: DriveSpec, cutoff: int | None
     _check_drive_dim(lattice, drive)
     table = lattice._pairs
     amplitudes = [lattice.bonds[i].amplitude for i in table.distinct]
-    n, coefficients = _harmonics_at(
-        drive, table.displacements[table.distinct], amplitudes, cutoff
-    )
+    n, coefficients = _harmonics_at(drive, table.displacements[table.distinct], amplitudes, cutoff, table.negated)
     return {
         b: BondHarmonics(b, a, drive.omega, n, coefficients[row])
         for b, a, row in zip(lattice.bonds, table.displacements, table.distinct_of)

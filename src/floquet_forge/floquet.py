@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import DriveSpec, _check_drive_dim, _check_omega, phase
+from .drive import DriveSpec, _check_drive_dim, _check_omega, _exponentials
 from .effective import Gauge, build_effective_model, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
@@ -251,7 +251,7 @@ def _bond_phases(lattice: LatticeSpec, drive: DriveSpec, times) -> np.ndarray:
     """exp(i chi(times)) as a read-only array, one row per class of the
     lattice's pair table (bit-equal displacement and amplitude)."""
     table = lattice._pairs
-    phases = np.exp(1j * phase(drive, table.displacements[table.distinct], times))
+    phases = _exponentials(drive, table.displacements[table.distinct], table.negated, times)
     phases.flags.writeable = False
     return phases
 
@@ -653,9 +653,11 @@ def magnus_commutator_probe(
     pair's terms so that both cases give exact zeros (x - x; scalar products
     commute bitwise); ``_scatter`` sums them by total offset, then those
     classes, ascending, modulo the extents: every block row of the torus
-    matrix holds these sums, so the cost does not grow with the torus.
+    matrix holds these sums, so the cost does not grow with the torus. Blocks
+    scaled by 2^-e (2^e > max |j|), the result by 2^2e, keep every bit without overflow.
     """
-    C, D = (np.stack([om.matrix for om in offset_matrices_at_time(lattice, drive, t)]) for t in (t1, t2))
+    e = math.frexp(lattice.amplitude_scale())[1]
+    C, D = (offset_matrices_at_time(lattice, drive, t).blocks * 2.0**-e for t in (t1, t2))
     extents = _torus_extents(torus, lattice.dimension, [b.cell_offset for b in lattice.bonds])
     i, j = np.triu_indices(len(C))
     P, Q = C[:, None] @ D[None], D[:, None] @ C[None]  # P[i, j] = C_i D_j, Q[i, j] = D_i C_j
@@ -667,4 +669,5 @@ def magnus_commutator_probe(
 
     totals = [tuple(o) for o in np.array(lattice._pairs.offsets)[[i, j]].sum(axis=0).tolist()]
     residues = [tuple(x % L for x, L in zip(o, extents)) for o in sorted(set(totals))]
-    return float(np.abs(summed(summed(terms, totals), residues)).max())
+    top = float(np.abs(summed(summed(terms, totals), residues)).max())
+    return math.ldexp(top, 2 * e) if math.frexp(top)[1] + 2 * e <= 1024 else math.inf  # inf: past 2^1024

@@ -10,9 +10,12 @@ for any such translationally invariant single-particle operator.
 Both carriers are immutable, so their checks run once, where values enter;
 blocks the package builds from its own arrays (both effective orders and
 ``offset_matrices_at_time``) skip them: ``OffsetMatrix._trusted`` makes the
-stack read-only and returns a view per offset. A ``LatticeSpec`` completes its
-bond list at construction: every reverse bond is present exactly once, with
-the conjugate amplitude, so every consumer reads a Hermitian static Hamiltonian.
+stack read-only and returns a view per offset, in a tuple that keeps the
+stack, which ``bloch_matrix`` reads (alone or in a tuple of only such sets)
+checking only finiteness and the Bravais shape; other sets get every check.
+A ``LatticeSpec`` completes its bond list at construction: every reverse
+bond is present exactly once, with the conjugate amplitude, so every
+consumer reads a Hermitian static Hamiltonian.
 ``bloch_matrix`` validates and stacks an offset set, or a tuple of sets,
 with the Bravais vectors once and keeps them in a small bounded cache keyed
 on the ``OffsetMatrix`` objects and the Bravais bytes: frozen,
@@ -314,21 +317,29 @@ class OffsetMatrix:
     def __post_init__(self):
         offset = _items(self.offset, "offset")
         object.__setattr__(self, "offset", tuple(_integer(x, "offset entry") for x in offset))
-        m = _numbers(self.matrix, f"offset {self.offset}: matrix", complex)
+        try:  # the field is named only when a refusal needs it
+            m = _numbers(self.matrix, "matrix", complex)
+        except ValidationError as error:
+            raise ValidationError(f"offset {self.offset}: {error}") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"offset {self.offset}: matrix must be square, got {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _trusted(cls, offsets, blocks: np.ndarray) -> tuple:
+    def _trusted(cls, offsets, blocks: np.ndarray) -> "_Stacked":
         """Blocks the package built, unchecked: one per plain-int offset, each
         a square complex view of the stack ``blocks``, made read-only here."""
         blocks.flags.writeable = False
-        out = tuple(object.__new__(cls) for _ in offsets)
+        out = _Stacked(object.__new__(cls) for _ in offsets)
         for om, offset, matrix in zip(out, offsets, blocks):
             om.__dict__.update(offset=offset, matrix=matrix)
+        out.blocks = blocks
         return out
+
+
+class _Stacked(tuple):
+    """A package-built offset set, ascending and Hermitian-closed; its stack is ``blocks``."""
 
 
 def offset_dict(offsets) -> dict:
@@ -377,7 +388,8 @@ def _offset_stack(sets: tuple, bravais: bytes, shape: tuple) -> tuple:
     A = np.frombuffer(bravais).reshape(shape).copy()
     if A.ndim != 2 or len(A) != lengths[0]:
         raise ValidationError(f"bravais_vectors must be {lengths[0]} rows, got shape {A.shape}")
-    tables = [offset_dict(s) for s in sets]
+    stacked = all(isinstance(s, _Stacked) for s in sets)  # built ascending and closed
+    tables = [dict(zip([om.offset for om in s], s.blocks)) if stacked else offset_dict(s) for s in sets]
     (d, _), *other = {next(iter(table.values())).shape for table in tables if table}
     if other:
         raise ValidationError("inconsistent matrix sizes in offset set")
@@ -389,14 +401,15 @@ def _offset_stack(sets: tuple, bravais: bytes, shape: tuple) -> tuple:
     if not np.isfinite(mats).all():
         row = np.isfinite(mats).all(axis=(1, 2)).argmin()
         raise ValidationError(f"offset {rows[row]}: matrix must be finite")
-    # closed: negation maps each set's zero row to itself and reverses its other
-    # rows, and M_-o = M_o^H within 1e-9 times the set's largest entry
-    partner = [i for s in spans for i in (s.start, *range(s.stop - 1, s.start, -1))]
-    starts = [s.start * d * d for s in spans]  # each set's first entry in the raveled stack
-    diff = mats[partner] - mats.conj().transpose(0, 2, 1)
-    gap, top = (np.maximum.reduceat(np.abs(x).ravel(), starts) for x in (diff, mats))
-    if [tuple(map(operator.neg, rows[i])) for i in partner] != rows or (gap > 1e-9 * top).any():
-        raise ValidationError("offset set is not Hermitian-closed")
+    if not stacked:
+        # closed: negation maps each set's zero row to itself and reverses its
+        # other rows, and M_-o = M_o^H within 1e-9 times the set's largest entry
+        partner = [i for s in spans for i in (s.start, *range(s.stop - 1, s.start, -1))]
+        starts = [s.start * d * d for s in spans]  # each set's first entry in the raveled stack
+        diff = mats[partner] - mats.conj().transpose(0, 2, 1)
+        gap, top = (np.maximum.reduceat(np.abs(x).ravel(), starts) for x in (diff, mats))
+        if [tuple(map(operator.neg, rows[i])) for i in partner] != rows or (gap > 1e-9 * top).any():
+            raise ValidationError("offset set is not Hermitian-closed")
     R = np.concatenate([np.array(ks, dtype=float) @ A for ks in keys])  # each set its own product
     return _readonly(R), _readonly(mats, complex), tuple(spans)
 
@@ -409,13 +422,16 @@ def bloch_matrix(offsets, k, bravais_vectors) -> np.ndarray:
     them, shape (n_k, space_dim); the result is one (d, d) matrix or a
     stack of them, shape (n_k, d, d), each with the bits of its k alone.
     R_offset = offset @ bravais_vectors. Every set must be finite and
-    Hermitian-closed, so every result is Hermitian. Offsets without a block
+    Hermitian-closed, so every result is Hermitian; the package's own sets (a
+    model's orders) are built so and skip that check. Offsets without a block
     are refused (they fix no size); in a tuple, an empty set adds zero. The
     checks, the blocks and R are stacked once per key, in a small bounded
     cache (see the module docstring), so repeated calls on one model share
     them, also across threads.
     """
-    sets = _offset_sets(offsets)
+    sets = (offsets,) if isinstance(offsets, _Stacked) else offsets  # package-built sets pass as they are
+    if type(sets) is not tuple or not all(isinstance(s, _Stacked) for s in sets) or not any(sets):
+        sets = _offset_sets(offsets)
     A = _numbers(bravais_vectors, "bravais_vectors", float)
     R, mats, spans = _offset_stack(sets, A.tobytes(), A.shape)
     k = _check_k(k, R.shape[1], stack=True)
@@ -439,8 +455,9 @@ class _PairTable:
 
     Per bond: its displacement; ``distinct_of``, its index into ``distinct``,
     the first bond of each bit-distinct (displacement, amplitude), which all
-    share one driven amplitude g(t); and ``bond_index``, its row in
-    ``offsets`` (the distinct cell offsets, ascending), target and source.
+    share one driven amplitude g(t) (``negated``: the first earlier unpaired
+    one with the negated displacement, by value, or -1); and ``bond_index``,
+    its row in ``offsets`` (the distinct cell offsets, ascending), target and source.
     Per composable pair (first hop, then a second hop starting where the
     first ends), in the bond-by-bond double-loop order: the two bond
     indices, the first hop's source basis, the second hop's target basis,
@@ -452,6 +469,7 @@ class _PairTable:
     displacements: np.ndarray
     distinct: np.ndarray
     distinct_of: np.ndarray
+    negated: np.ndarray
     first: np.ndarray
     second: np.ndarray
     source: np.ndarray
@@ -479,6 +497,11 @@ def _pair_table(spec: LatticeSpec) -> _PairTable:
     rows = [[*a, b.amplitude.real, b.amplitude.imag] for a, b in zip(displacements, bonds)]
     first = _first_occurrences(np.array(rows))
     distinct = sorted(set(first))
+    unpaired, negated = {}, []  # float tuples compare by value: -0.0 == 0.0
+    for n, a in enumerate(displacements[distinct].tolist()):
+        negated.append(unpaired.get(tuple(-x for x in a), -1))
+        if negated[-1] < 0:
+            unpaired.setdefault(tuple(a), n)
     pairs = [
         (i, j)
         for i, b1 in enumerate(bonds)
@@ -497,6 +520,7 @@ def _pair_table(spec: LatticeSpec) -> _PairTable:
         displacements=displacements,
         distinct=_readonly(distinct, np.intp),
         distinct_of=_readonly(np.searchsorted(distinct, first), np.intp),
+        negated=_readonly(negated, np.intp),
         first=_readonly([i for i, _ in pairs], np.intp),
         second=_readonly([j for _, j in pairs], np.intp),
         source=_readonly([bonds[i].source_basis for i, _ in pairs], np.intp),

@@ -399,7 +399,7 @@ def beta_general(lattice, drive, gauge, bond1, bond2):
     the model builder's kernel on a one-pair stack, a second route to
     ``beta_static_free``."""
     a = np.array([lattice.displacement(bond1), lattice.displacement(bond2)])
-    _, G = _harmonics_at(drive, a, [bond1.amplitude, bond2.amplitude], None)
+    _, G = _harmonics_at(drive, a, [bond1.amplitude, bond2.amplitude], None, np.array([-1, -1]))
     value = _two_step(G, np.array([0]), np.array([1]), drive.omega, gauge)[0]
     return TwoStepAmplitude(a[0], a[1], bond1.target_basis, value)
 

@@ -7,9 +7,11 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 from floquet_forge import (
+    Bond,
     CutoffTooSmallError,
     DriveSpec,
     Harmonic,
+    LatticeSpec,
     ValidationError,
     bloch_hamiltonian_t,
     build_effective_model,
@@ -74,7 +76,7 @@ def test_non_finite_drive_input_is_refused():
 def test_nan_parseval_tail_fails_the_check():
     # Bond refuses a NaN amplitude, so feed one to the check directly
     with pytest.raises(CutoffTooSmallError, match="nan"):
-        _harmonics_at(linear_drive(3.0, [4.0]), np.array([[1.0]]), [float("nan")], 32)
+        _harmonics_at(linear_drive(3.0, [4.0]), np.array([[1.0]]), [float("nan")], 32, np.array([-1]))
 
 
 def test_undriven_limit_has_no_dimension():
@@ -215,7 +217,7 @@ def test_explicit_cutoff_is_capped_like_the_automatic_one():
     drive = linear_drive(10.0, [13.0])
     a = np.array([[1.0]])
     with pytest.raises(ValidationError, match="cutoff"):
-        _harmonics_at(drive, a, [1.0], MAX_CUTOFF + 1)
+        _harmonics_at(drive, a, [1.0], MAX_CUTOFF + 1, np.array([-1]))
     with pytest.raises(ValidationError, match="cutoff"):
         lattice_harmonics(lat, drive, cutoff=MAX_CUTOFF + 1)
     assert lattice_harmonics(lat, drive, cutoff=MAX_CUTOFF)[lat.bonds[0]].cutoff == MAX_CUTOFF
@@ -281,7 +283,7 @@ def assert_harmonics_match_reference(lat, drive, cutoff=None):
         assert not got[b].coefficients.flags.writeable
     b = lat.bonds[-1]
     # the same bond alone, as a one-row batch
-    _, one = _harmonics_at(drive, lat.displacement(b)[None, :], [b.amplitude], cutoff)
+    _, one = _harmonics_at(drive, lat.displacement(b)[None, :], [b.amplitude], cutoff, np.array([-1]))
     assert one[0].tobytes() == got[b].coefficients.tobytes()
     return got[b].cutoff
 
@@ -350,3 +352,63 @@ def test_bit_equal_bonds_share_one_spectrum_kept_across_escalation(monkeypatch):
     table = lattice_harmonics(lat, strong_drive(lat, 30.0))
     assert next(iter(table.values())).cutoff == 64
     assert calls == [(6, 1024)]
+
+
+def _paired_rows(lat):
+    """(row, partner) of every pair-table row that shares its partner's exponential."""
+    negated = lat._pairs.negated
+    return [(r, int(p)) for r, p in enumerate(negated.tolist()) if p >= 0]
+
+
+def test_every_preset_row_shares_its_negated_partners_exponential():
+    # bonds are closed under reversal, so on a preset each class of a
+    # displacement pairs with the class of its negation: half of the rows
+    for name in PRESET_NAMES:
+        table = preset(name)._pairs
+        rows = table.displacements[table.distinct]
+        paired = _paired_rows(preset(name))
+        assert 2 * len(paired) == len(rows), name
+        for r, p in paired:
+            assert p < r and table.negated[p] == -1
+            assert np.array_equal(rows[r], -rows[p])
+
+
+def test_shared_exponentials_keep_every_bit_where_a_bond_is_left_undriven():
+    # a paired row takes the conjugate of its partner's exp(i chi) only where
+    # that chi has no exact zero: exp(+-0i) is 1 + 0i, whose conjugate 1 - 0i
+    # times an amplitude j - 0i (the reverse of a real j) gives another sign
+    # of zero. On a square lattice, (13, -13) leaves the (1, 1) bond exactly
+    # undriven, (13, 13) the (1, -1) bond, and a circular drive has chi(0) = 0
+    # on the (1, 0) bond; an x-only drive leaves Lieb's vertical bonds undriven
+    cases = []
+    for amplitudes in ((1.0, 0.5, 2.0), (1.0, 0.6 + 0.8j, 0.3 - 1.1j)):
+        # given at (-1, y), so that (1, y) holds the conjugate, as a later row
+        square = LatticeSpec(
+            2, np.eye(2), [[0.0, 0.0]],
+            [Bond(0, 0, offset, j) for offset, j in zip(((-1, -1), (-1, 0), (-1, 1)), amplitudes)],
+        )
+        assert len(_paired_rows(square)) == 3
+        for drive in (linear_drive(10.0, [13.0, -13.0]), linear_drive(10.0, [13.0, 13.0]), circular_drive(10.0, 13.0)):
+            cases.append((square, drive))
+    cases.append((preset("lieb"), linear_drive(10.0, [13.0, 0.0])))
+    for lat, drive in cases:
+        chi = phase(drive, lat._pairs.displacements[lat._pairs.distinct], np.arange(1024) * (drive.period / 1024))
+        assert any((chi[p] == 0).any() for _, p in _paired_rows(lat))
+        assert_harmonics_match_reference(lat, drive)
+
+
+def test_rows_pair_by_value_where_a_zero_component_differs_in_sign():
+    # sites (0, 0) and (0.5, 0): 0.0 - 0.0 gives +0 both ways, so the two
+    # hops' displacements are (0.5, 0.0) and (-0.5, 0.0), negations by value
+    # but not by bits; they pair, and the shared exponential keeps the bits
+    lat = LatticeSpec(
+        2, np.eye(2), [[0.0, 0.0], [0.5, 0.0]],
+        [Bond(1, 0, (0, 0), 1.0), Bond(0, 1, (1, 0), 1.0), Bond(0, 0, (0, 1), 0.7j)],
+    )
+    rows = lat._pairs.displacements[lat._pairs.distinct]
+    paired = _paired_rows(lat)
+    assert any((-rows[p]).tobytes() != rows[r].tobytes() for r, p in paired)
+    assert all(np.array_equal(rows[r], -rows[p]) for r, p in paired)
+    rng = np.random.default_rng(67)
+    for drive in (random_drive(rng, 2), linear_drive(10.0, [0.0, 7.0]), circular_drive(10.0, 9.0)):
+        assert_harmonics_match_reference(lat, drive)

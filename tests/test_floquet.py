@@ -1097,6 +1097,20 @@ def test_commutator_probe_memory_does_not_grow_with_the_torus():
     assert large == small
 
 
+def test_commutator_probe_is_finite_near_the_top_of_the_amplitude_range():
+    # at |j| = 1.2e154, |j|^2 is finite but the bracket's products overflowed
+    # (a numpy warning, or NaN); the blocks are scaled by a power of two, which
+    # is exact, so the probe is 2^1200 times that of the lattice 2^600 smaller,
+    # to the bit, and a bracket beyond the float range is inf
+    drive = circular_drive(7.0, 5.0)
+    big = magnus_commutator_probe(preset("kagome", 1.2e154), drive, 0.25, 1.4, (4, 4))
+    small = magnus_commutator_probe(preset("kagome", math.ldexp(1.2e154, -600)), drive, 0.25, 1.4, (4, 4))
+    assert 1e308 < big < math.inf
+    assert big == math.ldexp(small, 1200)
+    assert magnus_commutator_probe(preset("kagome"), circular_drive(5.0, 10.0), 0.3, 1.0, (4, 4)) > 1.99
+    assert magnus_commutator_probe(preset("kagome", 1.2e154), circular_drive(5.0, 10.0), 0.3, 1.0, (4, 4)) == math.inf
+
+
 def test_commutator_probe_validates_torus():
     kag = preset("kagome")
     drive = circular_drive(7.0, 5.0)

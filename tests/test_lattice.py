@@ -654,6 +654,37 @@ def test_bloch_matrix_errors_are_not_cached():
             bloch_matrix(open_set, np.array([0.3]), [[1.0]])
 
 
+def test_package_built_sets_skip_the_public_walk_with_the_same_bits(monkeypatch):
+    # a model's orders reach the Bloch kernel without offset_dict and the
+    # closure check and give the bits of the checked path; a public set, a
+    # slice of a model's set or a tuple holding one is read and checked
+    lat = preset("kagome")
+    model = build_effective_model(lat, circular_drive(10.0, 15.0))
+    A, k = lat.bravais_vectors, np.array([0.3, -0.7])
+    reads = []
+    monkeypatch.setattr(lattice, "offset_dict", lambda s: reads.append(s) or offset_dict(s))
+    lattice._offset_stack.cache_clear()
+    got = effective_bloch(model, k)
+    assert reads == []
+    lattice._offset_stack.cache_clear()
+    want = bloch_matrix((tuple(model.order0), tuple(model.order1)), k, A)
+    assert len(reads) == 2 and got.tobytes() == want.tobytes()
+    # a set that is not closed, alone (a slice of order 0) or beside order 0
+    open_set = (OffsetMatrix((1, 0), np.eye(3)),)
+    for offsets in (model.order0[1:], (model.order0, open_set), (open_set, model.order1)):
+        with pytest.raises(ValidationError, match="^offset set is not Hermitian-closed$"):
+            bloch_matrix(offsets, k, A)
+    nan = np.full((3, 3), np.nan)
+    nan_set = (OffsetMatrix((-1, 0), nan), OffsetMatrix((1, 0), nan))
+    with pytest.raises(ValidationError, match=r"^offset \(-1, 0\): matrix must be finite$"):
+        bloch_matrix((model.order0, nan_set), k, A)
+    # what is still checked on a package-built set: finite blocks and the geometry
+    with pytest.raises(ValidationError, match=r"^offset \(0,\): matrix must be finite$"):
+        bloch_matrix(OffsetMatrix._trusted([(0,)], np.full((1, 1, 1), np.inf + 0j)), [0.3], [[1.0]])
+    with pytest.raises(ValidationError, match=r"^bravais_vectors must be 2 rows, got shape \(1, 2\)$"):
+        bloch_matrix(model.order0, k, A[:1])
+
+
 _NOT_OFFSET_SETS = {
     "dict": ({(1,): [[1.0]], (-1,): [[1.0]]}, r"^offsets must be OffsetMatrix entries or sets of them, got 1$"),
     "array entry": ([np.eye(1)], r"^offsets must be OffsetMatrix entries or sets of them, got array\(\[1\.\]\)$"),
