@@ -200,6 +200,25 @@ def _exponentials(drive: DriveSpec, displacements: np.ndarray, negated: np.ndarr
     return out
 
 
+def _doubling(a: DriveSpec, b: DriveSpec, rows: np.ndarray) -> int | None:
+    """e if drive ``b`` is ``a`` times 2^e inside the guard, else None. Times
+    2^e: b.omega == ldexp(a.omega, e), e from frexp of the ratio, the same m
+    in order, amplitudes == np.ldexp(a's, e) bit for bit. The guard: both
+    omegas, m*omega and every nonzero |x_i A_i| (x a row of ``rows``, A an
+    amplitude of either drive) lie in [2^-960, 2^960], so each time, step,
+    1/(n omega), i/omega and x_i A_i of b is a's times 2^-e or 2^e and normal:
+    chi(t), the harmonics and the integrator phases keep a's bits."""
+    e = math.frexp(b.omega / a.omega)[1] - 1
+    ms = [h.m for h in a.harmonics]
+    if b.omega != math.ldexp(a.omega, e) or ms != [h.m for h in b.harmonics]:
+        return None
+    A, B = (np.array([v for h in d.harmonics for v in (h.cos_amplitude, h.sin_amplitude)]) for d in (a, b))
+    x = np.abs(rows[:, None] * np.concatenate([A, B]).reshape(-1, rows.shape[1]))
+    top = max(a.omega, b.omega) * max(ms, default=1)
+    window = [min(a.omega, b.omega), top, x[x > 0].min(initial=1.0), x.max(initial=1.0)]
+    return e if all(2.0**-960 <= v <= 2.0**960 for v in window) and B.tobytes() == np.ldexp(A, e).tobytes() else None
+
+
 def _harmonics_at(drive: DriveSpec, displacements: np.ndarray, amplitudes, cutoff: int | None, negated):
     """(cutoff, coefficients): g^n for n in [-cutoff, cutoff], one read-only
     row per (displacement, amplitude) row, all at one cutoff, rows paired by

@@ -34,16 +34,32 @@ its negated offset's by reversing the stack; order 1 drops entries below
 ``_threshold`` and then its empty blocks. ``OffsetMatrix._trusted`` makes
 each stack read-only and returns its blocks, unchecked. ``effective_bloch``,
 one ``bloch_matrix`` call over both orders, is the one order sum.
+
+A sweep builds one model per frequency class (``_class_models``): a drive
+that is an earlier built one times 2^e (``drive._doubling``) has its
+harmonics G, so it keeps that order 0, and takes its order 1 times 2^-e:
+lines one and two divide by n*omega, line three multiplies by i/omega, f
+does not depend on omega, the threshold goes as 1/omega. Sums, differences
+and the products and quotients whose results are normal (np.abs of normal
+parts too) scale exactly, so no entry or pruning decision moves a bit while
+this guard holds: every part of G is a multiple of u, the last place of its
+smallest nonzero part, and products, sums and roundings keep multiples of
+powers of two, so each value that order 1 scales by 1/omega is a multiple
+of u^2 t s / 2 (t, s the last places of 1/N and 1/(N*omega), N the cutoff).
+That, or the threshold if smaller, is ``_floor`` (order 0 keeps G for it);
+a drive is scaled while it times 2^-(e+1) is normal (one halving for the
+threshold's rounding), and else builds its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .drive import BondHarmonics, DriveSpec, _split, lattice_harmonics
+from .drive import BondHarmonics, DriveSpec, _doubling, _split, lattice_harmonics
 from .errors import ValidationError
 from .lattice import (
     LatticeSpec,
@@ -162,7 +178,9 @@ def _order0_from_harmonics(lattice, G) -> tuple:
     """Order 0 from the coefficient stack: each bond's g^0 in its offset block."""
     table = lattice._pairs
     blocks = _scatter(len(table.offsets), table.bond_index, _split(G)[2], lattice.basis_count)
-    return OffsetMatrix._trusted(table.offsets, _symmetrize(blocks))
+    out = OffsetMatrix._trusted(table.offsets, _symmetrize(blocks))
+    out.harmonics = G  # read by the guard of ``_class_models``
+    return out
 
 
 def _order1_from_harmonics(lattice, G, gauge, omega, prune_tol) -> tuple:
@@ -229,6 +247,36 @@ def build_effective_model(
         amplitude_scale=lattice.amplitude_scale(),
         cutoff=used_cutoff,
     )
+
+
+def _floor(model: EffectiveModel) -> float:
+    """u^2 t s / 2 for a model's harmonics, or its threshold if smaller (see
+    the module docstring): no nonzero part of a value its order 1 scaled by
+    1/omega is smaller."""
+    parts, n = np.abs(model.order0.harmonics.view(float)), model.cutoff
+    smallest = parts[parts > 0].min(initial=1.0)
+    u, t, s = (math.ldexp(1.0, math.frexp(x)[1] - 53) for x in (smallest, 1 / n, 1 / (n * model.omega)))
+    return min(u * u * t * s / 2, _threshold(DEFAULT_PRUNE_TOL, model.amplitude_scale, model.omega) or math.inf)
+
+
+def _class_models(lattice: LatticeSpec, drives, gauge: Gauge, cutoff) -> list:
+    """``build_effective_model`` of each of ``drives`` (ascending omega, the
+    default prune_tol), with one build per frequency class (see the module
+    docstring)."""
+    rows = lattice._pairs.displacements[lattice._pairs.distinct]
+    built, models = [], []  # built: (drive, model, _floor(model)) of each build
+    for drive in drives:
+        for first, model, floor in built:
+            e = _doubling(first, drive, rows)
+            if e is not None and e >= 0 and math.ldexp(floor, -1 - e) >= 2.0**-1022:
+                blocks = np.ldexp(model.order1.blocks.view(float), -e).view(complex)
+                order1 = OffsetMatrix._trusted([om.offset for om in model.order1], blocks)
+                models.append(replace(model, order1=order1, omega=drive.omega))
+                break
+        else:
+            models.append(build_effective_model(lattice, drive, gauge, cutoff))
+            built.append((drive, models[-1], _floor(models[-1])))
+    return models
 
 
 def effective_bloch(model: EffectiveModel, k) -> np.ndarray:

@@ -24,10 +24,12 @@ phase factors exp(i chi_b(t)) come from ``_bond_phases`` alone (integrator,
 H(t) and instantaneous offset matrices). Outside a sweep each propagation
 builds them fresh and forms its own propagator. A sweep hands its tasks one
 dict (``_sweep_scope``), dropped when the sweep returns, that holds phases
-only: on the integrator nodes they are built once per (lattice, drive, step
-count) in it, so every k reuses them, and bit-equal phase arrays are one
-array. At fixed z, H(t) depends on t only through omega*t, so drives a power
-of two apart in omega give bit-equal phases at the same step count.
+only. At fixed z, H(t) depends on t only through omega*t, and a drive that
+is another times 2^e exactly (``drive._doubling``) has its bits of chi. So
+the phases on the integrator nodes are built once per frequency class, phase
+rows (lattices of one bond geometry share them) and step count, for every k
+and every member; the sweep's models go by the same classes
+(``effective._class_models``). No output bit moves.
 
 Sharing goes by that array, not by position in the drive list. The first
 drive of a k task to need a step count diagonalizes the H(t) stack once and
@@ -66,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import DriveSpec, _check_drive_dim, _check_omega, _exponentials
-from .effective import Gauge, build_effective_model, effective_bloch
+from .drive import DriveSpec, _check_drive_dim, _check_omega, _doubling, _exponentials
+from .effective import Gauge, _class_models, effective_bloch
 from .errors import ConvergenceError, ValidationError
 from .lattice import (
     LatticeSpec,
@@ -273,21 +275,26 @@ def _sweep_scope(sweep: dict, drives=()):
 
 
 def _integrator_phases(lattice: LatticeSpec, drive: DriveSpec, steps: int) -> np.ndarray:
-    """``_bond_phases`` on the integrator nodes of one period at ``steps`` steps.
-
-    They are built once per (lattice, drive, steps) in the sweep's dict,
-    and bit-equal phase arrays are one array there; outside ``_sweep_scope``
-    that dict is a new one, so they are built fresh.
+    """``_bond_phases`` on the integrator nodes of one period at ``steps`` steps,
+    built once per (phase rows, frequency class, steps) in the sweep's dict:
+    the class is that of the earliest drive met with these rows of which
+    ``drive`` is a 2^e multiple, and that drive builds them. Outside
+    ``_sweep_scope`` that dict is a new one, so they are built fresh.
     """
-    key = (lattice, drive, steps)
-    sweep = getattr(_thread, "sweep", {})
-    if key in sweep:
-        return sweep[key]
-    h = drive.period / steps
-    times = ((np.arange(steps)[:, None] + _NODES[None, :]) * h).reshape(-1)
-    phases = _bond_phases(lattice, drive, times)
-    # phases carry no amplitudes, so lattices of one bond geometry share them
-    return sweep.setdefault(key, sweep.setdefault((steps, phases.tobytes()), phases))
+    key, sweep = (lattice, drive, steps), getattr(_thread, "sweep", {})
+    if key not in sweep:
+        table = lattice._pairs
+        rows = table.displacements[table.distinct]
+        tag = (rows.tobytes(), table.negated.tobytes())  # all phases read; one negated entry per row
+        met = sweep.setdefault(tag, [])  # the drives met with these rows, in order (a repeat is harmless)
+        if drive not in met:
+            met.append(drive)
+        first = next(d for d in met if d is drive or _doubling(d, drive, rows) is not None)
+        if (tag, first, steps) not in sweep:
+            times = ((np.arange(steps)[:, None] + _NODES[None, :]) * (first.period / steps)).reshape(-1)
+            sweep.setdefault((tag, first, steps), _bond_phases(lattice, first, times))
+        sweep.setdefault(key, sweep[tag, first, steps])
+    return sweep[key]
 
 
 def _hamiltonian_stack(lattice: LatticeSpec, k: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -592,7 +599,7 @@ def _sweep_errors(lattice, drive_family, k_set, omegas, orders, gauge, cutoff) -
         raise ValidationError(f"orders must be a subset of (0, 1), got {orders}")
     gauge = Gauge.parse(gauge)
     drives, k_list = _sweep_inputs(lattice, drive_family, k_set, omegas)
-    models = [build_effective_model(lattice, drive, gauge, cutoff) for drive in drives]
+    models = _class_models(lattice, drives, gauge, cutoff)
     E, Q = _matched_spectra(lattice, drives, models, k_list, orders)
     errors = [np.abs(fold(E[:, i] - Q[:, i], d.omega)).max(axis=-1) for i, d in enumerate(drives)]
     return np.stack(errors, axis=1)

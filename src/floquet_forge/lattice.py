@@ -395,8 +395,11 @@ def _offset_stack(sets: tuple, bravais: bytes, shape: tuple) -> tuple:
         raise ValidationError("inconsistent matrix sizes in offset set")
     # each set's rows: a zero block at the zero offset, then its offsets ascending
     keys = [[(0,) * lengths[0], *sorted(table)] for table in tables]
-    rows, zero = [o for ks in keys for o in ks], np.zeros((d, d))
-    mats = np.array([m for t, ks in zip(tables, keys) for m in (zero, *map(t.get, ks[1:]))], dtype=complex)
+    rows, zero = [o for ks in keys for o in ks], np.zeros((1, d, d), dtype=complex)
+    if stacked:  # each kept stack is in its set's ascending order already
+        mats = np.concatenate([m for s in sets for m in (zero, s.blocks)])
+    else:
+        mats = np.array([m for t, ks in zip(tables, keys) for m in (zero[0], *map(t.get, ks[1:]))], dtype=complex)
     spans = [slice(stop - len(ks), stop) for ks, stop in zip(keys, itertools.accumulate(map(len, keys)))]
     if not np.isfinite(mats).all():
         row = np.isfinite(mats).all(axis=(1, 2)).argmin()

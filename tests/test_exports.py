@@ -390,7 +390,7 @@ def _trusted_uses(tree):
                 yield owner
 
 
-def test_unchecked_blocks_come_from_three_builders():
+def test_unchecked_blocks_come_from_four_builders():
     # OffsetMatrix._trusted skips the public checks, so only builders that
     # make the block from the package's own read-only arrays may use it; a
     # block read from a caller's values (from_offset_dict, bloch_matrix's
@@ -403,6 +403,7 @@ def test_unchecked_blocks_come_from_three_builders():
     assert found == [
         ("effective.py", "_order0_from_harmonics"),
         ("effective.py", "_order1_from_harmonics"),
+        ("effective.py", "_class_models"),
         ("floquet.py", "offset_matrices_at_time"),
     ]
     # the check itself can fail

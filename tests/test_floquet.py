@@ -340,11 +340,12 @@ def test_bond_factor_cache_is_bounded_and_thread_safe_over_a_sweep(monkeypatch):
 
 def test_a_sweep_builds_each_drives_phases_once_per_step_count(monkeypatch):
     # the k tasks of a sweep share one dict of integrator terms, however many
-    # frequencies it has, and a second sweep starts from nothing
+    # frequencies it has, and a second sweep starts from nothing; the phases
+    # are built once per frequency class (drives 2^e apart at fixed z) and
+    # step count, by the class's first drive
     lat = preset("kagome")
     base = circular_drive(10.0, 15.0)
     ks = [np.array([0.4, -0.3]), np.array([1.1, 0.6]), np.array([-0.7, 0.2]), np.array([0.0, 0.9])]
-    omegas = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
     monkeypatch.setenv("FLOQUET_FORGE_THREADS", "1")
     calls = []
     build = floquet._bond_phases
@@ -357,13 +358,88 @@ def test_a_sweep_builds_each_drives_phases_once_per_step_count(monkeypatch):
         return rescale_drive(base, w)
 
     monkeypatch.setattr(floquet, "_bond_phases", counting)
-    once = [(w, 3 * steps) for w in omegas for steps in (512, 1024)]  # 12 builds
-    first = error_matrix(lat, family, ks, omegas)
-    assert sorted(calls) == once
-    calls.clear()
-    again = error_matrix(lat, family, ks, omegas)
-    assert sorted(calls) == once
-    assert again.tobytes() == first.tobytes()
+    cases = [
+        ([10.0, 20.0, 40.0, 80.0, 160.0, 320.0], [10.0]),  # one class: 2 builds, not 12
+        ([10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0], [10.0, 15.0]),  # two classes: 4 builds
+    ]
+    eighs = count_eighs(monkeypatch)
+    for omegas, firsts in cases:
+        once = [(w, 3 * steps) for w in firsts for steps in (512, 1024)]
+        calls.clear()
+        eighs.clear()
+        first = error_matrix(lat, family, ks, omegas)
+        assert sorted(calls) == once
+        # one eigh per k, class and step count, as when each drive built its own
+        assert len(eighs) == len(ks) * len(firsts) * 2
+        calls.clear()
+        again = error_matrix(lat, family, ks, omegas)
+        assert sorted(calls) == once
+        assert again.tobytes() == first.tobytes()
+
+
+def model_bytes(model):
+    """Everything a model holds, bytes for arrays: two equal lists mean the
+    same bits."""
+    blocks = [(om.offset, om.matrix.tobytes()) for om in model.order0 + model.order1]
+    return blocks, len(model.order0), model.cutoff, model.omega, model.gauge
+
+
+def test_a_frequency_class_shares_one_model_and_one_phase_set_bit_for_bit(monkeypatch):
+    # drives 2^e apart at fixed z (e = 1..3) make one class: one model build
+    # and one phase set serve them all, each with the bits of its own build,
+    # on every preset and on random lattices, in both gauges
+    rng = np.random.default_rng(91)
+    shapes = np.random.default_rng(92)
+    builds = []
+    build = effective.build_effective_model
+
+    def counting(lat, drive, *args):
+        builds.append(drive)
+        return build(lat, drive, *args)
+
+    monkeypatch.setattr(effective, "build_effective_model", counting)
+
+    def check(lat, drives, firsts, shared=True):
+        for gauge in Gauge:
+            builds.clear()
+            models = effective._class_models(lat, drives, gauge, None)
+            assert builds == firsts
+            for drive, model in zip(drives, models):
+                assert model_bytes(model) == model_bytes(build(lat, drive, gauge)), (lat, drive.omega, gauge)
+        with floquet._sweep_scope({}):
+            phases = [floquet._integrator_phases(lat, drive, 512) for drive in drives]
+        assert all(p is phases[0] for p in phases) is shared
+        for drive, p in zip(drives, phases):  # outside a sweep each drive builds its own
+            assert p.tobytes() == floquet._integrator_phases(lat, drive, 512).tobytes()
+
+    lattices = [preset(name) for name in PRESET_NAMES]
+    lattices += [random_lattice(shapes, dim) for dim in (1, 1, 2, 2, 3, 3)]
+    for lat in lattices:
+        base = random_drive(rng, lat.space_dim)
+        check(lat, [base] + [rescale_drive(base, math.ldexp(base.omega, e)) for e in (1, 2, 3)], [base])
+
+    # outside the class rule or its guard a drive builds its own
+    lat = preset("kagome")
+    base = circular_drive(10.0, 15.0)
+    tripled = rescale_drive(base, 30.0)  # ratio 3
+    check(lat, [base, tripled], [base, tripled], shared=False)
+    h = rescale_drive(base, 20.0).harmonics[0]
+    nudged = DriveSpec(20.0, (Harmonic(1, h.cos_amplitude, [0.0, np.nextafter(h.sin_amplitude[1], 0.0)]),))
+    check(lat, [base, nudged], [base, nudged], shared=False)  # one amplitude one ulp off
+    faint = circular_drive(10.0, 1e-295)  # products with the displacements below 2^-960
+    fainter = rescale_drive(faint, 20.0)
+    check(lat, [faint, fainter], [faint, fainter], shared=False)
+    # amplitudes near the bottom of Bond's range: order 1 holds subnormal
+    # values, where scaling by 2^-e would move bits, so each drive builds
+    # its own model; the phases read no amplitude and are still shared
+    tiny = LatticeSpec(
+        lat.dimension, lat.bravais_vectors, lat.basis_sites,
+        tuple(Bond(b.target_basis, b.source_basis, b.cell_offset, 2.0**-508 * b.amplitude) for b in lat.bonds),
+    )
+    doubled = [base, rescale_drive(base, 20.0), rescale_drive(base, 40.0)]
+    check(tiny, doubled, doubled)
+    scaled = np.ldexp(build(tiny, base).order1.blocks.view(float), -1).view(complex)
+    assert scaled.tobytes() != build(tiny, doubled[1]).order1.blocks.tobytes()
 
 
 def log_residuals(fit):
